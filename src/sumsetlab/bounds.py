@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 from sympy import factorint
 
 from .certificates import (
+    DEFAULT_PRECISION_CAP,
     HOLDS,
     INDETERMINATE,
+    VIOLATED,
     Certificate,
     Interval,
     digest,
     exact_certificate,
     int_nth_root_interval,
     interval_certificate,
-    precision_schedule,
+    validate_precision_cap,
 )
 from .core import (
     Basis,
@@ -38,6 +40,7 @@ from .core import (
     affine_dimension,
     as_vec,
     covering_number,
+    ensure,
     iterated_sumset,
     max_fiber,
     minkowski_sum,
@@ -125,7 +128,7 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
     rewritten = _canon(
         Fraction(math.comb(k + d - 1, d - 1)) * (Fraction(k * (n - d), d) + 1)
     )
-    assert bound == rewritten, "the two closed forms of the bound must agree"
+    ensure(bound == rewritten, "the two closed forms of the bound must agree")
     rhs = len(iterated_sumset(A, k))
     return exact_certificate(
         "freiman_kfold",
@@ -144,7 +147,7 @@ def check_freiman_lemma(A: PointSet) -> Certificate:
     n = len(A)
     lhs = (d + 1) * n - d * (d + 1) // 2
     kfold = math.comb(d + 1, d) * n - math.comb(d + 1, d - 1)
-    assert lhs == kfold, "k=2 specialization must match the k-fold bound"
+    ensure(lhs == kfold, "k=2 specialization must match the k-fold bound")
     rhs = len(iterated_sumset(A, 2))
     return exact_certificate(
         "freiman_lemma",
@@ -175,7 +178,7 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        verdict=HOLDS if slack == 0 else "Violated",
+        verdict=HOLDS if slack == 0 else VIOLATED,
         params={"d": d, "N": N, "k": k},
         inputs_digest=digest({"d": d, "N": N, "k": k}),
     )
@@ -215,15 +218,21 @@ def _root_sum_power_exact(sizes: list[int], d: int) -> int | None:
     return None
 
 
-def check_discrete_bm(sets: list[PointSet], basis: Basis | None = None) -> Certificate:
+def check_discrete_bm(
+    sets: list[PointSet],
+    basis: Basis | None = None,
+    *,
+    precision_cap: int = DEFAULT_PRECISION_CAP,
+) -> Certificate:
     """Discrete Brunn-Minkowski:
     |sum A_i| >= (sum |A_i|^{1/d})^d - sum_{I proper subset of [d]}
     (k-1)^{d-|I|} |pi_I(sum A_i)|.
 
     The root-power term is computed exactly whenever it is rational
     (perfect powers, equal sizes, common radical); otherwise by certified
-    interval arithmetic with escalating precision.
+    interval arithmetic with precision escalating up to ``precision_cap``.
     """
+    validate_precision_cap(precision_cap)
     if not sets:
         raise ValueError("need at least one set")
     d = sets[0].dim
@@ -264,7 +273,8 @@ def check_discrete_bm(sets: list[PointSet], basis: Basis | None = None) -> Certi
         return lhs, Interval.point(rhs)
 
     return interval_certificate(
-        "discrete_bm", make_sides, params=params, inputs_digest=inputs
+        "discrete_bm", make_sides, params=params, inputs_digest=inputs,
+        precision_cap=precision_cap,
     )
 
 
@@ -437,7 +447,9 @@ def _fraction_root_interval(x: Fraction, d: int, bits: int) -> Interval:
     return Interval(scaled.lo / x.denominator, scaled.hi / x.denominator)
 
 
-def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
+def det_main_term_probe(
+    system: LinearSystem, A: PointSet, *, precision_cap: int = DEFAULT_PRECISION_CAP
+) -> Certificate:
     """Like :func:`main_term_probe` but against the determinant main term
     Lambda = (sum |det L_i|^{1/d})^d, interval-certified.  Holds when
     |sum L_i(A)| provably reaches Lambda |A|; otherwise Indeterminate."""
@@ -446,38 +458,24 @@ def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     d = system.dim
     rhs = len(weighted_sumset(system, A))
     dets = [abs(Fraction(M.det())) for M in system.maps]
-    last_bits = None
-    for bits in precision_schedule():
-        last_bits = bits
+
+    def make_sides(bits: int) -> tuple[Interval, Interval]:
         root_sum = Interval.point(0)
         for value in dets:
             root_sum = root_sum + _fraction_root_interval(value, d, bits)
         lam = root_sum.power(d)
-        lhs = Interval(lam.lo * len(A), lam.hi * len(A))
-        decided = lhs.le(Interval.point(rhs))
-        if decided:
-            return Certificate(
-                statement_id="det_main_term",
-                lhs=lhs,
-                rhs=rhs,
-                slack=Interval.point(rhs) - lhs,
-                verdict=HOLDS,
-                params={"k": system.k, "d": d, "size": len(A)},
-                precision_bits=bits,
-                inputs_digest=_sets_digest([A], system_to_dict(system)),
-            )
-        if decided is False:
-            break  # provably above the main term at finite size: informational
-    return Certificate(
-        statement_id="det_main_term",
-        lhs=lhs,
-        rhs=rhs,
-        slack=Interval.point(rhs) - lhs,
-        verdict=INDETERMINATE,
+        return Interval(lam.lo * len(A), lam.hi * len(A)), Interval.point(rhs)
+
+    cert = interval_certificate(
+        "det_main_term",
+        make_sides,
         params={"k": system.k, "d": d, "size": len(A)},
-        precision_bits=last_bits,
         inputs_digest=_sets_digest([A], system_to_dict(system)),
+        precision_cap=precision_cap,
     )
+    # provably above the main term at finite size is informational only
+    verdict = INDETERMINATE if cert.verdict == VIOLATED else cert.verdict
+    return replace(cert, rhs=rhs, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

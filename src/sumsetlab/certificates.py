@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,27 +31,20 @@ VIOLATED = "Violated"
 INDETERMINATE = "Indeterminate"
 
 DEFAULT_PRECISION_CAP = 4096
-_PRECISION_ENV = "SUMSETLAB_PRECISION_CAP"
+MIN_PRECISION_CAP = 128
 
 
-def get_precision_cap() -> int:
-    """Maximum interval precision in bits (env ``SUMSETLAB_PRECISION_CAP``)."""
-    raw = os.environ.get(_PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{_PRECISION_ENV} must be positive")
-    return cap
+def validate_precision_cap(cap: int) -> None:
+    """Reject an interval precision cap below the first escalation step."""
+    if cap < MIN_PRECISION_CAP:
+        raise ValueError(f"precision cap must be at least {MIN_PRECISION_CAP} bits, got {cap}")
 
 
-def precision_schedule(start: int = 128):
-    """Yield 128, 256, 512, ... up to and including the precision cap."""
-    cap = get_precision_cap()
-    bits = min(start, cap)
+def precision_schedule(cap: int = DEFAULT_PRECISION_CAP):
+    """Yield 128, 256, 512, ... up to and including ``cap`` bits; a cap
+    below 128 raises ValueError at the first step."""
+    validate_precision_cap(cap)
+    bits = MIN_PRECISION_CAP
     while True:
         yield bits
         if bits >= cap:
@@ -231,16 +223,17 @@ def interval_certificate(
     params: dict | None = None,
     witnesses: dict | None = None,
     inputs_digest: str | None = None,
+    precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> Certificate:
     """Certificate for sides needing root enclosures, with escalation.
 
     ``make_sides(bits)`` must return ``(lhs, rhs)`` as Intervals computed at
     the given precision.  Precision doubles from 128 bits until the comparison
-    is decided or the cap is reached; an undecided comparison at the cap is
-    reported as ``Indeterminate`` (never guessed).
+    is decided or ``precision_cap`` is reached; an undecided comparison at the
+    cap is reported as ``Indeterminate`` (never guessed).
     """
     last = None
-    for bits in precision_schedule():
+    for bits in precision_schedule(precision_cap):
         lhs, rhs = make_sides(bits)
         last = (lhs, rhs, bits)
         decided = lhs.le(rhs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +32,14 @@ from .bounds import (
     khovanskii_probe,
     main_term_probe,
 )
-from .certificates import INDETERMINATE, VIOLATED, Certificate, canonical_json
+from .certificates import (
+    DEFAULT_PRECISION_CAP,
+    INDETERMINATE,
+    VIOLATED,
+    Certificate,
+    canonical_json,
+    validate_precision_cap,
+)
 from .compression import (
     CompressionSpec,
     check_projection_monotone,
@@ -83,22 +89,17 @@ class CliError(Exception):
 class RunConfig:
     """Validated run parameters shared by the subcommand handlers."""
 
-    command: str
     fmt: str = "json"
-    jobs: int = 1
     budget: int = DEFAULT_POINT_BUDGET
-    precision_cap: int | None = None
+    precision_cap: int = DEFAULT_PRECISION_CAP
     out: str | None = None
 
     def __post_init__(self) -> None:
         if self.fmt not in ("json", "csv"):
             raise CliError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise CliError("--jobs must be >= 1")
         if self.budget < 1:
             raise CliError("--budget must be >= 1")
-        if self.precision_cap is not None and self.precision_cap < 128:
-            raise CliError("--precision-cap must be at least 128 bits")
+        validate_precision_cap(self.precision_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +258,6 @@ def _exit_for(certs: Sequence[Certificate]) -> int:
     if INDETERMINATE in verdicts:
         return 3
     return 0
-
-
-def _run_cases(cases: Sequence[Callable[[], Certificate]], jobs: int) -> list[Certificate]:
-    """Runs verification cases, concurrently when jobs > 1, preserving order."""
-    if jobs > 1 and len(cases) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda fn: fn(), cases))
-    return [fn() for fn in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +500,7 @@ def _v_simplex_formula(args) -> list[Callable[[], Certificate]]:
 def _v_discrete_bm(args) -> list[Callable[[], Certificate]]:
     sets = _sets_arg(args, 1, "discrete_bm")
     basis = _load_basis(args.basis) if args.basis else None
-    return [lambda: check_discrete_bm(sets, basis)]
+    return [lambda: check_discrete_bm(sets, basis, precision_cap=args.precision_cap)]
 
 
 def _v_ruzsa_triangle(args) -> list[Callable[[], Certificate]]:
@@ -597,7 +588,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         raise CliError(f"unknown statement {args.statement!r} (known: {known})")
     cases = builder(args)
     try:
-        certs = _run_cases(cases, config.jobs)
+        certs = [case() for case in cases]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
     return _emit_certificates(certs, config)
@@ -610,7 +601,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_suite(args: argparse.Namespace, config: RunConfig) -> int:
     try:
-        report = run_suite(args.name, jobs=config.jobs)
+        report = run_suite(args.name)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for criterion in report.reports:
@@ -627,9 +618,11 @@ def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
             raise CliError(f"probe {args.kind} needs --system and --set")
         system = _load_system(args.system)
         A = _load_pointset(args.set)
-        probe = main_term_probe if args.kind == "main-term" else det_main_term_probe
         try:
-            cert = probe(system, A)
+            if args.kind == "main-term":
+                cert = main_term_probe(system, A)
+            else:
+                cert = det_main_term_probe(system, A, precision_cap=config.precision_cap)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         return _emit_certificates([cert], config)
@@ -654,7 +647,6 @@ def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    common.add_argument("--jobs", type=int, default=1, help="concurrent sweep cases")
     common.add_argument(
         "--budget",
         type=int,
@@ -664,8 +656,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--precision-cap",
         type=int,
-        default=None,
-        help="interval-arithmetic precision cap in bits (>= 128)",
+        default=DEFAULT_PRECISION_CAP,
+        help=f"interval-arithmetic precision cap in bits (>= 128, default {DEFAULT_PRECISION_CAP})",
     )
     common.add_argument("-o", "--out", default=None, help="write the report to a file")
 
@@ -781,15 +773,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(
-            command=args.command,
             fmt=args.fmt,
-            jobs=args.jobs,
             budget=args.budget,
             precision_cap=args.precision_cap,
             out=args.out,
         )
-        if config.precision_cap is not None:
-            os.environ["SUMSETLAB_PRECISION_CAP"] = str(config.precision_cap)
         return _COMMANDS[args.command](args, config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

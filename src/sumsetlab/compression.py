@@ -33,6 +33,7 @@ from .core import (
     Vec,
     affine_dimension,
     as_vec,
+    ensure,
     is_zero_vec,
     minkowski_sum,
     point_sort_key,
@@ -155,7 +156,7 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
         for _ in range(m):
             out.add(point)
             point = vec_add(point, v)
-    assert len(out) == len(A.points)
+    ensure(len(out) == len(A.points), "compression must preserve cardinality")
     return PointSet._raw(A.dim, frozenset(out))
 
 
@@ -281,7 +282,7 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
         "sum_monotone", lhs, rhs, params=params, inputs_digest=inputs
     )
     # containment holds, and compression preserves cardinality, so slack >= 0
-    assert cert.verdict == HOLDS
+    ensure(cert.verdict == HOLDS, "a contained compressed sumset cannot be larger")
     return cert
 
 

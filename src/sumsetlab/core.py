@@ -41,6 +41,16 @@ class SingularMatrixError(ValueError):
     """A matrix that must be invertible is not."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, never a verdict."""
+
+
+def ensure(ok: bool, message: str) -> None:
+    """Raise InvariantError unless ``ok``; unlike ``assert``, runs under -O."""
+    if not ok:
+        raise InvariantError(message)
+
+
 # ---------------------------------------------------------------------------
 # coordinates and raw vectors
 # ---------------------------------------------------------------------------
@@ -95,10 +105,6 @@ def vec_dot(a: Vec, b: Vec) -> Coord:
 
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
-
-
-def coord_sort_key(x: Coord):
-    return (x.numerator, x.denominator)
 
 
 def point_sort_key(p: Vec):

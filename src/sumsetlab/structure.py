@@ -62,6 +62,7 @@ from .core import (
     Subspace,
     Vec,
     as_vec,
+    ensure,
     is_zero_vec,
     kernel_basis,
     rref,
@@ -278,6 +279,12 @@ def _invariant_line_witness(mats: list[RationalMatrix], d: int) -> Subspace | No
     return None
 
 
+def _reducible(system: LinearSystem, witness: Subspace) -> IrreducibilityVerdict:
+    """A Reducible verdict, after re-validating its witness."""
+    ensure(is_reducible_witness(system, witness), "a Reducible witness failed re-validation")
+    return IrreducibilityVerdict(REDUCIBLE, witness)
+
+
 def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
     """Decide whether the system has a common nontrivial invariant rational
     subspace (after the L_1^{-1} normalization).  Complete for d <= 3; for
@@ -290,33 +297,26 @@ def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
     if not mats:
         # a single invertible map: every line is invariant under the empty
         # normalized family, so (L_1) alone is always reducible for d >= 2
-        witness = Subspace(d, [tuple(1 if j == 0 else 0 for j in range(d))])
-        verdict = IrreducibilityVerdict(REDUCIBLE, witness)
-        assert is_reducible_witness(system, witness)
-        return verdict
+        return _reducible(system, Subspace(d, [tuple(1 if j == 0 else 0 for j in range(d))]))
     for u in _candidate_vectors(mats, d):
         Z = _spin([u], mats, d)
         if 0 < Z.dim < d:
-            assert is_reducible_witness(system, Z)
-            return IrreducibilityVerdict(REDUCIBLE, Z)
+            return _reducible(system, Z)
     tmats = [M.transpose() for M in mats]
     if d <= 3:
         line = _invariant_line_witness(mats, d)
         if line is not None:
-            assert is_reducible_witness(system, line)
-            return IrreducibilityVerdict(REDUCIBLE, line)
+            return _reducible(system, line)
         if d == 3:
             dual_line = _invariant_line_witness(tmats, d)
             if dual_line is not None:
-                plane = dual_line.annihilator()
-                assert is_reducible_witness(system, plane)
-                return IrreducibilityVerdict(REDUCIBLE, plane)
+                return _reducible(system, dual_line.annihilator())
         return IrreducibilityVerdict(IRREDUCIBLE)
     for T in _element_schedule(mats, d):
         verdict = _norton_attempt(T, mats, tmats, d)
         if verdict is not None:
             if verdict.status == REDUCIBLE:
-                assert is_reducible_witness(system, verdict.witness)
+                return _reducible(system, verdict.witness)
             return verdict
     return IrreducibilityVerdict(UNKNOWN)
 

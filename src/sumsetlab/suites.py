@@ -467,18 +467,11 @@ class SuiteReport:
         }
 
 
-def run_suite(name: str, jobs: int = 1) -> SuiteReport:
-    """Runs the named suite ('smoke' or 'full'); ``jobs`` > 1 runs criteria
-    concurrently, with reports always emitted in registry order."""
+def run_suite(name: str) -> SuiteReport:
+    """Runs the named suite ('smoke' or 'full'), criteria in registry order."""
     registry = {"smoke": SMOKE_SUITE, "full": FULL_SUITE}.get(name)
     if registry is None:
         raise ValueError(f"unknown suite {name!r} (expected 'smoke' or 'full')")
     started = time.perf_counter()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(lambda fn: fn(), registry.values()))
-    else:
-        reports = tuple(fn() for fn in registry.values())
+    reports = tuple(fn() for fn in registry.values())
     return SuiteReport(name=name, reports=reports, seconds=time.perf_counter() - started)

@@ -4,6 +4,7 @@ Expected values in this module were frozen from brute-force enumeration
 (naive sumsets over small instances) before the checkers were written.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from sumsetlab import (
     shear_system,
     simplex_cardinality,
 )
+from sumsetlab.certificates import canonical_json
 
 
 class TestElementary:
@@ -340,6 +342,23 @@ class TestDetMainTermProbe:
         assert cert.verdict == "Indeterminate"
         # The comparison fails at the first precision, so escalation stops there.
         assert cert.precision_bits == 128
+
+    @pytest.mark.parametrize(
+        "system, A, expected",
+        [
+            (
+                LinearSystem([RationalMatrix([[1]]), RationalMatrix([[2]])]),
+                PointSet(1, [(0,), (1,), (10,)]),
+                "0c10c1309c74ea4a",
+            ),
+            (rotation_system(2), cube(2, 1), "ef65e827cf10e5c2"),
+            (rotation_system(2), cube(2, 4), "6d77c4ba02396068"),
+            (shear_system(), cube(2, 2), "c562212dac97a9c7"),
+        ],
+    )
+    def test_certificate_bytes_pinned(self, system, A, expected):
+        doc = canonical_json(det_main_term_probe(system, A).to_dict())
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == expected
 
 
 class TestKhovanskiiProbe:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab import PointSet
+from sumsetlab import PointSet, check_discrete_bm, cube, det_main_term_probe, rotation_system
 from sumsetlab.certificates import (
+    DEFAULT_PRECISION_CAP,
     HOLDS,
     INDETERMINATE,
     VIOLATED,
@@ -15,14 +16,13 @@ from sumsetlab.certificates import (
     canonical_json,
     digest,
     exact_certificate,
-    get_precision_cap,
     int_nth_root_interval,
     interval_certificate,
     precision_schedule,
 )
 from sumsetlab.serialization import pointset_to_dict
 
-fractions_small = st.fractions(max_denominator=20).filter(lambda f: abs(f) <= 50)
+fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 class TestInterval:
@@ -152,21 +152,30 @@ class TestIntervalCertificate:
         )
         assert cert.verdict == HOLDS and cert.precision_bits == 128
 
-    def test_indeterminate_at_cap(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_PRECISION_CAP", "256")
-        assert get_precision_cap() == 256
+    def test_indeterminate_at_cap(self):
         # Overlapping enclosures at every precision: never decided.
         wobble = lambda bits: (
             Interval(Fraction(0), Fraction(2)),
             Interval(Fraction(1), Fraction(3)),
         )
-        cert = interval_certificate("demo", wobble)
+        cert = interval_certificate("demo", wobble, precision_cap=256)
         assert cert.verdict == INDETERMINATE and cert.precision_bits == 256
 
-    def test_precision_schedule_doubles_to_cap(self, monkeypatch):
-        monkeypatch.setenv("SUMSETLAB_PRECISION_CAP", "512")
-        assert list(precision_schedule()) == [128, 256, 512]
+    def test_precision_schedule_doubles_to_cap(self):
+        assert list(precision_schedule(512)) == [128, 256, 512]
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("SUMSETLAB_PRECISION_CAP", raising=False)
-        assert get_precision_cap() == 4096
+    def test_default_cap(self):
+        assert DEFAULT_PRECISION_CAP == 4096
+        assert list(precision_schedule())[-1] == 4096
+        wobble = lambda bits: (Interval(Fraction(0), Fraction(2)), Interval(Fraction(1), Fraction(3)))
+        assert interval_certificate("demo", wobble).precision_bits == 4096
+
+    @pytest.mark.parametrize("cap", [8, 127])
+    def test_cap_below_128_rejected(self, cap):
+        sides = lambda bits: (Interval.point(2), Interval.point(3))
+        with pytest.raises(ValueError, match="at least 128"):
+            interval_certificate("demo", sides, precision_cap=cap)
+        with pytest.raises(ValueError, match="at least 128"):
+            check_discrete_bm([PointSet(1, [(0,), (1,)])], precision_cap=cap)
+        with pytest.raises(ValueError, match="at least 128"):
+            det_main_term_probe(rotation_system(2), cube(2, 1), precision_cap=cap)

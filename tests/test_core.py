@@ -102,7 +102,7 @@ class TestMinkowskiSum:
         got = minkowski_sum(sets)
         assert {tuple(p) for p in got.points} == expected
 
-    @given(set_families(max_size=6, coords=st.fractions(max_denominator=3).filter(lambda f: abs(f) <= 4)))
+    @given(set_families(max_size=6, coords=st.fractions(min_value=-4, max_value=4, max_denominator=3)))
     def test_matches_naive_enumeration_rational(self, sets):
         expected = naive_sumset(sets)
         assert {tuple(p) for p in minkowski_sum(sets).points} == expected

@@ -1,9 +1,14 @@
 """Irreducibility decisions, coprimality, and generalized progressions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumsetlab
 from sumsetlab import (
     DimensionMismatchError,
     LinearSystem,
@@ -56,6 +61,26 @@ class TestDecideIrreducible:
         verdict = decide_irreducible(shear_system())
         assert verdict.status == "Reducible"
         assert is_reducible_witness(shear_system(), verdict.witness)
+
+    def test_witness_revalidation_runs_under_python_O(self):
+        # python -O strips asserts; the re-validation of a Reducible witness
+        # must still reject a witness that fails the invariance check.
+        script = (
+            "import sys\n"
+            "from sumsetlab import InvariantError, decide_irreducible, shear_system, structure\n"
+            "structure.is_reducible_witness = lambda system, U: False\n"
+            "try:\n"
+            "    decide_irreducible(shear_system())\n"
+            "except InvariantError:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised", "1"]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rotation_irreducible(self, d):
