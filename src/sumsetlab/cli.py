@@ -50,6 +50,7 @@ from .compression import (
 from .core import (
     PointSet,
     Subspace,
+    estimated_sum_size,
     linear_image,
     minkowski_sum,
     project,
@@ -265,29 +266,8 @@ def _exit_for(certs: Sequence[Certificate]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _estimated_sum_size(sets: Sequence[PointSet]) -> int:
-    """Cheap upper bound for |A_1 + ... + A_k|: min of the size product and
-    (for integral inputs) the bounding-box volume of the sum."""
-    product = 1
-    for A in sets:
-        product *= len(A)
-    if not all(A.is_integral for A in sets):
-        return product
-    box = 1
-    dim = sets[0].dim
-    for i in range(dim):
-        span = 0
-        for A in sets:
-            coords = [p[i] for p in A.points]
-            span += max(coords) - min(coords)
-        box *= span + 1
-        if box >= product:
-            return product
-    return min(product, box)
-
-
 def _guard_budget(sets: Sequence[PointSet], budget: int) -> None:
-    estimate = _estimated_sum_size(sets)
+    estimate = estimated_sum_size(sets)
     if estimate > budget:
         raise CliError(
             f"estimated output of {estimate} points exceeds the budget of {budget};"
@@ -465,18 +445,17 @@ def _v_gs_kfold(args) -> list[Callable[[], Certificate]]:
 
 def _v_freiman_kfold(args) -> list[Callable[[], Certificate]]:
     ks = _parse_range(args.k or "2", "--k")
-    cases = []
-    for _, A in _random_or_file_sets(args, "freiman_kfold"):
-        for k in ks:
-            cases.append(lambda A=A, k=k: check_freiman_kfold(A, k))
-    return cases
+    cases = [(A, k) for _, A in _random_or_file_sets(args, "freiman_kfold") for k in ks]
+    for A, k in cases:
+        _guard_budget([A] * k, args.budget)
+    return [(lambda A=A, k=k: check_freiman_kfold(A, k)) for A, k in cases]
 
 
 def _v_freiman_lemma(args) -> list[Callable[[], Certificate]]:
-    return [
-        (lambda A=A: check_freiman_lemma(A))
-        for _, A in _random_or_file_sets(args, "freiman_lemma")
-    ]
+    sets = [A for _, A in _random_or_file_sets(args, "freiman_lemma")]
+    for A in sets:
+        _guard_budget([A, A], args.budget)
+    return [(lambda A=A: check_freiman_lemma(A)) for A in sets]
 
 
 def _v_simplex_formula(args) -> list[Callable[[], Certificate]]:

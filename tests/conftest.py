@@ -1,8 +1,9 @@
 """Shared strategies and oracles for the test suite.
 
 ``naive_sumset`` recomputes Minkowski sums by direct enumeration over raw
-coordinate tuples — deliberately independent of the packed-integer fast path
-inside the library, so the two implementations cross-check each other.
+coordinate tuples — deliberately independent of every path of the library's
+sumset engine (the ``int`` bitmap fold, the packed pair-set fold and the
+rational tuple fold), so each of them is cross-checked against it.
 """
 
 import os

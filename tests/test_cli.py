@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -167,6 +168,18 @@ class TestVerify:
         )
         assert code == 0 and len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("freiman_kfold", "--set", "random", "--seed", "1", "--size", "8", "--k", "4"),
+            ("freiman_kfold", "--set", "random", "--seed", "1-2", "--size", "8", "--k", "1-4"),
+            ("freiman_lemma", "--set", "random", "--seed", "1", "--size", "8"),
+        ],
+    )
+    def test_budget_guard(self, call, argv):
+        code, out, err = call("verify", *argv, "--budget", "10")
+        assert code == 2 and "budget" in err and out == ""
+
     def test_violated_exit_code(self, call, workset):
         # sum_monotone is an inequality family that cannot be violated; use a
         # probe-free statement with a forced violation instead: none exists,
@@ -253,6 +266,15 @@ class TestDeterminism:
         first = call(*self.SWEEP)
         second = call(*self.SWEEP)
         assert first == second
+
+    def test_golden_simplex_formula_stdout(self, call):
+        # the full certificates of 45 (d, N, k) cases: a change to these bytes
+        # is a change of output, never a refactor
+        code, out, _ = call("verify", "simplex_formula", "--d", "1-3", "--N", "4-8", "--k", "2-4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "20192382712f86d7e041cf70a6f5bbcbd261c5f7140c896254f94017f4b04096"
+        )
 
 
 

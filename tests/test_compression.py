@@ -29,15 +29,24 @@ def axis_spec(i, d):
     return CompressionSpec.axis(i, d)
 
 
-general_specs = (
-    st.tuples(
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+_SMALL_PAIRS = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+@st.composite
+def _general_spec(draw):
+    """A nonzero normal, then only directions transversal to it: no draw is
+    rejected."""
+    normal = draw(st.sampled_from([n for n in _SMALL_PAIRS if any(n)]))
+    offset = draw(
+        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
     )
-    .filter(lambda t: any(t[0]) and sum(n * v for n, v in zip(t[0], t[2])) != 0)
-    .map(lambda t: CompressionSpec(normal=t[0], offset=t[1], direction=t[2]))
-)
+    direction = draw(
+        st.sampled_from([v for v in _SMALL_PAIRS if normal[0] * v[0] + normal[1] * v[1] != 0])
+    )
+    return CompressionSpec(normal=normal, offset=offset, direction=direction)
+
+
+general_specs = _general_spec()
 
 
 class TestCompress:

@@ -1,12 +1,16 @@
 """Point sets, exact linear algebra, and sumset computations."""
 
+import contextlib
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_sumset, point_sets, set_families
+from conftest import int_coords, naive_sumset, point_sets, rational_coords, set_families
+from sumsetlab import core
 from sumsetlab import (
     Basis,
     DimensionMismatchError,
@@ -25,6 +29,7 @@ from sumsetlab import (
     minkowski_sum,
     project,
     random_system,
+    rotation_system,
     weighted_sumset,
 )
 
@@ -120,6 +125,139 @@ class TestMinkowskiSum:
     def test_elementary_lower_bound(self, sets):
         total = minkowski_sum(sets)
         assert len(total) >= sum(len(A) for A in sets) - (len(sets) - 1)
+
+
+@contextlib.contextmanager
+def engine_folds():
+    """Record, in order, the fold each integral sum inside the block runs."""
+    seen = []
+
+    def spy(name, fold):
+        def recorded(*args):
+            seen.append(name)
+            return fold(*args)
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_bitmap_fold", spy("bitmap", core._bitmap_fold))
+        mp.setattr(core, "_pair_fold", spy("pairs", core._pair_fold))
+        yield seen
+
+
+@st.composite
+def dense_sets(draw, dim):
+    """At least half of a box with sides 1..3 and its low corner in [-3, 3]^d.
+    A sum of up to three such sets has at most 2^3 = 8 box cells per pair of
+    the pair-set fold, so it takes the bitmap fold."""
+    low = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    sides = draw(st.tuples(*[st.integers(1, 3)] * dim))
+    cells = list(itertools.product(*(range(a, a + s) for a, s in zip(low, sides))))
+    return PointSet(dim, draw(st.sets(st.sampled_from(cells), min_size=(len(cells) + 1) // 2)))
+
+
+WIDE = 10**5
+
+
+@st.composite
+def wide_sets(draw, dim):
+    """1 to 8 small points plus one at distance 10^5 along the first axis: a
+    sum of up to three such sets has hundreds of box cells per pair of the
+    pair-set fold, so it takes that fold."""
+    far = (draw(st.sampled_from((-WIDE, WIDE))),) + (0,) * (dim - 1)
+    near = draw(st.lists(st.tuples(*[int_coords] * dim), min_size=1, max_size=8))
+    return PointSet(dim, near + [far])
+
+
+FOLDS = [
+    pytest.param(dense_sets, "bitmap", id="bitmap"),
+    pytest.param(wide_sets, "pairs", id="pairs"),
+]
+
+
+class TestSumsetEngine:
+    """Both folds of the integral engine against ``naive_sumset``, on inputs
+    built to take each fold: d = 1..3, negative coordinates, singletons and
+    k = 1 included."""
+
+    @pytest.mark.parametrize("make_set, fold", FOLDS)
+    @given(data=st.data())
+    def test_minkowski_sum(self, make_set, fold, data):
+        dim = data.draw(st.integers(1, 3))
+        sets = [data.draw(make_set(dim)) for _ in range(data.draw(st.integers(1, 3)))]
+        with engine_folds() as seen:
+            got = minkowski_sum(sets)
+        assert set(got.points) == naive_sumset(sets)
+        assert seen == [fold] * (len(sets) > 1)
+
+    @pytest.mark.parametrize("make_set, fold", FOLDS)
+    @given(data=st.data())
+    def test_iterated_sumset(self, make_set, fold, data):
+        A = data.draw(make_set(data.draw(st.integers(1, 3))))
+        k = data.draw(st.integers(1, 3))
+        with engine_folds() as seen:
+            got = iterated_sumset(A, k)
+        assert set(got.points) == naive_sumset([A] * k)
+        assert seen == [fold] * (k > 1)
+
+    @given(data=st.data())
+    def test_weighted_sumset_bitmap(self, data):
+        # rotations map a dense set onto a dense set
+        dim = data.draw(st.integers(2, 3))
+        A = data.draw(dense_sets(dim))
+        system = rotation_system(dim)
+        with engine_folds() as seen:
+            got = weighted_sumset(system, A)
+        assert set(got.points) == naive_sumset([linear_image(M, A) for M in system.maps])
+        assert seen == ["bitmap"]
+
+    @given(data=st.data())
+    def test_weighted_sumset_pairs(self, data):
+        dim = data.draw(st.integers(1, 3))
+        A = data.draw(wide_sets(dim))
+        system = random_system(dim, data.draw(st.integers(2, 3)), 2, data.draw(st.integers(0, 2**32)))
+        with engine_folds() as seen:
+            got = weighted_sumset(system, A)
+        assert set(got.points) == naive_sumset([linear_image(M, A) for M in system.maps])
+        assert seen == ["pairs"]
+
+    @given(set_families(max_dim=4, max_k=4, max_size=10))
+    def test_either_fold_matches_naive(self, sets):
+        assert set(minkowski_sum(sets).points) == naive_sumset(sets)
+
+    @pytest.mark.parametrize(
+        "big, fold",
+        [
+            (PointSet(2, itertools.product(range(-2, 2), range(3))), "bitmap"),
+            (PointSet(2, [(0, 0), (WIDE, -1)]), "pairs"),
+        ],
+    )
+    def test_singleton_summands(self, big, fold):
+        point = PointSet(2, [(-4, 7)])
+        for sets in ([point, big], [big, point], [point, point, big]):
+            with engine_folds() as seen:
+                got = minkowski_sum(sets)
+            assert set(got.points) == naive_sumset(sets)
+            assert seen == [fold]
+        assert iterated_sumset(point, 3) == PointSet(2, [(-12, 21)])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_density_threshold(self, dim):
+        # for m != 0, {0, m e_1} + {0, e_d} adds 4 pairs in a box of |m| + 2
+        # cells (d = 1) or 2(|m| + 1) cells (d = 2)
+        limit = core._BITMAP_DENSITY * 4
+        folds = {}
+        for m in range(-limit, limit):
+            A = PointSet(dim, [(0,) * dim, (m,) + (0,) * (dim - 1)])
+            B = PointSet(dim, [(0,) * (dim - 1) + (1,), (0,) * dim])
+            with engine_folds() as seen:
+                got = minkowski_sum([A, B])
+            assert set(got.points) == naive_sumset([A, B])
+            cells = (abs(m) + 2) if dim == 1 else 2 * (abs(m) + 1)
+            folds[cells] = seen
+        assert folds[limit] == ["bitmap"]
+        assert folds[limit + dim] == ["pairs"]
+        assert all(seen == (["bitmap"] if cells <= limit else ["pairs"]) for cells, seen in folds.items())
 
 
 class TestIteratedSumset:
@@ -262,6 +400,39 @@ class TestProject:
         J = sorted(data.draw(st.sets(st.integers(1, 3), min_size=1)))
         I = sorted(data.draw(st.sets(st.sampled_from(J))))
         assert len(project(A, None, I)) <= len(project(A, None, J))
+
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: point_sets(d, coords=st.one_of(int_coords, rational_coords))
+        )
+    )
+    def test_standard_basis_matches_matrix_path(self, A):
+        d = A.dim
+        typed = lambda S: {tuple((type(c), c) for c in p) for p in S.points}
+        for r in range(d + 1):
+            for I in itertools.combinations(range(1, d + 1), r):
+                mask = RationalMatrix(
+                    [[int(i == j and i + 1 in I) for j in range(d)] for i in range(d)]
+                )
+                assert typed(project(A, None, I)) == typed(linear_image(mask, A))
+
+    def test_nonstandard_basis_values_pinned(self):
+        A = PointSet(3, [(0, 0, 0), (1, 2, 3), (-2, 1, 0), (3, -1, 2), (1, 1, 1), (0, 2, -1)])
+        B = Basis([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+        out = [
+            (I, project(A, B, I).sorted_points())
+            for r in range(4)
+            for I in itertools.combinations((1, 2, 3), r)
+        ]
+        assert [len(points) for _, points in out] == [1, 4, 5, 5, 6, 6, 6, 6]
+        assert out[1] == (
+            (1,),
+            [(Fraction(-1, 2), Fraction(-1, 2), 0), (0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0),
+             (Fraction(3, 2), Fraction(3, 2), 0)],
+        )
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "cae84cac74a8f1b9ce173842a865e20e8302c6b65c86ddd01cb96cc46ec58bd9"
 
 
 class TestMaxFiber:
