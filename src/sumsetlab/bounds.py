@@ -48,17 +48,8 @@ from .core import (
     weighted_sumset,
 )
 from .generators import long_simplex
-from .serialization import (
-    basis_to_dict,
-    encode_point,
-    pointset_to_dict,
-    system_to_dict,
-)
+from .serialization import basis_to_dict, encode_coord, encode_point, system_to_dict
 from .structure import IRREDUCIBLE, decide_irreducible
-
-
-def _sets_digest(sets, *extra) -> str:
-    return digest([pointset_to_dict(A) for A in sets] + list(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +69,7 @@ def check_elementary(sets: list[PointSet]) -> Certificate:
         lhs,
         rhs,
         params={"k": k, "sizes": [len(A) for A in sets]},
-        inputs_digest=_sets_digest(sets),
+        inputs_digest=digest(sets),
     )
 
 
@@ -107,7 +98,7 @@ def check_gs_kfold(sets: list[PointSet], direction) -> Certificate:
             "covering_numbers": rs,
             "direction": encode_point(v),
         },
-        inputs_digest=_sets_digest(sets, encode_point(v)),
+        inputs_digest=digest([*sets, v]),
     )
 
 
@@ -135,7 +126,7 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
         bound,
         rhs,
         params={"k": k, "d": d, "size": n},
-        inputs_digest=_sets_digest([A], {"k": k}),
+        inputs_digest=digest([A, {"k": k}]),
     )
 
 
@@ -154,7 +145,7 @@ def check_freiman_lemma(A: PointSet) -> Certificate:
         lhs,
         rhs,
         params={"d": d, "size": n},
-        inputs_digest=_sets_digest([A]),
+        inputs_digest=digest([A]),
     )
 
 
@@ -257,7 +248,7 @@ def check_discrete_bm(
         "correction": correction,
         "basis": basis_to_dict(basis),
     }
-    inputs = _sets_digest(sets, basis_to_dict(basis))
+    inputs = digest([*sets, params["basis"]])
     exact_power = _root_sum_power_exact(sizes, d)
     if exact_power is not None:
         return exact_certificate(
@@ -292,7 +283,7 @@ def check_ruzsa_triangle(U: PointSet, V: PointSet, W: PointSet) -> Certificate:
         lhs,
         rhs,
         params={"sizes": [len(U), len(V), len(W)]},
-        inputs_digest=_sets_digest([U, V, W]),
+        inputs_digest=digest([U, V, W]),
     )
 
 
@@ -320,7 +311,7 @@ def check_plunnecke_ruzsa(A: PointSet, B: PointSet, m: int, n: int) -> Certifica
         lhs,
         rhs,
         params={"m": m, "n": n, "K": K, "sizes": [len(A), len(B)]},
-        inputs_digest=_sets_digest([A, B], {"m": m, "n": n}),
+        inputs_digest=digest([A, B, {"m": m, "n": n}]),
     )
 
 
@@ -347,7 +338,7 @@ def check_iterated_pr(sets: list[PointSet], k: int | None = None) -> Certificate
         lhs,
         rhs,
         params={"k": k, "N": N, "K": K},
-        inputs_digest=_sets_digest(sets),
+        inputs_digest=digest(sets),
     )
 
 
@@ -374,7 +365,7 @@ def check_linear_pr(system: LinearSystem, A: PointSet) -> Certificate:
         lhs,
         rhs,
         params={"k": k, "K": K, "size": len(A)},
-        inputs_digest=_sets_digest([A], system_to_dict(system)),
+        inputs_digest=digest([A, system_to_dict(system)]),
     )
 
 
@@ -401,9 +392,7 @@ def check_fiber_bound(system: LinearSystem, A: PointSet, U: Subspace) -> Certifi
         lhs,
         rhs,
         params={"r": r, "K": K, "max_fiber": fiber, "size": len(A)},
-        inputs_digest=_sets_digest(
-            [A], system_to_dict(system), [encode_point(row) for row in U.rows]
-        ),
+        inputs_digest=digest([A, system_to_dict(system), U.rows]),
     )
 
 
@@ -436,7 +425,7 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
         slack=rhs - lhs,
         verdict=HOLDS if deficit <= 0 else INDETERMINATE,
         params={"k": k, "d": d, "size": len(A), "deficit": deficit, "exponent": exponent},
-        inputs_digest=_sets_digest([A], system_to_dict(system)),
+        inputs_digest=digest([A, system_to_dict(system)]),
     )
 
 
@@ -470,7 +459,7 @@ def det_main_term_probe(
         "det_main_term",
         make_sides,
         params={"k": system.k, "d": d, "size": len(A)},
-        inputs_digest=_sets_digest([A], system_to_dict(system)),
+        inputs_digest=digest([A, system_to_dict(system)]),
         precision_cap=precision_cap,
     )
     # provably above the main term at finite size is informational only
@@ -556,7 +545,6 @@ class GrowthFitReport:
     dominates_reference: bool
 
     def to_dict(self) -> dict:
-        frac = lambda c: f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
         return {
             "dim": self.dim,
             "size": self.size,
@@ -564,8 +552,8 @@ class GrowthFitReport:
             "values": list(self.values),
             "degree": self.degree,
             "threshold": self.threshold,
-            "polynomial": [frac(c) for c in self.polynomial],
-            "reference": [frac(c) for c in self.reference],
+            "polynomial": [encode_coord(c) for c in self.polynomial],
+            "reference": [encode_coord(c) for c in self.reference],
             "equals_reference": self.equals_reference,
             "dominates_reference": self.dominates_reference,
         }

@@ -26,6 +26,9 @@ from fractions import Fraction
 
 from sympy import integer_nthroot
 
+from .core import PointSet
+from .serialization import encode_coord, encode_point
+
 HOLDS = "Holds"
 VIOLATED = "Violated"
 INDETERMINATE = "Indeterminate"
@@ -120,6 +123,8 @@ def int_nth_root_interval(n: int, d: int, bits: int) -> Interval:
 
 
 def _encode_value(v) -> object:
+    """JSON form of a certificate value: numbers as ``encode_coord`` strings,
+    a PointSet as ``{"dim": "<d>", "points": [...]}`` in canonical order."""
     if isinstance(v, Interval):
         return {
             "lo": _encode_value(v.lo),
@@ -127,12 +132,12 @@ def _encode_value(v) -> object:
         }
     if isinstance(v, bool):
         return v
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    if isinstance(v, (int, Fraction)):
+        return encode_coord(v)
     if isinstance(v, str):
         return v
+    if isinstance(v, PointSet):
+        return {"dim": encode_coord(v.dim), "points": [encode_point(p) for p in v.sorted_points()]}
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]
     if isinstance(v, dict):
@@ -147,7 +152,8 @@ def canonical_json(obj) -> str:
 
 
 def digest(obj) -> str:
-    """sha256 of the canonical JSON encoding; used to pin certificate inputs."""
+    """sha256 of the canonical JSON encoding; used to pin certificate inputs.
+    Checks pass their inputs as they are, e.g. ``digest([A, {"k": k}])``."""
     return hashlib.sha256(canonical_json(_encode_value(obj)).encode()).hexdigest()
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bounds import (
@@ -86,63 +85,24 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommand handlers."""
-
-    fmt: str = "json"
-    budget: int = DEFAULT_POINT_BUDGET
-    precision_cap: int = DEFAULT_PRECISION_CAP
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.fmt not in ("json", "csv"):
-            raise CliError(f"unknown format {self.fmt!r}")
-        if self.budget < 1:
-            raise CliError("--budget must be >= 1")
-        validate_precision_cap(self.precision_cap)
-
-
 # ---------------------------------------------------------------------------
 # input parsing helpers
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str):
+def _load(decode, path: str):
+    """``decode`` applied to the JSON in ``path``; every failure is a CliError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _wrap_value_errors(fn, path: str):
     try:
-        return fn()
+        return decode(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_pointset(path: str) -> PointSet:
-    data = _load_json(path)
-    return _wrap_value_errors(lambda: pointset_from_dict(data), path)
-
-
-def _load_system(path: str):
-    data = _load_json(path)
-    return _wrap_value_errors(lambda: system_from_dict(data), path)
-
-
-def _load_basis(path: str):
-    data = _load_json(path)
-    return _wrap_value_errors(lambda: basis_from_dict(data), path)
-
-
-def _load_spec(path: str, dim: int) -> CompressionSpec:
-    data = _load_json(path)
-    return _wrap_value_errors(lambda: CompressionSpec.from_dict(data, dim), path)
 
 
 def _parse_range(text: str, label: str) -> list[int]:
@@ -200,50 +160,45 @@ def _parse_vectors(text: str, label: str) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _emit_doc(doc, config: RunConfig) -> None:
-    text = dumps_canonical(doc)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_doc(doc, args: argparse.Namespace) -> None:
+    _write(dumps_canonical(doc), args)
 
 
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return canonical_json(value)
     return str(value)
 
 
 _CSV_COLUMNS = ("statement_id", "verdict", "lhs", "rhs", "slack", "precision_bits", "inputs_digest", "params")
 
 
-def _emit_certificates(certs: Sequence[Certificate], config: RunConfig) -> int:
-    lines: list[str] = []
-    if config.fmt == "csv":
+def _emit_certificates(certs: Sequence[Certificate], args: argparse.Namespace) -> int:
+    docs = [cert.to_dict() for cert in certs]
+    if args.fmt == "csv":
         import csv
         import io
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for cert in certs:
-            doc = cert.to_dict()
+        for doc in docs:
             writer.writerow([_csv_cell(doc.get(col)) for col in _CSV_COLUMNS])
         text = buf.getvalue()
     else:
-        for cert in certs:
-            lines.append(canonical_json(cert.to_dict()))
-        text = "".join(line + "\n" for line in lines)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    for cert in certs:
-        doc = cert.to_dict()
+        text = "".join(canonical_json(doc) + "\n" for doc in docs)
+    _write(text, args)
+    for doc in docs:
         print(
             f"{doc['statement_id']}: {doc['verdict']}"
             f" lhs={doc['lhs']} rhs={doc['rhs']} slack={doc['slack']}",
@@ -280,7 +235,7 @@ def _guard_budget(sets: Sequence[PointSet], budget: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
     need = lambda name: _require(args, name, f"gen {kind}")
     if kind == "simplex":
@@ -314,7 +269,7 @@ def _cmd_gen(args: argparse.Namespace, config: RunConfig) -> int:
         doc = system_to_dict(random_system(need("d"), need("k"), args.entry_bound, args.seed))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown generator {kind!r}")
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     return 0
 
 
@@ -330,15 +285,15 @@ def _require(args: argparse.Namespace, name: str, context: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sumset(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_sumset(args: argparse.Namespace) -> int:
     if args.sets:
         if args.set or args.system:
             raise CliError("--sets excludes --set/--system")
-        summands = [_load_pointset(path) for path in args.sets]
+        summands = [_load(pointset_from_dict, path) for path in args.sets]
     elif args.set:
-        A = _load_pointset(args.set)
+        A = _load(pointset_from_dict, args.set)
         if args.system:
-            system = _load_system(args.system)
+            system = _load(system_from_dict, args.system)
             if system.dim != A.dim:
                 raise CliError("system and set dimensions differ")
             summands = [linear_image(M, A) for M in system.maps]
@@ -348,17 +303,17 @@ def _cmd_sumset(args: argparse.Namespace, config: RunConfig) -> int:
         raise CliError("sumset needs --sets or --set")
     if not summands:
         raise CliError("no summands given")
-    _guard_budget(summands, config.budget)
+    _guard_budget(summands, args.budget)
     total = minkowski_sum(summands)
     doc = pointset_to_dict(total)
     doc["size"] = len(total)
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     print(f"size {len(total)}", file=sys.stderr)
     return 0
 
 
-def _cmd_compress(args: argparse.Namespace, config: RunConfig) -> int:
-    A = _load_pointset(args.set)
+def _cmd_compress(args: argparse.Namespace) -> int:
+    A = _load(pointset_from_dict, args.set)
     if (args.axis is None) == (args.spec is None):
         raise CliError("compress needs exactly one of --axis or --spec")
     if args.axis is not None:
@@ -366,38 +321,38 @@ def _cmd_compress(args: argparse.Namespace, config: RunConfig) -> int:
             raise CliError(f"--axis must be in 1..{A.dim}")
         spec = CompressionSpec.axis(args.axis, A.dim)
     else:
-        spec = _load_spec(args.spec, A.dim)
+        spec = _load(lambda data: CompressionSpec.from_dict(data, A.dim), args.spec)
     result = compress(A, spec)
     doc = pointset_to_dict(result)
     doc["size"] = len(result)
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     return 0
 
 
-def _cmd_reduce(args: argparse.Namespace, config: RunConfig) -> int:
-    A = _load_pointset(args.set)
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    A = _load(pointset_from_dict, args.set)
     try:
         final, trace = reduce_to_simplex(A, max_steps=args.max_steps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     doc = trace.to_dict()
     doc["steps_taken"] = len(trace.steps)
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     print(f"reduced in {len(trace.steps)} steps to {len(final)} points", file=sys.stderr)
     return 0
 
 
-def _cmd_project(args: argparse.Namespace, config: RunConfig) -> int:
-    A = _load_pointset(args.set)
+def _cmd_project(args: argparse.Namespace) -> int:
+    A = _load(pointset_from_dict, args.set)
     coords = _parse_ints(args.coords, "--coords")
-    basis = _load_basis(args.basis) if args.basis else None
+    basis = _load(basis_from_dict, args.basis) if args.basis else None
     try:
         result = project(A, basis, coords)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     doc = pointset_to_dict(result)
     doc["size"] = len(result)
-    _emit_doc(doc, config)
+    _emit_doc(doc, args)
     return 0
 
 
@@ -409,121 +364,112 @@ def _cmd_project(args: argparse.Namespace, config: RunConfig) -> int:
 def _sets_arg(args: argparse.Namespace, minimum: int, statement: str) -> list[PointSet]:
     if not args.sets or len(args.sets) < minimum:
         raise CliError(f"verify {statement} needs --sets with at least {minimum} file(s)")
-    return [_load_pointset(path) for path in args.sets]
+    return [_load(pointset_from_dict, path) for path in args.sets]
 
 
-def _random_or_file_sets(args: argparse.Namespace, statement: str) -> list[tuple[str, PointSet]]:
-    """One labelled set per sweep case: a file path, or seeded random
-    full-dimensional sets when ``--set random`` is given."""
+def _random_or_file_sets(args: argparse.Namespace, statement: str) -> list[PointSet]:
+    """One set per sweep case: a file, or seeded random full-dimensional
+    sets when ``--set random`` is given."""
     if not args.set:
         raise CliError(f"verify {statement} needs --set FILE or --set random")
     if args.set != "random":
-        return [(args.set, _load_pointset(args.set))]
+        return [_load(pointset_from_dict, args.set)]
     d = args.d_int
     size = args.size
     box = _parse_box(args.box or "-5,5")
     seeds = _parse_range(args.seed_range, "--seed")
-    return [
-        (f"random seed={seed}", random_full_dim_set(d, size, box, seed))
-        for seed in seeds
-    ]
+    return [random_full_dim_set(d, size, box, seed) for seed in seeds]
 
 
-def _v_elementary(args) -> list[Callable[[], Certificate]]:
+def _v_elementary(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "elementary")
-    return [lambda: check_elementary(sets)]
+    _guard_budget(sets, args.budget)
+    return [check_elementary(sets)]
 
 
-def _v_gs_kfold(args) -> list[Callable[[], Certificate]]:
+def _v_gs_kfold(args) -> list[Certificate]:
     if args.grids:
         sets = grid(_parse_dims(args.grids))
     else:
         sets = _sets_arg(args, 2, "gs_kfold")
+    _guard_budget(sets, args.budget)
     direction = tuple(_parse_ints(args.direction or "1,0", "--direction"))
-    return [lambda: check_gs_kfold(sets, direction)]
+    return [check_gs_kfold(sets, direction)]
 
 
-def _v_freiman_kfold(args) -> list[Callable[[], Certificate]]:
+def _v_freiman_kfold(args) -> list[Certificate]:
     ks = _parse_range(args.k or "2", "--k")
-    cases = [(A, k) for _, A in _random_or_file_sets(args, "freiman_kfold") for k in ks]
+    cases = [(A, k) for A in _random_or_file_sets(args, "freiman_kfold") for k in ks]
     for A, k in cases:
         _guard_budget([A] * k, args.budget)
-    return [(lambda A=A, k=k: check_freiman_kfold(A, k)) for A, k in cases]
+    return [check_freiman_kfold(A, k) for A, k in cases]
 
 
-def _v_freiman_lemma(args) -> list[Callable[[], Certificate]]:
-    sets = [A for _, A in _random_or_file_sets(args, "freiman_lemma")]
+def _v_freiman_lemma(args) -> list[Certificate]:
+    sets = _random_or_file_sets(args, "freiman_lemma")
     for A in sets:
         _guard_budget([A, A], args.budget)
-    return [(lambda A=A: check_freiman_lemma(A)) for A in sets]
+    return [check_freiman_lemma(A) for A in sets]
 
 
-def _v_simplex_formula(args) -> list[Callable[[], Certificate]]:
+def _v_simplex_formula(args) -> list[Certificate]:
     if not (args.d and args.N and args.k):
         raise CliError("verify simplex_formula needs --d, --N and --k (ranges allowed)")
     ds = _parse_range(args.d, "--d")
     ns = _parse_range(args.N, "--N")
     ks = _parse_range(args.k, "--k")
-    cases = [
-        (lambda d=d, N=N, k=k: check_simplex_formula(d, N, k))
-        for d in ds
-        for N in ns
-        if N >= d + 1
-        for k in ks
-    ]
+    cases = [(d, N, k) for d in ds for N in ns if N >= d + 1 for k in ks]
     if not cases:
         raise CliError("no valid (d, N, k) combinations (need N >= d+1)")
-    return cases
+    return [check_simplex_formula(d, N, k) for d, N, k in cases]
 
 
-def _v_discrete_bm(args) -> list[Callable[[], Certificate]]:
+def _v_discrete_bm(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "discrete_bm")
-    basis = _load_basis(args.basis) if args.basis else None
-    return [lambda: check_discrete_bm(sets, basis, precision_cap=args.precision_cap)]
+    _guard_budget(sets, args.budget)
+    basis = _load(basis_from_dict, args.basis) if args.basis else None
+    return [check_discrete_bm(sets, basis, precision_cap=args.precision_cap)]
 
 
-def _v_ruzsa_triangle(args) -> list[Callable[[], Certificate]]:
+def _v_ruzsa_triangle(args) -> list[Certificate]:
     sets = _sets_arg(args, 3, "ruzsa_triangle")
     if len(sets) != 3:
         raise CliError("verify ruzsa_triangle needs exactly three sets U V W")
-    U, V, W = sets
-    return [lambda: check_ruzsa_triangle(U, V, W)]
+    return [check_ruzsa_triangle(*sets)]
 
 
-def _v_plunnecke_ruzsa(args) -> list[Callable[[], Certificate]]:
+def _v_plunnecke_ruzsa(args) -> list[Certificate]:
     sets = _sets_arg(args, 2, "plunnecke_ruzsa")
     if len(sets) != 2:
         raise CliError("verify plunnecke_ruzsa needs exactly two sets A B")
-    A, B = sets
     m = args.m if args.m is not None else 1
     n = args.n if args.n is not None else 1
-    return [lambda: check_plunnecke_ruzsa(A, B, m, n)]
+    return [check_plunnecke_ruzsa(*sets, m, n)]
 
 
-def _v_iterated_pr(args) -> list[Callable[[], Certificate]]:
-    sets = _sets_arg(args, 2, "iterated_pr")
-    return [lambda: check_iterated_pr(sets)]
+def _v_iterated_pr(args) -> list[Certificate]:
+    return [check_iterated_pr(_sets_arg(args, 2, "iterated_pr"))]
 
 
-def _v_linear_pr(args) -> list[Callable[[], Certificate]]:
+def _v_linear_pr(args) -> list[Certificate]:
     if not args.system or not args.set:
         raise CliError("verify linear_pr needs --system and --set")
-    system = _load_system(args.system)
-    A = _load_pointset(args.set)
-    return [lambda: check_linear_pr(system, A)]
+    system = _load(system_from_dict, args.system)
+    A = _load(pointset_from_dict, args.set)
+    return [check_linear_pr(system, A)]
 
 
-def _v_fiber_bound(args) -> list[Callable[[], Certificate]]:
+def _v_fiber_bound(args) -> list[Certificate]:
     if not args.system or not args.set or not args.subspace:
         raise CliError("verify fiber_bound needs --system, --set and --subspace")
-    system = _load_system(args.system)
-    A = _load_pointset(args.set)
+    system = _load(system_from_dict, args.system)
+    A = _load(pointset_from_dict, args.set)
     vectors = _parse_vectors(args.subspace, "--subspace")
     U = Subspace.span(vectors, system.dim)
-    return [lambda: check_fiber_bound(system, A, U)]
+    return [check_fiber_bound(system, A, U)]
 
 
-def _v_sum_monotone(args) -> list[Callable[[], Certificate]]:
+def _v_sum_monotone(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "sum_monotone")
     dim = sets[0].dim
     if (args.axis is None) == (args.spec is None):
@@ -531,19 +477,19 @@ def _v_sum_monotone(args) -> list[Callable[[], Certificate]]:
     if args.axis is not None:
         spec = CompressionSpec.axis(args.axis, dim)
     else:
-        spec = _load_spec(args.spec, dim)
-    return [lambda: check_sum_monotone(sets, spec)]
+        spec = _load(lambda data: CompressionSpec.from_dict(data, dim), args.spec)
+    return [check_sum_monotone(sets, spec)]
 
 
-def _v_projection_monotone(args) -> list[Callable[[], Certificate]]:
+def _v_projection_monotone(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "projection_monotone")
     if args.axis is None or not args.coords:
         raise CliError("verify projection_monotone needs --axis and --coords")
     coords = _parse_ints(args.coords, "--coords")
-    return [lambda: check_projection_monotone(sets, args.axis, None, coords)]
+    return [check_projection_monotone(sets, args.axis, None, coords)]
 
 
-_VERIFY_BUILDERS: dict[str, Callable[[argparse.Namespace], list[Callable[[], Certificate]]]] = {
+_VERIFY_BUILDERS: dict[str, Callable[[argparse.Namespace], list[Certificate]]] = {
     "elementary": _v_elementary,
     "gs_kfold": _v_gs_kfold,
     "freiman_kfold": _v_freiman_kfold,
@@ -560,17 +506,16 @@ _VERIFY_BUILDERS: dict[str, Callable[[argparse.Namespace], list[Callable[[], Cer
 }
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     builder = _VERIFY_BUILDERS.get(args.statement)
     if builder is None:
         known = ", ".join(sorted(_VERIFY_BUILDERS))
         raise CliError(f"unknown statement {args.statement!r} (known: {known})")
-    cases = builder(args)
     try:
-        certs = [case() for case in cases]
+        certs = builder(args)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
-    return _emit_certificates(certs, config)
+    return _emit_certificates(certs, args)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +523,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_suite(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_suite(args: argparse.Namespace) -> int:
     try:
         report = run_suite(args.name)
     except ValueError as exc:
@@ -587,33 +532,33 @@ def _cmd_suite(args: argparse.Namespace, config: RunConfig) -> int:
         print(criterion.summary_line(), file=sys.stderr)
         for failure in criterion.failures:
             print(f"    {failure}", file=sys.stderr)
-    _emit_doc(report.to_dict(), config)
+    _emit_doc(report.to_dict(), args)
     return 0 if report.passed else 1
 
 
-def _cmd_probe(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_probe(args: argparse.Namespace) -> int:
     if args.kind in ("main-term", "det-main-term"):
         if not args.system or not args.set:
             raise CliError(f"probe {args.kind} needs --system and --set")
-        system = _load_system(args.system)
-        A = _load_pointset(args.set)
+        system = _load(system_from_dict, args.system)
+        A = _load(pointset_from_dict, args.set)
         try:
             if args.kind == "main-term":
                 cert = main_term_probe(system, A)
             else:
-                cert = det_main_term_probe(system, A, precision_cap=config.precision_cap)
+                cert = det_main_term_probe(system, A, precision_cap=args.precision_cap)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        return _emit_certificates([cert], config)
+        return _emit_certificates([cert], args)
     if args.kind == "khovanskii":
         if not args.set:
             raise CliError("probe khovanskii needs --set")
-        A = _load_pointset(args.set)
+        A = _load(pointset_from_dict, args.set)
         try:
             report = khovanskii_probe(A, args.k_max)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        _emit_doc(report.to_dict(), config)
+        _emit_doc(report.to_dict(), args)
         return 0
     raise CliError(f"unknown probe {args.kind!r}")  # pragma: no cover
 
@@ -751,13 +696,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            fmt=args.fmt,
-            budget=args.budget,
-            precision_cap=args.precision_cap,
-            out=args.out,
-        )
-        return _COMMANDS[args.command](args, config)
+        if args.budget < 1:
+            raise CliError("--budget must be >= 1")
+        validate_precision_cap(args.precision_cap)
+        return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,7 +265,7 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
         "sizes": [len(A) for A in sets],
         "spec": spec.to_dict(),
     }
-    inputs = digest([pointset_to_dict(A) for A in sets] + [spec.to_dict()])
+    inputs = digest([*sets, params["spec"]])
     if missing:
         witness = min(missing, key=point_sort_key)
         return Certificate(
@@ -313,7 +313,7 @@ def check_projection_monotone(
         "k": len(sets),
         "sizes": [len(A) for A in sets],
     }
-    inputs = digest([pointset_to_dict(A) for A in sets] + [params])
+    inputs = digest([*sets, params])
     return exact_certificate(
         "projection_monotone", lhs, rhs, params=params, inputs_digest=inputs
     )

@@ -1,12 +1,39 @@
 """Interval arithmetic, canonical serialization, and certificate semantics."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab import PointSet, check_discrete_bm, cube, det_main_term_probe, rotation_system
+from sumsetlab import (
+    Basis,
+    CompressionSpec,
+    PointSet,
+    Subspace,
+    check_discrete_bm,
+    check_elementary,
+    check_fiber_bound,
+    check_freiman_kfold,
+    check_freiman_lemma,
+    check_gs_kfold,
+    check_iterated_pr,
+    check_linear_pr,
+    check_plunnecke_ruzsa,
+    check_projection_monotone,
+    check_ruzsa_triangle,
+    check_simplex_formula,
+    check_sum_monotone,
+    cube,
+    det_main_term_probe,
+    grid,
+    interval_set,
+    khovanskii_probe,
+    long_simplex,
+    main_term_probe,
+    rotation_system,
+)
 from sumsetlab.certificates import (
     DEFAULT_PRECISION_CAP,
     HOLDS,
@@ -95,6 +122,10 @@ class TestCanonicalJson:
             == "cb6ebc1a2314bd4416358da0372ac2b087a04c366dcbc9c01afcd164d054ba44"
         )
 
+    def test_pointset_digested_as_its_dict(self):
+        A = PointSet(2, [(F(1, 2), -3), (0, 0), (2, F(-5, 4))])
+        assert digest([A, {"k": 2}]) == digest([pointset_to_dict(A), {"k": 2}])
+
     def test_digest_independent_of_key_order(self):
         assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
 
@@ -179,3 +210,99 @@ class TestIntervalCertificate:
             check_discrete_bm([PointSet(1, [(0,), (1,)])], precision_cap=cap)
         with pytest.raises(ValueError, match="at least 128"):
             det_main_term_probe(rotation_system(2), cube(2, 1), precision_cap=cap)
+
+
+F = Fraction
+_RATIONAL = PointSet(2, [(0, 0), (F(1, 2), 0), (0, F(-3, 4)), (1, 1)])
+_SPARSE = PointSet(2, [(0, 0), (1, 0), (0, 1), (3, 2), (-1, 4)])
+_LINE = PointSet(1, [(0,), (1,), (F(5, 2),)])
+_PAIR = PointSet(2, [(0, 0), (1, 0)])
+_TRIPLE = PointSet(2, [(0, 0), (0, 1), (1, 1)])
+
+# sha256 of canonical_json(cert.to_dict()), recorded before the number format
+# and the digest recipe moved behind encode_coord and digest
+PINNED_CERTIFICATES = {
+    "elementary": (
+        lambda: check_elementary([_RATIONAL, cube(2, 1)]),
+        "dd4cfc8f47f930c56a58338889bcd4c76a73c82e2026ef254ac75051d5d8c8f1",
+    ),
+    "gs_kfold": (
+        lambda: check_gs_kfold(grid([(2, 3), (3, 2), (2, 2)]), (1, -1)),
+        "96ff6308475bde84ba504cea453346006c950710fac3b99c9979df644c60c254",
+    ),
+    "freiman_kfold": (
+        lambda: check_freiman_kfold(_SPARSE, 3),
+        "42b965d9fbc96c4f76e5ed79be1e9995ef5f25e98325480428c8842e0ea1a02b",
+    ),
+    "freiman_lemma": (
+        lambda: check_freiman_lemma(_SPARSE),
+        "e10b8f63ed160d9fb7c5be477b58ef63102f0f03e0a810cbc0997e0d86c62d29",
+    ),
+    "simplex_formula": (
+        lambda: check_simplex_formula(2, 5, 3),
+        "7c1012d22d4267ea4d0cc90dff254c49c53ee49732dd52a8c59b2ef3a7dcd6eb",
+    ),
+    "discrete_bm_exact": (
+        lambda: check_discrete_bm([cube(2, 1), cube(2, 1)]),
+        "97b45399c87cff42ea51d18deb6faebf4e9938b49acb555be5391872683c06ce",
+    ),
+    "discrete_bm_interval": (
+        lambda: check_discrete_bm([_PAIR, _TRIPLE], Basis([(1, 1), (0, 1)])),
+        "9a0730b7ccf4cab590c7e8de617590eff844f8a43294e92da39366c9ae7ab380",
+    ),
+    "ruzsa_triangle": (
+        lambda: check_ruzsa_triangle(_LINE, interval_set(0, 2), _LINE.negate()),
+        "5a0cf7af19b8538d0fba8dd8815b996650548502258dcb0571c688750334aec1",
+    ),
+    "plunnecke_ruzsa": (
+        lambda: check_plunnecke_ruzsa(_LINE, interval_set(0, 2), 2, 1),
+        "d2d40e7ee35c85f88953aa1f576f81ccf3ccd4a09507b666a2f1cf6154330bc3",
+    ),
+    "iterated_pr": (
+        lambda: check_iterated_pr([_LINE, interval_set(-1, 1)]),
+        "5835e663dc7a0521f546d4a20333855bb542713d7473f331108920f18c0b9f61",
+    ),
+    "linear_pr": (
+        lambda: check_linear_pr(rotation_system(2), cube(2, 1)),
+        "2a14204046c239f246959b4cd829f0a43c60d88dcab60e31c59aff917e8a66c8",
+    ),
+    "fiber_bound": (
+        lambda: check_fiber_bound(rotation_system(2), cube(2, 1), Subspace.span([(2, 1)], 2)),
+        "62a04e572933929e85d89445e146fbf8345dce48a76b2039bb89221414392255",
+    ),
+    "main_term": (
+        lambda: main_term_probe(rotation_system(2), cube(2, 2)),
+        "699ebeab9296acdb82c944f03d06bb3905708d357d8e7673a78e50455b4f9d0c",
+    ),
+    "sum_monotone_axis": (
+        lambda: check_sum_monotone([_SPARSE, long_simplex(2, 4)], CompressionSpec.axis(1, 2)),
+        "92ab7fd017e1f4f9d0a8b392b936d3c47362b5198da0f99b57e420fb87736b41",
+    ),
+    "sum_monotone_hyperplane": (
+        lambda: check_sum_monotone(
+            [_RATIONAL, _SPARSE],
+            CompressionSpec(normal=(1, 1), offset=F(1, 2), direction=(0, 1)),
+        ),
+        "9234b379098420c9db2fa8e31a9fee1494e5c8adbb30e56b88274900290838fc",
+    ),
+    "projection_monotone": (
+        lambda: check_projection_monotone([_SPARSE, _RATIONAL], 2, None, [1]),
+        "ca4b6a6ea6f1ef25b807073b0bd1258daaa48a6a0c488bf71fe73bcd0b3a1038",
+    ),
+}
+
+
+class TestCertificateBytesPinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+    def test_certificate_bytes(self, name):
+        build, expected = PINNED_CERTIFICATES[name]
+        doc = canonical_json(build().to_dict())
+        assert hashlib.sha256(doc.encode()).hexdigest() == expected
+
+    def test_growth_report_with_fractional_reference(self):
+        # the k-fold reference polynomial of a planar set has coefficients 1/2
+        doc = khovanskii_probe(long_simplex(2, 5), 6).to_dict()
+        assert any("/" in c for c in doc["reference"])
+        assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
+            "a3c43cc9e916003cd9858a7457fed299285e712d11e635ceed0ea57ee1285044"
+        )

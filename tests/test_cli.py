@@ -180,6 +180,34 @@ class TestVerify:
         code, out, err = call("verify", *argv, "--budget", "10")
         assert code == 2 and "budget" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "statement, copies, budget",
+        [
+            # three copies of the 7x7 cube add up to 361 points, two to 169
+            ("elementary", 3, "10"),
+            ("discrete_bm", 2, "10"),
+            ("gs_kfold", 3, "10"),
+            ("elementary", 3, "360"),
+            ("elementary", 2, "0"),
+        ],
+    )
+    def test_budget_guard_on_set_files(self, call, tmp_path, monkeypatch, statement, copies, budget):
+        c = str(tmp_path / "c.json")
+        assert call("gen", "cube", "--d", "2", "--N", "3", "-o", c)[0] == 0
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("a sum was built despite the budget")
+
+        monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
+        code, out, err = call("verify", statement, "--sets", *[c] * copies, "--budget", budget)
+        assert code == 2 and "budget" in err and out == ""
+
+    def test_budget_guard_admits_sum_within_budget(self, call, tmp_path):
+        c = str(tmp_path / "c.json")
+        assert call("gen", "cube", "--d", "2", "--N", "3", "-o", c)[0] == 0
+        code, out, _ = call("verify", "elementary", "--sets", c, c, c, "--budget", "361")
+        assert code == 0 and json.loads(out)["rhs"] == "361"
+
     def test_violated_exit_code(self, call, workset):
         # sum_monotone is an inequality family that cannot be violated; use a
         # probe-free statement with a forced violation instead: none exists,
@@ -257,6 +285,30 @@ class TestVerify:
         header, row = out.splitlines()
         assert header == "statement_id,verdict,lhs,rhs,slack,precision_bits,inputs_digest,params"
         assert row.startswith("elementary,Holds,3,3,0")
+
+    def test_csv_interval_certificate_bytes(self, call, workset):
+        # sqrt 2 + sqrt 3: lhs and slack are intervals, written as JSON cells
+        _, write = workset
+        a = write("a.json", pointset_to_dict(PointSet(2, [(0, 0), (1, 0)])))
+        b = write("b.json", pointset_to_dict(PointSet(2, [(0, 0), (0, 1), (1, 1)])))
+        code, out, _ = call("verify", "discrete_bm", "--sets", a, b, "--format", "csv")
+        assert code == 0 and '{""hi"":' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bbc7401fad278da1be5fcf98905cf24f462f665ca869d5d36fbc3ed5abb2b8a9"
+        )
+
+    def test_out_file_matches_stdout(self, call, workset):
+        tmp, write = workset
+        a = write("a.json", pointset_to_dict(PointSet(2, [(0, 0), (1, 0), (0, 1)])))
+        b = write("b.json", pointset_to_dict(PointSet(2, [(0, 0), (2, 1)])))
+        target = tmp / "certs.jsonl"
+        code, out, err = call("verify", "elementary", "--sets", a, b, a)
+        assert code == 0
+        assert call("verify", "elementary", "--sets", a, b, a, "-o", str(target)) == (0, "", err)
+        assert target.read_text() == out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2a356fc27af6b84026282a352cb153049aba77e25d29bf904c53a60b35f1982"
+        )
 
 
 class TestDeterminism:
