@@ -435,7 +435,10 @@ def _v_ruzsa_triangle(args) -> list[Certificate]:
     sets = _sets_arg(args, 3, "ruzsa_triangle")
     if len(sets) != 3:
         raise CliError("verify ruzsa_triangle needs exactly three sets U V W")
-    return [check_ruzsa_triangle(*sets)]
+    U, V, W = sets
+    for pair in ([V, W], [V, U], [U, W]):
+        _guard_budget(pair, args.budget)
+    return [check_ruzsa_triangle(U, V, W)]
 
 
 def _v_plunnecke_ruzsa(args) -> list[Certificate]:
@@ -444,11 +447,18 @@ def _v_plunnecke_ruzsa(args) -> list[Certificate]:
         raise CliError("verify plunnecke_ruzsa needs exactly two sets A B")
     m = args.m if args.m is not None else 1
     n = args.n if args.n is not None else 1
-    return [check_plunnecke_ruzsa(*sets, m, n)]
+    A, B = sets
+    # mA - nA is the sum of m copies of A and n copies of -A
+    for summands in ([A, B], [A] * m + [A.negate()] * n):
+        _guard_budget(summands, args.budget)
+    return [check_plunnecke_ruzsa(A, B, m, n)]
 
 
 def _v_iterated_pr(args) -> list[Certificate]:
-    return [check_iterated_pr(_sets_arg(args, 2, "iterated_pr"))]
+    sets = _sets_arg(args, 2, "iterated_pr")
+    # X + X for X = A_1 + ... + A_k is the sum of every summand twice
+    _guard_budget(sets + sets, args.budget)
+    return [check_iterated_pr(sets)]
 
 
 def _v_linear_pr(args) -> list[Certificate]:
@@ -469,6 +479,12 @@ def _v_fiber_bound(args) -> list[Certificate]:
     return [check_fiber_bound(system, A, U)]
 
 
+def _guard_compressed_sums(sets: list[PointSet], spec: CompressionSpec, budget: int) -> None:
+    """The compression checks add the sets and, separately, their compressions."""
+    _guard_budget(sets, budget)
+    _guard_budget([compress(A, spec) for A in sets], budget)
+
+
 def _v_sum_monotone(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "sum_monotone")
     dim = sets[0].dim
@@ -478,6 +494,7 @@ def _v_sum_monotone(args) -> list[Certificate]:
         spec = CompressionSpec.axis(args.axis, dim)
     else:
         spec = _load(lambda data: CompressionSpec.from_dict(data, dim), args.spec)
+    _guard_compressed_sums(sets, spec, args.budget)
     return [check_sum_monotone(sets, spec)]
 
 
@@ -486,6 +503,7 @@ def _v_projection_monotone(args) -> list[Certificate]:
     if args.axis is None or not args.coords:
         raise CliError("verify projection_monotone needs --axis and --coords")
     coords = _parse_ints(args.coords, "--coords")
+    _guard_compressed_sums(sets, CompressionSpec.axis(args.axis, sets[0].dim), args.budget)
     return [check_projection_monotone(sets, args.axis, None, coords)]
 
 

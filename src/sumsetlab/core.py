@@ -8,17 +8,15 @@ because Python guarantees ``hash(Fraction(2, 1)) == hash(2)``.
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
-:func:`weighted_sumset`) goes through one engine, :func:`_sum_points`:
-
-* a sum with any rational coordinate adds every pair of tuples with exact
-  ``Fraction`` arithmetic;
-* an integral sum packs each distinct summand once into integers in the
-  mixed radix of the final sum's bounding box, folds, and decodes once.  The
-  fold is an ``int`` bitmap (one shift and OR per summand point) when the box
-  has at most ``_BITMAP_DENSITY`` cells per pair a pair-set fold would add,
-  and at most ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of packed
-  integers that adds every pair.  The choice depends only on the summands'
-  sizes and bounding boxes, and both folds return the same set.
+:func:`weighted_sumset`) goes through one engine, :func:`_sum_points`.  It
+packs each distinct summand once into integers in the mixed radix of the
+final sum's bounding box, folds, and decodes once.  The fold is an ``int``
+bitmap (one shift and OR per summand point) when the box has at most
+``_BITMAP_DENSITY`` cells per pair a pair-set fold would add, and at most
+``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of packed integers that
+adds every pair.  The choice depends only on the summands' sizes and
+bounding boxes, and both folds return the same set.  A rational sum is
+scaled by q, the lcm of its coordinate denominators, and divided back by q.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -41,7 +39,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Coord = int | Fraction
 Vec = tuple[Coord, ...]
@@ -222,13 +220,13 @@ _BITMAP_MAX_CELLS = 1 << 22
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _extents(sets: Sequence[PointSet]) -> list[tuple[list[tuple], list[int], list[int]]]:
-    """(coordinate columns, minima, maxima) of each integral set.  A set that
-    occurs several times in ``sets`` is transposed and scanned once."""
+def _extents(sets: Sequence[Collection[Vec]]) -> list[tuple[list[tuple], list[int], list[int]]]:
+    """(coordinate columns, minima, maxima) of each set of integral points.  A
+    set that occurs several times in ``sets`` is transposed and scanned once."""
     seen: dict[int, tuple] = {}
     for A in sets:
         if id(A) not in seen:
-            cols = list(zip(*A.points))
+            cols = list(zip(*A))
             seen[id(A)] = (cols, [min(c) for c in cols], [max(c) for c in cols])
     return [seen[id(A)] for A in sets]
 
@@ -301,8 +299,8 @@ def _pair_fold(packed: list[list[int]], lows: list[int], sides: list[int]) -> fr
     return frozenset(out)
 
 
-def _integral_sum(sets: Sequence[PointSet]) -> frozenset:
-    """A_1 + ... + A_k for integral sets, packed once in the sum's box.
+def _integral_sum(sets: Sequence[Collection[Vec]]) -> frozenset:
+    """A_1 + ... + A_k for sets of integral points, packed once in the sum's box.
 
     Every point becomes one integer in the mixed radix of the final sum's
     bounding box, first coordinate most significant, so a sum of points is a
@@ -335,17 +333,19 @@ def _integral_sum(sets: Sequence[PointSet]) -> frozenset:
 
 def _sum_points(sets: Sequence[PointSet]) -> frozenset:
     """The points of A_1 + ... + A_k: the one engine behind every sumset.
-    Integral sets go through :func:`_integral_sum`; any rational coordinate
-    sends the whole sum through the tuple fold, which adds every pair with
-    exact ``Fraction`` arithmetic."""
+    A rational sum scales each distinct summand once by q, the lcm of its
+    coordinate denominators, adds them with :func:`_integral_sum`, and maps each
+    coordinate c back to ``c // q``, or ``Fraction(c, q)`` if q does not divide c."""
     if len(sets) == 1:
         return sets[0].points
     if all(A.is_integral for A in sets):
         return _integral_sum(sets)
-    acc = sets[0].points
-    for A in sets[1:]:
-        acc = frozenset(vec_add(p, q) for p in acc for q in A.points)
-    return acc
+    distinct = {id(A): A for A in sets}
+    q = math.lcm(*{c.denominator for A in distinct.values() for p in A for c in p})
+    scaled = {key: frozenset(tuple(c.numerator * q // c.denominator for c in p) for p in A)
+              for key, A in distinct.items()}
+    sums = _integral_sum([scaled[id(A)] for A in sets])
+    return frozenset(tuple(c // q if c % q == 0 else Fraction(c, q) for c in p) for p in sums)
 
 
 def minkowski_sum(sets: Sequence[PointSet]) -> PointSet:

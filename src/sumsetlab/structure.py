@@ -9,13 +9,7 @@ Since the L_i are invertible this forces V = L_1(U) and reduces to: U is a
 common invariant subspace of the normalized family M_j = L_1^{-1} L_j.  The
 decision procedure, in order:
 
-1. *Cyclic scan.*  Spin candidate vectors u (standard basis, rational
-   eigenvectors of each M_j, seeded pseudorandom vectors) to the smallest
-   invariant subspace Z(u) containing u; any proper Z(u) is a witness.
-2. *Shortcut.*  If some algebra element T has irreducible characteristic
-   polynomial, the module is irreducible: an invariant U would give
-   charpoly(T|_U) | charpoly(T) of degree dim U, impossible.
-3. *Dimensions <= 3 are decided completely.*  Proper nontrivial rational
+1. *Dimensions <= 3 are decided completely.*  Proper nontrivial rational
    subspaces are lines and hyperplanes.  A line span(u) is invariant iff u is
    a common eigenvector, and the eigenvalue of a rational eigenvector is
    rational, so enumerating tuples of rational eigenvalues and intersecting
@@ -23,10 +17,14 @@ decision procedure, in order:
    Hyperplanes are dual: U is invariant under the M_j iff its annihilator is
    invariant under the transposes, so the same line search on transposes
    decides them.  For d <= 3 this covers all dimensions, hence never Unknown.
-4. *Norton's criterion for d >= 4.*  For an algebra element T and an
-   irreducible factor p of its characteristic polynomial with
+2. *Norton's criterion for d >= 4,* over a fixed schedule of algebra
+   elements T.  Shortcut: if T has irreducible characteristic polynomial,
+   the module is irreducible, since an invariant U would give
+   charpoly(T|_U) | charpoly(T) of degree dim U, impossible.  Otherwise, for
+   an irreducible factor p of charpoly(T) with
    nullity(p(T)) = deg(p):  pick any 0 != v in ker p(T) and
-   0 != w in ker p(T^tr).  If Z(v) is proper, reducible.  Else if the
+   0 != w in ker p(T^tr).  Let Z(u) be the smallest invariant subspace
+   containing u.  If Z(v) is proper, reducible.  Else if the
    transpose-spin Z*(w) is proper, its annihilator is a proper invariant
    subspace, reducible.  Else the module is irreducible.  Completeness: let
    U be a proper nontrivial invariant subspace; T preserves U.  Either p
@@ -37,8 +35,12 @@ decision procedure, in order:
    then p divides the characteristic polynomial of T on the quotient, and
    dually p(T^tr) kills a nonzero vector of the invariant subspace
    U^perp, forcing w in U^perp and Z*(w) <= U^perp proper.  Either way one
-   of the two spins detects U.  If no schedule element admits a factor with
-   nullity = degree, the verdict is Unknown (reported, never silent).
+   of the two spins detects U.
+3. *Cyclic scan, when no schedule element admits a factor with nullity =
+   degree.*  Spin candidate vectors u (standard basis, rational
+   eigenvectors of each M_j, seeded pseudorandom vectors) to Z(u); any
+   proper Z(u) is a witness.  If none is proper, the verdict is Unknown
+   (reported, never silent).
 
 Every Reducible verdict is re-validated through :func:`is_reducible_witness`
 before it is returned.
@@ -288,8 +290,8 @@ def _reducible(system: LinearSystem, witness: Subspace) -> IrreducibilityVerdict
 def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
     """Decide whether the system has a common nontrivial invariant rational
     subspace (after the L_1^{-1} normalization).  Complete for d <= 3; for
-    d >= 4 a Norton-style test that can report Unknown on instances its
-    element schedule cannot certify."""
+    d >= 4 a Norton-style test, then a cyclic scan, that can report Unknown on
+    instances neither can certify."""
     d = system.dim
     if d == 1:
         return IrreducibilityVerdict(IRREDUCIBLE)
@@ -298,10 +300,6 @@ def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
         # a single invertible map: every line is invariant under the empty
         # normalized family, so (L_1) alone is always reducible for d >= 2
         return _reducible(system, Subspace(d, [tuple(1 if j == 0 else 0 for j in range(d))]))
-    for u in _candidate_vectors(mats, d):
-        Z = _spin([u], mats, d)
-        if 0 < Z.dim < d:
-            return _reducible(system, Z)
     tmats = [M.transpose() for M in mats]
     if d <= 3:
         line = _invariant_line_witness(mats, d)
@@ -318,6 +316,10 @@ def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
             if verdict.status == REDUCIBLE:
                 return _reducible(system, verdict.witness)
             return verdict
+    for u in _candidate_vectors(mats, d):
+        Z = _spin([u], mats, d)
+        if 0 < Z.dim < d:
+            return _reducible(system, Z)
     return IrreducibilityVerdict(UNKNOWN)
 
 

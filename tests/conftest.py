@@ -2,8 +2,9 @@
 
 ``naive_sumset`` recomputes Minkowski sums by direct enumeration over raw
 coordinate tuples — deliberately independent of every path of the library's
-sumset engine (the ``int`` bitmap fold, the packed pair-set fold and the
-rational tuple fold), so each of them is cross-checked against it.
+sumset engine (the ``int`` bitmap fold, the packed pair-set fold, and the
+scaling by the lcm of the denominators that sends rational sums to them), so
+each of them is cross-checked against it.
 """
 
 import os

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from sumsetlab.cli import run
 from sumsetlab.serialization import dumps_canonical, pointset_to_dict
-from sumsetlab import PointSet, bounds, long_simplex
+from sumsetlab import PointSet, bounds, compression, long_simplex
 
 
 @pytest.fixture
@@ -86,6 +87,18 @@ class TestSumset:
         code, out, _ = call("sumset", "--set", a, "--k", "3")
         assert code == 0 and json.loads(out)["size"] == 4
 
+    def test_rational_iterated_fold_bytes(self, call, workset):
+        # denominators 2 to 6: the 56 points of 3R mix ints and fractions
+        _, write = workset
+        R = PointSet(2, [(0, 0), (Fraction(1, 2), 1), (Fraction(2, 3), Fraction(-1, 3)), (3, Fraction(5, 4)),
+                         (-1, Fraction(1, 6)), (Fraction(7, 5), 2)])
+        r = write("r.json", pointset_to_dict(R))
+        code, out, err = call("sumset", "--set", r, "--k", "3")
+        assert code == 0 and "size 56" in err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7fd4b3e8bb6e36a388f88687b07b227ee3e03df66470d45cc5ecd340d386ab6c"
+        )
+
     def test_budget_guard(self, call, workset):
         _, write = workset
         a = write("a.json", pointset_to_dict(long_simplex(2, 12)))
@@ -133,6 +146,23 @@ class TestCompressReduceProject:
         a = write("a.json", pointset_to_dict(PointSet(2, [(0, 0), (0, 3), (1, 7)])))
         code, out, _ = call("project", "--set", a, "--coords", "1")
         assert code == 0 and json.loads(out)["size"] == 2
+
+
+# arguments beyond --sets that a statement needs
+SET_FILE_EXTRA = {
+    "sum_monotone": ("--axis", "1"),
+    "projection_monotone": ("--axis", "1", "--coords", "1,2"),
+}
+
+
+def forbid_sums(monkeypatch):
+    """Make every sum a check could build fail, so a guard must refuse first."""
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum was built despite the budget")
+
+    monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
+    monkeypatch.setattr(compression, "minkowski_sum", no_sum)
 
 
 class TestVerify:
@@ -189,17 +219,50 @@ class TestVerify:
             ("gs_kfold", 3, "10"),
             ("elementary", 3, "360"),
             ("elementary", 2, "0"),
+            ("iterated_pr", 2, "10"),
+            ("plunnecke_ruzsa", 2, "10"),
+            ("ruzsa_triangle", 3, "10"),
+            ("sum_monotone", 3, "10"),
+            ("projection_monotone", 2, "10"),
         ],
     )
     def test_budget_guard_on_set_files(self, call, tmp_path, monkeypatch, statement, copies, budget):
         c = str(tmp_path / "c.json")
         assert call("gen", "cube", "--d", "2", "--N", "3", "-o", c)[0] == 0
+        forbid_sums(monkeypatch)
+        argv = ("verify", statement, "--sets", *[c] * copies, *SET_FILE_EXTRA.get(statement, ()))
+        code, out, err = call(*argv, "--budget", budget)
+        assert code == 2 and "budget" in err and out == ""
 
-        def no_sum(*args, **kwargs):
-            raise AssertionError("a sum was built despite the budget")
-
-        monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
-        code, out, err = call("verify", statement, "--sets", *[c] * copies, "--budget", budget)
+    @pytest.mark.parametrize(
+        "statement, sets, extra, bound",
+        [
+            # X + X for X = C + C is 4C: 25 x 25 points
+            ("iterated_pr", "CC", (), 625),
+            # 2A - A = 3C is 19 x 19 points; A + B = L + C is 10 x 7
+            ("plunnecke_ruzsa", "CL", ("--m", "2", "--n", "1"), 361),
+            ("plunnecke_ruzsa", "LC", ("--m", "2", "--n", "1"), 70),
+            # sets U V W: the one sum C + C, 13 x 13, is V + W, V + U, U + W
+            ("ruzsa_triangle", "LCC", (), 169),
+            ("ruzsa_triangle", "CCL", (), 169),
+            ("ruzsa_triangle", "CLC", (), 169),
+            ("sum_monotone", "CCC", ("--axis", "1"), 361),
+            # the diagonal compression moves C into a 7 x 19 box
+            ("sum_monotone", "CCC", ("--spec", "diagonal.json"), 703),
+            ("projection_monotone", "CC", ("--axis", "1", "--coords", "1,2"), 169),
+        ],
+    )
+    def test_budget_guard_bound_is_tight(self, call, tmp_path, monkeypatch, statement, sets, extra, bound):
+        # C is the 7 x 7 cube and L four points on a line
+        monkeypatch.chdir(tmp_path)
+        assert call("gen", "cube", "--d", "2", "--N", "3", "-o", "C")[0] == 0
+        (tmp_path / "L").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(j, 0) for j in range(4)]))))
+        diagonal = {"hyperplane": {"normal": ["1", "0"], "offset": "0"}, "direction": ["1", "1"]}
+        (tmp_path / "diagonal.json").write_text(dumps_canonical(diagonal))
+        argv = ("verify", statement, "--sets", *sets, *extra)
+        assert call(*argv, "--budget", str(bound))[0] == 0
+        forbid_sums(monkeypatch)
+        code, out, err = call(*argv, "--budget", str(bound - 1))
         assert code == 2 and "budget" in err and out == ""
 
     def test_budget_guard_admits_sum_within_budget(self, call, tmp_path):

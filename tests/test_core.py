@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,99 @@ class TestSumsetEngine:
         assert folds[limit] == ["bitmap"]
         assert folds[limit + dim] == ["pairs"]
         assert all(seen == (["bitmap"] if cells <= limit else ["pairs"]) for cells, seen in folds.items())
+
+
+def canonical(points):
+    """The points with every integral coordinate an ``int``, as the library
+    stores them; ``naive_sumset`` leaves a sum of fractions such as
+    Fraction(1, 2) + Fraction(1, 2) a Fraction."""
+    return {tuple(c.numerator if c.denominator == 1 else c for c in p) for p in points}
+
+
+def typed(points):
+    """The points with the type of each coordinate, so that 2 and Fraction(2, 1)
+    differ."""
+    return {tuple((type(c), c) for c in p) for p in points}
+
+
+# denominators 1009, 1013 and 1019 put q near 2 * 10^9: the scaled box of
+# A + B + A has more than 2^64 cells, so the pair-set fold adds big integers
+BIG_Q = [
+    PointSet(3, [(0, 0, 0), (Fraction(1, 1009), Fraction(5, 1013), 7),
+                 (2, Fraction(-3, 1019), Fraction(1, 2))]),
+    PointSet(3, [(Fraction(1, 1013), 0, Fraction(-1, 1009)), (1, 1, 1)]),
+]
+
+
+class TestRationalSums:
+    """Rational sums scaled to the integral engine, against ``naive_sumset``:
+    the points, the type of every coordinate and ``is_integral``, and the fold
+    each sum of two or more summands runs."""
+
+    @staticmethod
+    def check(sets, got):
+        assert typed(got.points) == typed(canonical(naive_sumset(sets)))
+        # the flag follows the summands, even when a rational sum has only
+        # integral points
+        assert got.is_integral == all(A.is_integral for A in sets)
+
+    @given(data=st.data())
+    def test_mixed_summands(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([int_coords, rational_coords, st.one_of(int_coords, rational_coords)])
+        k = data.draw(st.integers(1, 4))
+        sets = [data.draw(point_sets(dim, max_size=5, coords=data.draw(coords))) for _ in range(k)]
+        with engine_folds() as seen:
+            got = minkowski_sum(sets)
+        self.check(sets, got)
+        assert len(seen) == (len(sets) > 1)
+
+    @given(data=st.data())
+    def test_iterated_sumset(self, data):
+        A = data.draw(point_sets(data.draw(st.integers(1, 3)), max_size=6, coords=rational_coords))
+        k = data.draw(st.integers(1, 4))
+        with engine_folds() as seen:
+            got = iterated_sumset(A, k)
+        self.check([A] * k, got)
+        assert len(seen) == (k > 1)
+
+    @pytest.mark.parametrize(
+        "sets, expected",
+        [
+            ([PointSet(1, [(Fraction(1, 2),), (Fraction(3, 2),)]),
+              PointSet(1, [(Fraction(1, 2),), (Fraction(-1, 2),)])],
+             [(0,), (1,), (2,)]),
+            # the two points differ by an integral vector, so 3A is integral
+            ([PointSet(2, [(Fraction(1, 3), Fraction(2, 3)), (Fraction(4, 3), Fraction(-1, 3))])] * 3,
+             [(1, 2), (2, 1), (3, 0), (4, -1)]),
+            ([PointSet(2, [(Fraction(1, 2), 3)]), PointSet(2, [(Fraction(-1, 2), Fraction(1, 4))]),
+              PointSet(2, [(7, Fraction(3, 4))])],
+             [(7, 4)]),
+        ],
+    )
+    def test_integral_result(self, sets, expected):
+        got = minkowski_sum(sets)
+        self.check(sets, got)
+        assert got == PointSet(sets[0].dim, expected)
+        assert all(type(c) is int for p in got for c in p)
+
+    @pytest.mark.parametrize(
+        "sets, fold",
+        [
+            pytest.param([PointSet(1, [(Fraction(j, 2),) for j in range(-3, 4)])] * 3, "bitmap", id="halves"),
+            pytest.param([BIG_Q[0], BIG_Q[1], BIG_Q[0]], "pairs", id="large-lcm"),
+        ],
+    )
+    def test_fold_on_scaled_box(self, sets, fold):
+        q = math.lcm(*(c.denominator for A in sets for p in A for c in p))
+        cells = math.prod(
+            q * sum(max(p[i] for p in A) - min(p[i] for p in A) for A in sets) + 1 for i in range(sets[0].dim)
+        )
+        assert (cells > 2**64) == (fold == "pairs")
+        with engine_folds() as seen:
+            got = minkowski_sum(sets)
+        self.check(sets, got)
+        assert seen == [fold]
 
 
 class TestIteratedSumset:

@@ -23,6 +23,7 @@ from sumsetlab import (
     rotation_system,
     shear_system,
 )
+from sumsetlab import structure
 from sumsetlab.structure import (
     GAP,
     BudgetExceededError,
@@ -97,6 +98,35 @@ class TestDecideIrreducible:
         verdict = decide_irreducible(DIAG_23)
         assert verdict.status == "Reducible"
         assert verdict.witness.dim == 1
+
+    def test_invariant_plane_without_invariant_line(self):
+        # the plane x_3 = 0 is invariant, but no line is: only the line search
+        # on the transposes finds it, as the annihilator of e_3
+        system = LinearSystem([
+            RationalMatrix.identity(3),
+            RationalMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+            RationalMatrix([[1, 1, 1], [0, 1, 0], [0, 0, 3]]),
+        ])
+        verdict = decide_irreducible(system)
+        assert verdict.status == "Reducible" and verdict.witness.dim == 2
+        assert is_reducible_witness(system, verdict.witness)
+
+    def test_scalar_family_decided_by_cyclic_scan(self):
+        # every algebra element of (I, 2I) is scalar, so no Norton attempt is
+        # usable and only the cyclic scan can find an invariant subspace
+        two = RationalMatrix([[2 if i == j else 0 for j in range(4)] for i in range(4)])
+        system = LinearSystem([RationalMatrix.identity(4), two])
+        verdict = decide_irreducible(system)
+        assert verdict.status == "Reducible"
+        assert is_reducible_witness(system, verdict.witness)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rotation_decided_without_cyclic_scan(self, d, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the cyclic scan ran")
+
+        monkeypatch.setattr(structure, "_candidate_vectors", no_scan)
+        assert decide_irreducible(rotation_system(d)).status == "Irreducible"
 
     def test_to_dict_includes_witness(self):
         doc = decide_irreducible(shear_system()).to_dict()
