@@ -24,7 +24,6 @@ from .certificates import (
     VIOLATED,
     Certificate,
     Interval,
-    digest,
     exact_certificate,
     int_nth_root_interval,
     interval_certificate,
@@ -42,14 +41,21 @@ from .core import (
     covering_number,
     ensure,
     iterated_sumset,
+    linear_image,
     max_fiber,
     minkowski_sum,
     project,
+    sumset_size,
     weighted_sumset,
 )
 from .generators import long_simplex
 from .serialization import basis_to_dict, encode_coord, encode_point, system_to_dict
 from .structure import IRREDUCIBLE, decide_irreducible
+
+
+def _weighted_size(system: LinearSystem, A: PointSet) -> int:
+    """|L_1(A) + ... + L_k(A)|, counted without building the sum."""
+    return sumset_size([linear_image(M, A) for M in system.maps])
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +69,13 @@ def check_elementary(sets: list[PointSet]) -> Certificate:
         raise ValueError("need at least one set")
     k = len(sets)
     lhs = sum(len(A) for A in sets) - (k - 1)
-    rhs = len(minkowski_sum(sets))
+    rhs = sumset_size(sets)
     return exact_certificate(
         "elementary",
         lhs,
         rhs,
         params={"k": k, "sizes": [len(A) for A in sets]},
-        inputs_digest=digest(sets),
+        inputs=sets,
     )
 
 
@@ -87,7 +93,7 @@ def check_gs_kfold(sets: list[PointSet], direction) -> Certificate:
     density = sum(Fraction(len(A), r) for A, r in zip(sets, rs)) - (k - 1)
     lines = sum(rs) - (k - 1)
     lhs = _canon(density * lines)
-    rhs = len(minkowski_sum(sets))
+    rhs = sumset_size(sets)
     return exact_certificate(
         "gs_kfold",
         lhs,
@@ -98,7 +104,7 @@ def check_gs_kfold(sets: list[PointSet], direction) -> Certificate:
             "covering_numbers": rs,
             "direction": encode_point(v),
         },
-        inputs_digest=digest([*sets, v]),
+        inputs=[*sets, v],
     )
 
 
@@ -120,13 +126,13 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
         Fraction(math.comb(k + d - 1, d - 1)) * (Fraction(k * (n - d), d) + 1)
     )
     ensure(bound == rewritten, "the two closed forms of the bound must agree")
-    rhs = len(iterated_sumset(A, k))
+    rhs = sumset_size([A] * k)
     return exact_certificate(
         "freiman_kfold",
         bound,
         rhs,
         params={"k": k, "d": d, "size": n},
-        inputs_digest=digest([A, {"k": k}]),
+        inputs=[A, {"k": k}],
     )
 
 
@@ -139,13 +145,13 @@ def check_freiman_lemma(A: PointSet) -> Certificate:
     lhs = (d + 1) * n - d * (d + 1) // 2
     kfold = math.comb(d + 1, d) * n - math.comb(d + 1, d - 1)
     ensure(lhs == kfold, "k=2 specialization must match the k-fold bound")
-    rhs = len(iterated_sumset(A, 2))
+    rhs = sumset_size([A, A])
     return exact_certificate(
         "freiman_lemma",
         lhs,
         rhs,
         params={"d": d, "size": n},
-        inputs_digest=digest([A]),
+        inputs=[A],
     )
 
 
@@ -162,7 +168,7 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
     """Dual-route equality check: the closed form against brute-force
     enumeration of |k A_{d,N}|.  Holds only on exact agreement (slack 0)."""
     lhs = simplex_cardinality(d, N, k)
-    rhs = len(iterated_sumset(long_simplex(d, N), k))
+    rhs = sumset_size([long_simplex(d, N)] * k)
     slack = rhs - lhs
     return Certificate(
         statement_id="simplex_formula",
@@ -171,7 +177,7 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
         slack=slack,
         verdict=HOLDS if slack == 0 else VIOLATED,
         params={"d": d, "N": N, "k": k},
-        inputs_digest=digest({"d": d, "N": N, "k": k}),
+        inputs={"d": d, "N": N, "k": k},
     )
 
 
@@ -248,12 +254,12 @@ def check_discrete_bm(
         "correction": correction,
         "basis": basis_to_dict(basis),
     }
-    inputs = digest([*sets, params["basis"]])
+    inputs = [*sets, params["basis"]]
     exact_power = _root_sum_power_exact(sizes, d)
     if exact_power is not None:
         return exact_certificate(
             "discrete_bm", exact_power - correction, rhs,
-            params=params, inputs_digest=inputs,
+            params=params, inputs=inputs,
         )
 
     def make_sides(bits: int) -> tuple[Interval, Interval]:
@@ -264,7 +270,7 @@ def check_discrete_bm(
         return lhs, Interval.point(rhs)
 
     return interval_certificate(
-        "discrete_bm", make_sides, params=params, inputs_digest=inputs,
+        "discrete_bm", make_sides, params=params, inputs=inputs,
         precision_cap=precision_cap,
     )
 
@@ -276,14 +282,14 @@ def check_discrete_bm(
 
 def check_ruzsa_triangle(U: PointSet, V: PointSet, W: PointSet) -> Certificate:
     """|U| |V + W| <= |V + U| |U + W|."""
-    lhs = len(U) * len(minkowski_sum([V, W]))
-    rhs = len(minkowski_sum([V, U])) * len(minkowski_sum([U, W]))
+    lhs = len(U) * sumset_size([V, W])
+    rhs = sumset_size([V, U]) * sumset_size([U, W])
     return exact_certificate(
         "ruzsa_triangle",
         lhs,
         rhs,
         params={"sizes": [len(U), len(V), len(W)]},
-        inputs_digest=digest([U, V, W]),
+        inputs=[U, V, W],
     )
 
 
@@ -300,18 +306,15 @@ def check_plunnecke_ruzsa(A: PointSet, B: PointSet, m: int, n: int) -> Certifica
         raise ValueError("m and n must be non-negative")
     if A.dim != B.dim:
         raise DimensionMismatchError("mixed dimensions")
-    K = Fraction(len(minkowski_sum([A, B])), len(B))
-    difference = minkowski_sum(
-        [_iterated_or_origin(A, m), _iterated_or_origin(A, n).negate()]
-    )
-    lhs = len(difference)
+    K = Fraction(sumset_size([A, B]), len(B))
+    lhs = sumset_size([_iterated_or_origin(A, m), _iterated_or_origin(A, n).negate()])
     rhs = _canon(K ** (m + n) * len(B))
     return exact_certificate(
         "plunnecke_ruzsa",
         lhs,
         rhs,
         params={"m": m, "n": n, "K": K, "sizes": [len(A), len(B)]},
-        inputs_digest=digest([A, B, {"m": m, "n": n}]),
+        inputs=[A, B, {"m": m, "n": n}],
     )
 
 
@@ -331,14 +334,14 @@ def check_iterated_pr(sets: list[PointSet], k: int | None = None) -> Certificate
     N = sizes.pop()
     X = minkowski_sum(sets)
     K = Fraction(len(X), N)
-    lhs = len(minkowski_sum([X, X]))
+    lhs = sumset_size([X, X])
     rhs = _canon(K ** 7 * N)
     return exact_certificate(
         "iterated_pr",
         lhs,
         rhs,
         params={"k": k, "N": N, "K": K},
-        inputs_digest=digest(sets),
+        inputs=sets,
     )
 
 
@@ -358,14 +361,14 @@ def check_linear_pr(system: LinearSystem, A: PointSet) -> Certificate:
     k = system.k
     X = weighted_sumset(system, A)
     K = Fraction(len(X), len(A))
-    lhs = len(weighted_sumset(system, X))
+    lhs = _weighted_size(system, X)
     rhs = _canon(K ** (7 * k + 1) * len(A))
     return exact_certificate(
         "linear_pr",
         lhs,
         rhs,
         params={"k": k, "K": K, "size": len(A)},
-        inputs_digest=digest([A, system_to_dict(system)]),
+        inputs=[A, system_to_dict(system)],
     )
 
 
@@ -384,7 +387,7 @@ def check_fiber_bound(system: LinearSystem, A: PointSet, U: Subspace) -> Certifi
     if r >= A.dim:
         raise ValueError("subspace must be proper")
     fiber = max_fiber(A, U)
-    K = Fraction(len(weighted_sumset(system, A)), len(A))
+    K = Fraction(_weighted_size(system, A), len(A))
     lhs = fiber ** (2 ** r)
     rhs = _canon((K * len(A)) ** (2 ** r - 1))
     return exact_certificate(
@@ -392,7 +395,7 @@ def check_fiber_bound(system: LinearSystem, A: PointSet, U: Subspace) -> Certifi
         lhs,
         rhs,
         params={"r": r, "K": K, "max_fiber": fiber, "size": len(A)},
-        inputs_digest=digest([A, system_to_dict(system), U.rows]),
+        inputs=[A, system_to_dict(system), U.rows],
     )
 
 
@@ -413,7 +416,7 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
         raise ValueError("main-term probe requires a certified irreducible system")
     k, d = system.k, system.dim
     lhs = k ** d * len(A)
-    rhs = len(weighted_sumset(system, A))
+    rhs = _weighted_size(system, A)
     deficit = lhs - rhs
     exponent = None
     if deficit > 0 and len(A) >= 2:
@@ -425,7 +428,7 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
         slack=rhs - lhs,
         verdict=HOLDS if deficit <= 0 else INDETERMINATE,
         params={"k": k, "d": d, "size": len(A), "deficit": deficit, "exponent": exponent},
-        inputs_digest=digest([A, system_to_dict(system)]),
+        inputs=[A, system_to_dict(system)],
     )
 
 
@@ -445,7 +448,7 @@ def det_main_term_probe(
     if system.dim != A.dim:
         raise DimensionMismatchError("system and set dimensions differ")
     d = system.dim
-    rhs = len(weighted_sumset(system, A))
+    rhs = _weighted_size(system, A)
     dets = [abs(Fraction(M.det())) for M in system.maps]
 
     def make_sides(bits: int) -> tuple[Interval, Interval]:
@@ -459,7 +462,7 @@ def det_main_term_probe(
         "det_main_term",
         make_sides,
         params={"k": system.k, "d": d, "size": len(A)},
-        inputs_digest=digest([A, system_to_dict(system)]),
+        inputs=[A, system_to_dict(system)],
         precision_cap=precision_cap,
     )
     # provably above the main term at finite size is informational only

@@ -15,6 +15,12 @@ guaranteed to contain the true value.  The verdict is
 Interval endpoints are Fractions with power-of-two denominators produced by
 ``sympy.integer_nthroot``, so a certificate can be replayed and re-verified
 with integer arithmetic only.
+
+A certificate also pins its inputs by ``inputs_digest``, the sha256 of their
+canonical JSON (:func:`digest`).  Checks hand over the inputs themselves, and
+the hash is computed the first time ``inputs_digest`` is read (by
+:meth:`Certificate.to_dict`, and so by every JSON or CSV output), at most once
+per certificate.  A suite that only reads verdicts never hashes.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from sympy import integer_nthroot
@@ -153,8 +160,19 @@ def canonical_json(obj) -> str:
 
 def digest(obj) -> str:
     """sha256 of the canonical JSON encoding; used to pin certificate inputs.
-    Checks pass their inputs as they are, e.g. ``digest([A, {"k": k}])``."""
+    Checks pass their inputs as they are, e.g. ``inputs=[A, {"k": k}]``."""
     return hashlib.sha256(canonical_json(_encode_value(obj)).encode()).hexdigest()
+
+
+def _snapshot(obj):
+    """A copy of the dicts, lists and tuples in ``obj``, sharing every other
+    value, so later changes to a caller's containers cannot change a digest;
+    point sets, numbers and strings are not changed in place."""
+    if isinstance(obj, dict):
+        return {k: _snapshot(x) for k, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_snapshot(x) for x in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,8 @@ class Certificate:
     ``lhs``/``rhs``/``slack`` are ints, Fractions, or Intervals.  ``params``
     records the instance (sizes, exponents, ...) so the certificate is
     self-describing; ``witnesses`` carries counterexample data on violation.
+    ``inputs`` holds what the check was applied to, as taken at construction;
+    ``inputs_digest`` is its :func:`digest`, computed when first read.
     """
 
     statement_id: str
@@ -174,7 +194,14 @@ class Certificate:
     params: dict | None = None
     witnesses: dict | None = None
     precision_bits: int | None = None
-    inputs_digest: str | None = None
+    inputs: object = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", _snapshot(self.inputs))
+
+    @cached_property
+    def inputs_digest(self) -> str | None:
+        return None if self.inputs is None else digest(self.inputs)
 
     def holds(self) -> bool:
         return self.verdict == HOLDS
@@ -205,7 +232,7 @@ def exact_certificate(
     *,
     params: dict | None = None,
     witnesses: dict | None = None,
-    inputs_digest: str | None = None,
+    inputs: object = None,
 ) -> Certificate:
     """Certificate for exact rational lhs and rhs (no intervals involved)."""
     slack = rhs - lhs
@@ -218,7 +245,7 @@ def exact_certificate(
         verdict=verdict,
         params=params,
         witnesses=None if verdict == HOLDS else witnesses,
-        inputs_digest=inputs_digest,
+        inputs=inputs,
     )
 
 
@@ -228,7 +255,7 @@ def interval_certificate(
     *,
     params: dict | None = None,
     witnesses: dict | None = None,
-    inputs_digest: str | None = None,
+    inputs: object = None,
     precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> Certificate:
     """Certificate for sides needing root enclosures, with escalation.
@@ -254,7 +281,7 @@ def interval_certificate(
                 params=params,
                 witnesses=None if decided else witnesses,
                 precision_bits=bits,
-                inputs_digest=inputs_digest,
+                inputs=inputs,
             )
     lhs, rhs, bits = last
     return Certificate(
@@ -265,5 +292,5 @@ def interval_certificate(
         verdict=INDETERMINATE,
         params=params,
         precision_bits=bits,
-        inputs_digest=inputs_digest,
+        inputs=inputs,
     )

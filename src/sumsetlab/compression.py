@@ -7,6 +7,13 @@ u, u + v, ..., u + (m-1)v out of its base point u on H.  Compressions
 preserve cardinality, never increase sumset sizes, and drive every
 full-dimensional finite subset of Z^d toward the extremal long simplex.
 
+``compress`` runs in integers: the set, the offset and the direction are
+multiplied by the lcm q of their denominators, the normal and the offset by
+the lcm of the normal's, the fibers are keyed by |<n, v>| times their base
+points, and each output coordinate is divided once by q |<n, v>|.  So an
+integral set under an integral spec with |<n, v>| = 1, such as every axis
+compression, builds no ``Fraction``.
+
 Caution on dimensions: a single compression can *collapse* the affine hull
 (e.g. {(0,0), (0,1), (1,2)} drops to a line under the x-axis compression
 because all the y-values are distinct), but once a set has collapsed no
@@ -19,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .certificates import (
     HOLDS,
     VIOLATED,
     Certificate,
-    digest,
     exact_certificate,
 )
 from .core import (
@@ -38,11 +45,11 @@ from .core import (
     minkowski_sum,
     point_sort_key,
     project,
-    vec_add,
     vec_dot,
-    vec_scale,
     vec_sub,
     _canon,
+    _scaled,
+    _unscaled,
 )
 from .generators import long_simplex
 from .serialization import (
@@ -140,24 +147,43 @@ class CompressionSpec:
 
 
 def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
-    """Apply the compression to A.  Cardinality is always preserved."""
+    """Apply the compression to A.  Cardinality is always preserved.
+
+    The work is done in integers.  With q the lcm of the denominators of A,
+    the offset c and the direction v, compress(qA, (n, qc, qv)) =
+    q compress(A, (n, c, v)), and scaling the normal n to integers together
+    with the offset keeps the hyperplane.  On the scaled data a point a lies
+    in the fiber whose key is |nv| a + sign(nv)(c - <n, a>) v, which is |nv|
+    times the fiber's base point on the hyperplane, and the j-th point of the
+    fiber is key + j |nv| v.  Each coordinate is divided once, at the end, by
+    Q = q |nv|.
+    """
     if spec.dim != A.dim:
         raise ValueError("compression and set dimensions differ")
-    n, v, c = spec.normal, spec.direction, spec.offset
-    nv = vec_dot(n, v)
+    c, v = spec.offset, spec.direction
+    q, (points,) = _scaled([A], math.lcm(c.denominator, *(x.denominator for x in v)))
+    r = math.lcm(*(x.denominator for x in spec.normal))
+    n = [x.numerator * (r // x.denominator) for x in spec.normal]
+    c = c.numerator * (q * r // c.denominator)
+    v = [x.numerator * (q // x.denominator) for x in v]
+    nv = sum(map(mul, n, v))
+    m = abs(nv)
+    sv = v if nv > 0 else [-x for x in v]
     fibers: dict[Vec, int] = {}
-    for a in A.points:
-        x = Fraction(c - vec_dot(n, a)) / nv
-        base = vec_add(a, vec_scale(_canon(x), v))
-        fibers[base] = fibers.get(base, 0) + 1
+    for a in points:
+        t = c - sum(map(mul, n, a))
+        key = tuple([m * x + t * y for x, y in zip(a, sv)])
+        fibers[key] = fibers.get(key, 0) + 1
+    step = [m * x for x in v]
     out = set()
-    for base, m in fibers.items():
-        point = base
-        for _ in range(m):
+    for point, count in fibers.items():
+        out.add(point)
+        for _ in range(count - 1):
+            point = tuple(map(add, point, step))
             out.add(point)
-            point = vec_add(point, v)
     ensure(len(out) == len(A.points), "compression must preserve cardinality")
-    return PointSet._raw(A.dim, frozenset(out))
+    Q = q * m
+    return PointSet._raw(A.dim, _unscaled(frozenset(out), Q), Q == 1 or None)
 
 
 def is_down_set(A: PointSet) -> bool:
@@ -265,7 +291,7 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
         "sizes": [len(A) for A in sets],
         "spec": spec.to_dict(),
     }
-    inputs = digest([*sets, params["spec"]])
+    inputs = [*sets, params["spec"]]
     if missing:
         witness = min(missing, key=point_sort_key)
         return Certificate(
@@ -276,10 +302,10 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
             verdict=VIOLATED,
             params=params,
             witnesses={"point_outside_compressed_sumset": encode_point(witness)},
-            inputs_digest=inputs,
+            inputs=inputs,
         )
     cert = exact_certificate(
-        "sum_monotone", lhs, rhs, params=params, inputs_digest=inputs
+        "sum_monotone", lhs, rhs, params=params, inputs=inputs
     )
     # containment holds, and compression preserves cardinality, so slack >= 0
     ensure(cert.verdict == HOLDS, "a contained compressed sumset cannot be larger")
@@ -313,9 +339,8 @@ def check_projection_monotone(
         "k": len(sets),
         "sizes": [len(A) for A in sets],
     }
-    inputs = digest([*sets, params])
     return exact_certificate(
-        "projection_monotone", lhs, rhs, params=params, inputs_digest=inputs
+        "projection_monotone", lhs, rhs, params=params, inputs=[*sets, params]
     )
 
 

@@ -17,6 +17,8 @@ bitmap (one shift and OR per summand point) when the box has at most
 adds every pair.  The choice depends only on the summands' sizes and
 bounding boxes, and both folds return the same set.  A rational sum is
 scaled by q, the lcm of its coordinate denominators, and divided back by q.
+:func:`sumset_size` runs the same scaling and folds and counts the result
+without decoding it: the bitmap's set bits, or the size of the packed set.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -241,12 +243,10 @@ def _sum_box(extents: Sequence[tuple]) -> tuple[list[int], list[int]]:
 
 def estimated_sum_size(sets: Sequence[PointSet]) -> int:
     """Upper bound for |A_1 + ... + A_k| without computing the sum: the product
-    of the sizes and, when every set is integral, the volume of the sum's
-    bounding box."""
+    of the sizes and the volume of the sum's bounding box, scaled by q as in
+    :func:`_scaled`."""
     product = math.prod(len(A) for A in sets)
-    if not all(A.is_integral for A in sets):
-        return product
-    return min(product, math.prod(_sum_box(_extents(sets))[1]))
+    return min(product, math.prod(_sum_box(_extents(_scaled(sets)[1]))[1]))
 
 
 def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
@@ -257,12 +257,10 @@ def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
     return list(packed)
 
 
-def _bitmap_fold(packed: list[list[int]], lows: list[int], sides: list[int]) -> frozenset:
+def _bitmap_fold(packed: list[list[int]], cells: int) -> int:
     """Sum of packed summands as an ``int`` bitmap over the box: bit v is set
     for each packed point v, and adding a summand ORs one shifted copy of the
-    partial sum per summand point.  Decoding selects the box cells of the set
-    bits from ``itertools.product`` with ``itertools.compress``."""
-    cells = math.prod(sides)
+    partial sum per summand point."""
     # start from the largest summand: every other point costs one shift
     packed = sorted(packed, key=len, reverse=True)
     bits = bytearray(b"0") * cells
@@ -274,42 +272,31 @@ def _bitmap_fold(packed: list[list[int]], lows: list[int], sides: list[int]) -> 
         for v in summand:
             folded |= acc << v
         acc = folded
-    selectors = format(acc, f"0{cells}b")[::-1].encode().translate(_BIT_BYTES)
-    box = itertools.product(*map(range, lows, map(add, lows, sides)))
-    return frozenset(itertools.compress(box, selectors))
+    return acc
 
 
-def _pair_fold(packed: list[list[int]], lows: list[int], sides: list[int]) -> frozenset:
+def _pair_fold(packed: list[list[int]]) -> set[int]:
     """Sum of packed summands as a set of packed integers, adding every pair
-    at each fold; each output point is decoded with one divmod per
-    coordinate."""
+    at each fold."""
     sums = set(packed[0])
     for summand in packed[1:]:
         sums = {a + b for a in sums for b in summand}
-    digits = list(zip(lows, sides))[:0:-1]  # least significant first
-    first_low = lows[0]
-    out = []
-    for v in sums:
-        coords = []
-        for low, side in digits:
-            v, r = divmod(v, side)
-            coords.append(r + low)
-        coords.append(v + first_low)
-        out.append(tuple(reversed(coords)))
-    return frozenset(out)
+    return sums
 
 
-def _integral_sum(sets: Sequence[Collection[Vec]]) -> frozenset:
-    """A_1 + ... + A_k for sets of integral points, packed once in the sum's box.
+def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], list[int], list[int]]:
+    """A_1 + ... + A_k for sets of integral points, packed once in the sum's
+    box and not yet decoded: the bitmap of :func:`_bitmap_fold` or the set of
+    :func:`_pair_fold`, with the box's lower corner and side lengths.
 
     Every point becomes one integer in the mixed radix of the final sum's
     bounding box, first coordinate most significant, so a sum of points is a
     sum of integers with no carry between coordinates, and packed order is
     ``itertools.product`` order over the box.  Each distinct summand is packed
-    once, and the fold decodes once, at the end.  :func:`_bitmap_fold` runs
-    when the box has at most ``_BITMAP_DENSITY`` cells per pair that
-    :func:`_pair_fold` would add (each partial sum bounded as in
-    :func:`estimated_sum_size`) and at most ``_BITMAP_MAX_CELLS`` cells.
+    once.  :func:`_bitmap_fold` runs when the box has at most
+    ``_BITMAP_DENSITY`` cells per pair that :func:`_pair_fold` would add (each
+    partial sum bounded as in :func:`estimated_sum_size`) and at most
+    ``_BITMAP_MAX_CELLS`` cells.
     """
     extents = _extents(sets)
     lows, sides = _sum_box(extents)
@@ -327,41 +314,95 @@ def _integral_sum(sets: Sequence[Collection[Vec]]) -> frozenset:
     packed = [packed_by_id[id(A)] for A in sets]
     cells = math.prod(sides)
     if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * work:
-        return _bitmap_fold(packed, lows, sides)
-    return _pair_fold(packed, lows, sides)
+        return _bitmap_fold(packed, cells), lows, sides
+    return _pair_fold(packed), lows, sides
+
+
+def _decode(folded: int | set[int], lows: list[int], sides: list[int]) -> frozenset:
+    """The points of an :func:`_integral_fold` result.  A bitmap selects the box
+    cells of its set bits from ``itertools.product`` with
+    ``itertools.compress``; a set of packed integers is decoded with one divmod
+    per coordinate."""
+    if type(folded) is int:
+        selectors = format(folded, f"0{math.prod(sides)}b")[::-1].encode().translate(_BIT_BYTES)
+        box = itertools.product(*map(range, lows, map(add, lows, sides)))
+        return frozenset(itertools.compress(box, selectors))
+    digits = list(zip(lows, sides))[:0:-1]  # least significant first
+    first_low = lows[0]
+    out = []
+    for v in folded:
+        coords = []
+        for low, side in digits:
+            v, r = divmod(v, side)
+            coords.append(r + low)
+        coords.append(v + first_low)
+        out.append(tuple(reversed(coords)))
+    return frozenset(out)
+
+
+def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[Collection[Vec]]]:
+    """(q, the points of each set times q), where q becomes the lcm of the
+    given q and all coordinate denominators, so every scaled point is
+    integral.  Each distinct set is scaled once, and an integral family with
+    q = 1 is returned as it is.  Scaling is one-to-one, so it keeps the size of
+    every sum."""
+    if q == 1 and all(A.is_integral for A in sets):
+        return 1, [A.points for A in sets]
+    distinct = {id(A): A for A in sets}
+    q = math.lcm(q, *{c.denominator for A in distinct.values() for p in A for c in p})
+    scaled = {key: frozenset(tuple(c.numerator * q // c.denominator for c in p) for p in A)
+              for key, A in distinct.items()}
+    return q, [scaled[id(A)] for A in sets]
+
+
+def _unscaled(points: frozenset, q: int) -> frozenset:
+    """Integral points divided by q: each coordinate c becomes ``c // q``, or
+    ``Fraction(c, q)`` if q does not divide c."""
+    if q == 1:
+        return points
+    return frozenset(tuple(c // q if c % q == 0 else Fraction(c, q) for c in p) for p in points)
 
 
 def _sum_points(sets: Sequence[PointSet]) -> frozenset:
-    """The points of A_1 + ... + A_k: the one engine behind every sumset.
-    A rational sum scales each distinct summand once by q, the lcm of its
-    coordinate denominators, adds them with :func:`_integral_sum`, and maps each
-    coordinate c back to ``c // q``, or ``Fraction(c, q)`` if q does not divide c."""
+    """The points of A_1 + ... + A_k: the one engine behind every sumset.  The
+    summands are scaled to integral points by :func:`_scaled`, added by
+    :func:`_integral_fold`, decoded, and divided back by q."""
     if len(sets) == 1:
         return sets[0].points
-    if all(A.is_integral for A in sets):
-        return _integral_sum(sets)
-    distinct = {id(A): A for A in sets}
-    q = math.lcm(*{c.denominator for A in distinct.values() for p in A for c in p})
-    scaled = {key: frozenset(tuple(c.numerator * q // c.denominator for c in p) for p in A)
-              for key, A in distinct.items()}
-    sums = _integral_sum([scaled[id(A)] for A in sets])
-    return frozenset(tuple(c // q if c % q == 0 else Fraction(c, q) for c in p) for p in sums)
+    q, scaled = _scaled(sets)
+    return _unscaled(_decode(*_integral_fold(scaled)), q)
+
+
+def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], int]:
+    sets = list(sets)
+    if not sets:
+        raise EmptySetError(f"{caller} needs at least one set")
+    return sets, _require_same_dim(sets)
+
+
+def sumset_size(sets: Sequence[PointSet]) -> int:
+    """|A_1 + ... + A_k|, from the same scaling and folds as
+    :func:`minkowski_sum` but without decoding the sum: the bitmap's set bits
+    or the packed set's size are counted."""
+    sets, _ = _summands(sets, "sumset_size")
+    if len(sets) == 1:
+        return len(sets[0])
+    folded, _, _ = _integral_fold(_scaled(sets)[1])
+    return folded.bit_count() if type(folded) is int else len(folded)
 
 
 def minkowski_sum(sets: Sequence[PointSet]) -> PointSet:
     """A_1 + ... + A_k = {a_1 + ... + a_k}."""
-    sets = list(sets)
-    if not sets:
-        raise EmptySetError("minkowski_sum needs at least one set")
-    dim = _require_same_dim(sets)
-    return PointSet._raw(dim, _sum_points(sets), all(A.is_integral for A in sets))
+    sets, dim = _summands(sets, "minkowski_sum")
+    # a rational sum can have only integral points: its flag is read from them
+    return PointSet._raw(dim, _sum_points(sets), all(A.is_integral for A in sets) or None)
 
 
 def iterated_sumset(A: PointSet, k: int) -> PointSet:
     """kA = A + ... + A (k summands), k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return PointSet._raw(A.dim, _sum_points([A] * k), A.is_integral)
+    return PointSet._raw(A.dim, _sum_points([A] * k), A.is_integral or None)
 
 
 # ---------------------------------------------------------------------------

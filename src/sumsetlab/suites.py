@@ -17,6 +17,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable
 
 from .bounds import (
+    _weighted_size,
     check_discrete_bm,
     check_freiman_kfold,
     check_gs_kfold,
@@ -40,9 +41,8 @@ from .compression import (
 from .core import (
     LinearSystem,
     RationalMatrix,
-    iterated_sumset,
+    sumset_size,
     vec_dot,
-    weighted_sumset,
 )
 from .generators import (
     _rand_below,
@@ -279,7 +279,7 @@ def rotation_reproduction(n_max: int = 5) -> CriterionReport:
         )
         rec.check(coprime_sufficient(system) == COPRIME, f"coprime d={d}")
         for N in range(1, n_max + 1):
-            got = len(weighted_sumset(system, cube(d, N)))
+            got = _weighted_size(system, cube(d, N))
             want = (2 * d * N + 1) ** d
             rec.check(got == want, f"rotation d={d} N={N}: {got} != {want}")
     return rec.report("rotation_reproduction", {"n_max": n_max}, started)
@@ -292,7 +292,7 @@ def shear_regression(n_max: int = 50) -> CriterionReport:
     for N in range(1, n_max + 1):
         system, X = shear_counterexample(N)
         rec.check(len(X) == 2 * N - 1, f"|X| N={N}")
-        got = len(weighted_sumset(system, X))
+        got = _weighted_size(system, X)
         rec.check(got == (2 * N - 1) ** 2, f"|L1X + L2X| N={N}: {got}")
     return rec.report("shear_regression", {"n_max": n_max}, started)
 
@@ -412,7 +412,7 @@ def reduction_pipeline(samples: int = 200) -> CriterionReport:
         final, trace = reduce_to_simplex(A)
         rec.check(final == long_simplex(2, size), f"final shape #{i} size={size}")
         rec.check(trace.replay() == final, f"trace replay #{i}")
-        doublings = [len(iterated_sumset(S, 2)) for S in trace.intermediates()]
+        doublings = [sumset_size([S, S]) for S in trace.intermediates()]
         rec.check(
             all(a >= b for a, b in zip(doublings, doublings[1:])),
             f"doubling not monotone #{i}: {doublings}",

@@ -4,7 +4,13 @@
 coordinate tuples — deliberately independent of every path of the library's
 sumset engine (the ``int`` bitmap fold, the packed pair-set fold, and the
 scaling by the lcm of the denominators that sends rational sums to them), so
-each of them is cross-checked against it.
+each of them is cross-checked against it.  ``naive_compress`` recomputes a
+compression from its definition in ``sumsetlab.compression`` with
+``Fraction`` arithmetic, sharing no code with the library's integral path.
+
+``point_sets`` draws distinct points by construction: each point is an index
+into the finite grid ``coords^dim``, drawn without replacement, so no draw
+is rejected for repeating a point.
 """
 
 import os
@@ -34,28 +40,77 @@ def naive_sumset(sets):
     return acc
 
 
-def tuples_to_pointset(dim, tuples):
-    return PointSet(dim, list(tuples))
+def typed(points):
+    """The points with the type of each coordinate, so that 2 and Fraction(2, 1)
+    differ."""
+    return {tuple((type(c), c) for c in p) for p in points}
+
+
+def naive_compress(points, normal, offset, direction):
+    """The compression along ``direction`` onto the hyperplane
+    {x : <normal, x> = offset}: the points of each line parallel to the
+    direction become the first steps u, u + v, ... out of the point u where
+    the line meets the hyperplane.  Integral coordinates come back as ``int``,
+    as the library stores them."""
+    n = [Fraction(x) for x in normal]
+    v = [Fraction(x) for x in direction]
+    nv = sum(a * b for a, b in zip(n, v))
+    lines = {}
+    for p in points:
+        p = [Fraction(x) for x in p]
+        s = (Fraction(offset) - sum(a * b for a, b in zip(n, p))) / nv
+        u = tuple(x + s * y for x, y in zip(p, v))
+        lines[u] = lines.get(u, 0) + 1
+    out = set()
+    for u, count in lines.items():
+        for j in range(count):
+            point = (x + j * y for x, y in zip(u, v))
+            out.add(tuple(x.numerator if x.denominator == 1 else x for x in point))
+    return out
+
+
+def values(low, high, max_denominator=1):
+    """Every rational in [low, high] with denominator at most
+    ``max_denominator``, integral ones as ``int``, simplest first: by
+    denominator, then by size, positive before negative."""
+    found = {Fraction(a, b) for b in range(1, max_denominator + 1) for a in range(low * b, high * b + 1)}
+    ordered = sorted(found, key=lambda x: (x.denominator, abs(x), x < 0))
+    return tuple(x.numerator if x.denominator == 1 else x for x in ordered)
 
 
 int_coords = st.integers(min_value=-6, max_value=6)
 rational_coords = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
 )
+# the value domains of the two strategies above
+INT_VALUES = values(-6, 6)
+RATIONAL_VALUES = values(-4, 4, max_denominator=3)
+MIXED_VALUES = tuple(dict.fromkeys(INT_VALUES + RATIONAL_VALUES))
 
 
-def points(dim, coords=int_coords):
-    return st.tuples(*([coords] * dim))
+def point_sets(dim, min_size=1, max_size=8, coords=INT_VALUES):
+    """Sets of ``min_size`` to ``max_size`` points with coordinates in the
+    sequence ``coords``.  Point i of the grid takes its coordinates from the
+    base-len(coords) digits of i.  The indices are drawn without replacement,
+    so no point repeats and no draw is rejected; they shrink toward 0, the
+    point with every coordinate ``coords[0]``."""
+    coords = tuple(coords)
 
+    def point(i):
+        out = []
+        for _ in range(dim):
+            i, r = divmod(i, len(coords))
+            out.append(coords[r])
+        return tuple(out)
 
-def point_sets(dim, min_size=1, max_size=8, coords=int_coords):
-    return st.frozensets(points(dim, coords), min_size=min_size, max_size=max_size).map(
-        lambda ps: PointSet(dim, list(ps))
+    indices = st.lists(
+        st.sampled_from(range(len(coords) ** dim)), min_size=min_size, max_size=max_size, unique=True
     )
+    return indices.map(lambda ids: PointSet(dim, [point(i) for i in ids]))
 
 
 @st.composite
-def set_families(draw, max_dim=3, max_k=3, max_size=8, coords=int_coords):
+def set_families(draw, max_dim=3, max_k=3, max_size=8, coords=INT_VALUES):
     """A list of 1..max_k point sets sharing one ambient dimension."""
     dim = draw(st.integers(min_value=1, max_value=max_dim))
     k = draw(st.integers(min_value=1, max_value=max_k))

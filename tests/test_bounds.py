@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_sets
+from conftest import point_sets, values
 from sumsetlab import (
     DimensionMismatchError,
     affine_dimension,
@@ -386,7 +386,7 @@ class TestKhovanskiiProbe:
         with pytest.raises(ValueError):
             khovanskii_probe(interval_set(0, 2), 1)
 
-    @given(point_sets(1, min_size=2, max_size=5, coords=st.integers(0, 6)))
+    @given(point_sets(1, min_size=2, max_size=5, coords=values(0, 6)))
     @settings(max_examples=30)
     def test_fitted_polynomial_reproduces_values(self, A):
         rep = khovanskii_probe(A, 5)

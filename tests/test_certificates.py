@@ -47,7 +47,9 @@ from sumsetlab.certificates import (
     interval_certificate,
     precision_schedule,
 )
+from sumsetlab import certificates
 from sumsetlab.serialization import pointset_to_dict
+from sumsetlab.suites import compression_laws, planar_bound_grids
 
 fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -290,6 +292,54 @@ PINNED_CERTIFICATES = {
         "ca4b6a6ea6f1ef25b807073b0bd1258daaa48a6a0c488bf71fe73bcd0b3a1038",
     ),
 }
+
+
+class TestDigestWhenRead:
+    """Checks hand their inputs to the certificate; the digest is computed
+    when ``inputs_digest`` is first read, once, from the inputs as they were
+    at construction."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(certificates, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(certificates, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "suite", [lambda: compression_laws(samples=20), lambda: planar_bound_grids(2, 2, samples=10)]
+    )
+    def test_suites_encode_nothing(self, monkeypatch, suite):
+        calls = self.spy(monkeypatch, "_encode_value")
+        assert suite().passed
+        assert calls == []
+
+    def test_digest_computed_once(self, monkeypatch):
+        A = long_simplex(2, 5)
+        cert = check_freiman_kfold(A, 3)
+        calls = self.spy(monkeypatch, "digest")
+        first, second = cert.to_dict(), cert.to_dict()
+        assert len(calls) == 1
+        assert first == second
+        assert cert.inputs_digest == first["inputs_digest"] == digest([A, {"k": 3}])
+        assert type(cert.inputs_digest) is str
+
+    def test_inputs_taken_at_construction(self):
+        sets = [_SPARSE, _RATIONAL]
+        sum_cert = check_sum_monotone(sets, CompressionSpec.axis(1, 2))
+        projection_cert = check_projection_monotone(sets, 2, None, [1])
+        sum_cert.params["spec"]["axis"] = 2
+        projection_cert.params["coords"].append(2)
+        projection_cert.params["k"] = 5
+        assert sum_cert.inputs_digest == digest([*sets, {"axis": 1}])
+        assert projection_cert.inputs_digest == digest(
+            [*sets, {"axis": 2, "coords": [1], "k": 2, "sizes": [len(_SPARSE), len(_RATIONAL)]}]
+        )
 
 
 class TestCertificateBytesPinned:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,13 @@ class TestGen:
         assert code == 2
 
 
+def half_integer_set():
+    """255 multiples of 1/2 in [0, 10]^2, (0, 0) and (10, 10) among them."""
+    grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(21) for j in range(21)]
+    rest = random.Random(4).sample(grid[1:-1], 253)
+    return PointSet(2, [grid[0], grid[-1], *rest])
+
+
 class TestSumset:
     def test_rotation_of_cube(self, call, tmp_path):
         cube = tmp_path / "cube.json"
@@ -98,6 +106,17 @@ class TestSumset:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7fd4b3e8bb6e36a388f88687b07b227ee3e03df66470d45cc5ecd340d386ab6c"
         )
+
+    def test_rational_budget_is_scaled_box(self, call, workset):
+        # 255 halves in [0, 10]^2 with both corners: the estimate for 3H is
+        # the 61 x 61 multiples of 1/2 in [0, 30]^2, not 255^3
+        _, write = workset
+        h = write("h.json", pointset_to_dict(half_integer_set()))
+        code, _, err = call("sumset", "--set", h, "--k", "3")
+        assert code == 0 and "size" in err
+        assert call("sumset", "--set", h, "--k", "3", "--budget", "3721")[0] == 0
+        code, out, err = call("sumset", "--set", h, "--k", "3", "--budget", "3720")
+        assert code == 2 and "budget" in err and out == ""
 
     def test_budget_guard(self, call, workset):
         _, write = workset
@@ -162,6 +181,7 @@ def forbid_sums(monkeypatch):
         raise AssertionError("a sum was built despite the budget")
 
     monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
+    monkeypatch.setattr(bounds, "sumset_size", no_sum)
     monkeypatch.setattr(compression, "minkowski_sum", no_sum)
 
 
@@ -264,6 +284,14 @@ class TestVerify:
         forbid_sums(monkeypatch)
         code, out, err = call(*argv, "--budget", str(bound - 1))
         assert code == 2 and "budget" in err and out == ""
+
+    def test_rational_iterated_pr_admitted(self, call, workset):
+        # X + X = 4H lies in 81 x 81 multiples of 1/2, far below the default
+        # budget; the product bound was 255^4
+        _, write = workset
+        h = write("h.json", pointset_to_dict(half_integer_set()))
+        code, out, _ = call("verify", "iterated_pr", "--sets", h, h)
+        assert code == 0 and json.loads(out)["lhs"] == "6489"
 
     def test_budget_guard_admits_sum_within_budget(self, call, tmp_path):
         c = str(tmp_path / "c.json")

@@ -1,12 +1,13 @@
 """Compression operators, sum-monotonicity checks, and the reduction pipeline."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_sets
+from conftest import INT_VALUES, RATIONAL_VALUES, naive_compress, point_sets, typed, values
 from sumsetlab import (
     CompressionSpec,
     PointSet,
@@ -47,6 +48,22 @@ def _general_spec(draw):
 
 
 general_specs = _general_spec()
+
+_SPEC_ENTRIES = values(-2, 2, max_denominator=2)
+
+
+@st.composite
+def compression_cases(draw):
+    """An integral or rational set in dimension 1 to 3 and a spec whose normal
+    and direction have entries in [-2, 2] with denominators 1 or 2 (so
+    |<n, v>| > 1 is common) and whose offset has denominator at most 3."""
+    dim = draw(st.integers(1, 3))
+    A = draw(point_sets(dim, coords=draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES]))))
+    vectors = list(itertools.product(_SPEC_ENTRIES, repeat=dim))
+    normal = draw(st.sampled_from([n for n in vectors if any(n)]))
+    direction = draw(st.sampled_from([v for v in vectors if sum(a * b for a, b in zip(normal, v))]))
+    offset = draw(st.sampled_from(values(-3, 3, max_denominator=3)))
+    return A, CompressionSpec(normal=normal, offset=offset, direction=direction)
 
 
 class TestCompress:
@@ -92,10 +109,42 @@ class TestCompress:
         once = compress(A, spec)
         assert compress(once, spec) == once
 
-    @given(point_sets(2, coords=st.fractions(min_value=-3, max_value=3, max_denominator=2)))
+    @given(point_sets(2, coords=values(-3, 3, max_denominator=2)))
     def test_rational_sets_supported(self, A):
         spec = CompressionSpec(normal=(1, 0), offset=Fraction(1, 2), direction=(1, 0))
         assert len(compress(A, spec)) == len(A)
+
+
+class TestCompressOracle:
+    """``compress`` against ``naive_compress``, the definition in
+    ``Fraction`` arithmetic: the points, the type of every coordinate, and
+    ``is_integral``."""
+
+    @staticmethod
+    def check(A, spec):
+        got = compress(A, spec)
+        want = naive_compress(A.points, spec.normal, spec.offset, spec.direction)
+        assert typed(got.points) == typed(want)
+        assert got.is_integral == all(type(c) is int for p in want for c in p)
+
+    @given(compression_cases())
+    def test_matches_naive(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "points, spec",
+        [
+            # <n, v> = 2: an integral set with a rational image
+            ([(1, 0), (3, 0), (3, 1)], CompressionSpec(normal=(2, 0), offset=1, direction=(1, 1))),
+            # <n, v> = -3 and a rational normal, offset and direction
+            ([(0, 0), (1, 2), (2, 4), (Fraction(1, 2), 0)],
+             CompressionSpec(normal=(Fraction(3, 2), 0), offset=Fraction(1, 3), direction=(-2, Fraction(1, 2)))),
+            # a rational set with an integral image
+            ([(Fraction(1, 2), 0), (Fraction(1, 2), 5)], CompressionSpec(normal=(1, 0), offset=0, direction=(1, 0))),
+        ],
+    )
+    def test_fixed_cases(self, points, spec):
+        self.check(PointSet(2, points), spec)
 
 
 class TestNormalizeDown:
@@ -111,7 +160,7 @@ class TestNormalizeDown:
         with pytest.raises(ValueError):
             normalize_down(PointSet(1, [(Fraction(1, 2),)]))
 
-    @given(point_sets(3, coords=st.integers(0, 4)))
+    @given(point_sets(3, coords=values(0, 4)))
     def test_result_is_down_set(self, A):
         down, trace = normalize_down(A)
         assert is_down_set(down)
@@ -229,7 +278,7 @@ class TestReduceToSimplex:
         doc = trace.to_dict()
         assert set(doc) == {"initial", "translation", "steps", "final"}
 
-    @given(point_sets(2, min_size=3, max_size=7, coords=st.integers(-4, 4)))
+    @given(point_sets(2, min_size=3, max_size=7, coords=values(-4, 4)))
     @settings(max_examples=40, deadline=None)
     def test_random_full_dim_sets_reach_long_simplex(self, A):
         from sumsetlab import affine_dimension

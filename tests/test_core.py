@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import int_coords, naive_sumset, point_sets, rational_coords, set_families
+from conftest import (
+    INT_VALUES,
+    MIXED_VALUES,
+    RATIONAL_VALUES,
+    int_coords,
+    naive_sumset,
+    point_sets,
+    set_families,
+    typed,
+)
 from sumsetlab import core
 from sumsetlab import (
     Basis,
@@ -31,6 +40,7 @@ from sumsetlab import (
     project,
     random_system,
     rotation_system,
+    sumset_size,
     weighted_sumset,
 )
 
@@ -108,7 +118,7 @@ class TestMinkowskiSum:
         got = minkowski_sum(sets)
         assert {tuple(p) for p in got.points} == expected
 
-    @given(set_families(max_size=6, coords=st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+    @given(set_families(max_size=6, coords=RATIONAL_VALUES))
     def test_matches_naive_enumeration_rational(self, sets):
         expected = naive_sumset(sets)
         assert {tuple(p) for p in minkowski_sum(sets).points} == expected
@@ -154,7 +164,7 @@ def dense_sets(draw, dim):
     low = draw(st.tuples(*[st.integers(-3, 3)] * dim))
     sides = draw(st.tuples(*[st.integers(1, 3)] * dim))
     cells = list(itertools.product(*(range(a, a + s) for a, s in zip(low, sides))))
-    return PointSet(dim, draw(st.sets(st.sampled_from(cells), min_size=(len(cells) + 1) // 2)))
+    return PointSet(dim, draw(st.lists(st.sampled_from(cells), min_size=(len(cells) + 1) // 2, unique=True)))
 
 
 WIDE = 10**5
@@ -268,12 +278,6 @@ def canonical(points):
     return {tuple(c.numerator if c.denominator == 1 else c for c in p) for p in points}
 
 
-def typed(points):
-    """The points with the type of each coordinate, so that 2 and Fraction(2, 1)
-    differ."""
-    return {tuple((type(c), c) for c in p) for p in points}
-
-
 # denominators 1009, 1013 and 1019 put q near 2 * 10^9: the scaled box of
 # A + B + A has more than 2^64 cells, so the pair-set fold adds big integers
 BIG_Q = [
@@ -291,14 +295,14 @@ class TestRationalSums:
     @staticmethod
     def check(sets, got):
         assert typed(got.points) == typed(canonical(naive_sumset(sets)))
-        # the flag follows the summands, even when a rational sum has only
+        # the flag follows the points, also when a rational sum has only
         # integral points
-        assert got.is_integral == all(A.is_integral for A in sets)
+        assert got.is_integral == all(type(c) is int for p in got for c in p)
 
     @given(data=st.data())
     def test_mixed_summands(self, data):
         dim = data.draw(st.integers(1, 3))
-        coords = st.sampled_from([int_coords, rational_coords, st.one_of(int_coords, rational_coords)])
+        coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
         k = data.draw(st.integers(1, 4))
         sets = [data.draw(point_sets(dim, max_size=5, coords=data.draw(coords))) for _ in range(k)]
         with engine_folds() as seen:
@@ -308,7 +312,7 @@ class TestRationalSums:
 
     @given(data=st.data())
     def test_iterated_sumset(self, data):
-        A = data.draw(point_sets(data.draw(st.integers(1, 3)), max_size=6, coords=rational_coords))
+        A = data.draw(point_sets(data.draw(st.integers(1, 3)), max_size=6, coords=RATIONAL_VALUES))
         k = data.draw(st.integers(1, 4))
         with engine_folds() as seen:
             got = iterated_sumset(A, k)
@@ -352,6 +356,65 @@ class TestRationalSums:
             got = minkowski_sum(sets)
         self.check(sets, got)
         assert seen == [fold]
+
+
+class TestSumsetSize:
+    """``sumset_size`` counts the folds of the engine without decoding them:
+    against ``len(naive_sumset)`` on both folds and on rational sums, and
+    against ``len(minkowski_sum)``."""
+
+    @pytest.mark.parametrize("make_set, fold", FOLDS)
+    @given(data=st.data())
+    def test_both_folds(self, make_set, fold, data):
+        dim = data.draw(st.integers(1, 3))
+        sets = [data.draw(make_set(dim)) for _ in range(data.draw(st.integers(1, 3)))]
+        with engine_folds() as seen:
+            got = sumset_size(sets)
+        assert got == len(naive_sumset(sets))
+        assert seen == [fold] * (len(sets) > 1)
+
+    @given(data=st.data())
+    def test_rational_sums(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
+        sets = [data.draw(point_sets(dim, max_size=5, coords=data.draw(coords)))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        with engine_folds() as seen:
+            got = sumset_size(sets)
+        assert got == len(naive_sumset(sets)) == len(minkowski_sum(sets))
+        assert len(seen) == (len(sets) > 1)
+
+    @given(point_sets(2, max_size=6, coords=RATIONAL_VALUES), st.integers(1, 4))
+    def test_iterated(self, A, k):
+        assert sumset_size([A] * k) == len(iterated_sumset(A, k))
+
+    @pytest.mark.parametrize("sets", [BIG_Q, [BIG_Q[0]] * 3, [PointSet(2, [(0, 0)])] * 2])
+    def test_fixed_cases(self, sets):
+        assert sumset_size(sets) == len(naive_sumset(sets))
+
+    def test_rejects_empty_and_mixed(self):
+        with pytest.raises(EmptySetError):
+            sumset_size([])
+        with pytest.raises(DimensionMismatchError):
+            sumset_size([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
+
+
+class TestEstimatedSumSize:
+    @given(data=st.data())
+    def test_bounds_rational_sums(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
+        sets = [data.draw(point_sets(dim, max_size=6, coords=data.draw(coords)))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        assert core.estimated_sum_size(sets) >= len(naive_sumset(sets))
+
+    def test_scaled_box(self):
+        # 21 halves in [0, 10]: 3H lies in the 61 multiples of 1/2 in [0, 30]
+        H = PointSet(1, [(Fraction(j, 2),) for j in range(21)])
+        assert core.estimated_sum_size([H] * 3) == 61 == len(iterated_sumset(H, 3))
+        # the product bound is smaller for a sparse set
+        S = PointSet(1, [(0,), (Fraction(100, 3),)])
+        assert core.estimated_sum_size([S, S]) == 4
 
 
 class TestIteratedSumset:
@@ -498,7 +561,7 @@ class TestProject:
 
     @given(
         st.integers(1, 4).flatmap(
-            lambda d: point_sets(d, coords=st.one_of(int_coords, rational_coords))
+            lambda d: point_sets(d, coords=MIXED_VALUES)
         )
     )
     def test_standard_basis_matches_matrix_path(self, A):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import point_sets, rational_coords
+from conftest import RATIONAL_VALUES, point_sets, rational_coords
 from sumsetlab import Basis, CompressionSpec, LinearSystem, PointSet, RationalMatrix
 from sumsetlab.serialization import (
     basis_from_dict,
@@ -77,7 +77,7 @@ class TestPointSetCodec:
         with pytest.raises(ValueError):
             pointset_from_dict({"dim": 2, "points": [["1"]]})
 
-    @given(point_sets(2, coords=rational_coords))
+    @given(point_sets(2, coords=RATIONAL_VALUES))
     def test_round_trip(self, A):
         assert pointset_from_dict(pointset_to_dict(A)) == A
 
