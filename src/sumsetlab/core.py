@@ -20,6 +20,16 @@ scaled by q, the lcm of its coordinate denominators, and divided back by q.
 :func:`sumset_size` runs the same scaling and folds and counts the result
 without decoding it: the bitmap's set bits, or the size of the packed set.
 
+Integral inputs
+---------------
+Outside the engine, integral inputs take integer paths as well.
+:func:`linear_image` of an integral set under an integral matrix takes ``int``
+dot products and marks the image integral; other pairs keep the ``Fraction``
+code.  :func:`affine_dimension` ranks the differences of a set, scaled to
+integral points like a rational sum, by fraction-free elimination
+(:func:`_integer_rank`).  :func:`project` onto standard coordinates keeps the
+integral flag.
+
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
 already run the bitmap at C speed.
@@ -111,10 +121,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
-
-
-def vec_scale(c: Coord, a: Vec) -> Vec:
-    return tuple(_canon(c * x) for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> Coord:
@@ -233,12 +239,17 @@ def _extents(sets: Sequence[Collection[Vec]]) -> list[tuple[list[tuple], list[in
     return [seen[id(A)] for A in sets]
 
 
+def _side(low: int, high: int) -> int:
+    """Number of integers in [low, high]."""
+    return high - low + 1
+
+
 def _sum_box(extents: Sequence[tuple]) -> tuple[list[int], list[int]]:
     """Lower corner and side lengths of the bounding box of a sum, from the
     :func:`_extents` of its summands."""
     lows = [sum(col) for col in zip(*(mins for _, mins, _ in extents))]
     highs = [sum(col) for col in zip(*(maxs for _, _, maxs in extents))]
-    return lows, [high - low + 1 for low, high in zip(lows, highs)]
+    return lows, list(map(_side, lows, highs))
 
 
 def estimated_sum_size(sets: Sequence[PointSet]) -> int:
@@ -299,11 +310,14 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     ``_BITMAP_MAX_CELLS`` cells.
     """
     extents = _extents(sets)
-    lows, sides = _sum_box(extents)
+    # running sums of the minima and maxima give each prefix sum's box
+    lows, highs = extents[0][1], extents[0][2]
     work, product = 0, len(sets[0])
-    for j in range(1, len(sets)):
-        work += min(product, math.prod(_sum_box(extents[:j])[1])) * len(sets[j])
-        product *= len(sets[j])
+    for A, (_, mins, maxs) in zip(sets[1:], extents[1:]):
+        work += min(product, math.prod(map(_side, lows, highs))) * len(A)
+        product *= len(A)
+        lows, highs = list(map(add, lows, mins)), list(map(add, highs, maxs))
+    sides = list(map(_side, lows, highs))
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
         weights[i - 1] = weights[i] * sides[i]
@@ -539,8 +553,15 @@ class RationalMatrix:
 
 
 def linear_image(M: RationalMatrix, A: PointSet) -> PointSet:
+    """M(A) = {M p : p in A}.  An integral matrix applied to an integral set
+    takes plain ``int`` dot products, and the image is integral."""
     if M.dim != A.dim:
         raise DimensionMismatchError("matrix and set dimensions differ")
+    if M.is_integral() and A.is_integral:
+        rows = M.rows
+        return PointSet._raw(
+            A.dim, frozenset(tuple([sum(map(mul, row, p)) for row in rows]) for p in A.points), True
+        )
     return PointSet._raw(A.dim, frozenset(M.mat_vec(p) for p in A.points))
 
 
@@ -695,15 +716,38 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
+def _integer_rank(rows: list[list[int]], width: int) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After the step on pivot column c, each entry right of the pivots is a
+    minor of the matrix, so dividing by the previous pivot is exact
+    (Sylvester's identity) and entries grow only polynomially.  No
+    ``Fraction`` is built.  ``rows`` is overwritten."""
+    rank, previous = 0, 1
+    for col in range(width):
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot_vals = rows[rank]
+        pivot = pivot_vals[col]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col]
+            rows[r] = [(pivot * x - factor * y) // previous for x, y in zip(rows[r], pivot_vals)]
+        previous = pivot
+        rank += 1
+    return rank
+
+
 def affine_dimension(A: PointSet) -> int:
-    """Dimension of the affine hull of A (0 for a single point)."""
-    pts = iter(A.points)
+    """Dimension of the affine hull of A (0 for a single point): the rank of
+    the differences to one point, by :func:`_integer_rank`.  A rational set
+    is first scaled to integral points by :func:`_scaled`, which is one-to-one
+    and linear and so keeps the affine dimension."""
+    _, (points,) = _scaled([A])
+    pts = iter(points)
     anchor = next(pts)
-    diffs = [vec_sub(p, anchor) for p in pts]
-    if not diffs:
-        return 0
-    _, pivots = rref(diffs, A.dim)
-    return len(pivots)
+    return _integer_rank([list(map(sub, p, anchor)) for p in pts], A.dim)
 
 
 def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet:
@@ -719,10 +763,14 @@ def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet
         raise ValueError(f"projection coordinates must lie in 1..{d}")
     if basis is None or basis.is_standard():
         if d == 1:  # itemgetter of one index returns the item, not a 1-tuple
-            return PointSet._raw(d, A.points if index_set else frozenset({(0,)}))
-        # index d picks the 0 appended to each point
+            if index_set:
+                return PointSet._raw(d, A.points, A._integral)
+            return PointSet._raw(d, frozenset({(0,)}), True)
+        # index d picks the 0 appended to each point; dropping coordinates
+        # keeps an integral set integral
         keep = itemgetter(*(i if i + 1 in index_set else d for i in range(d)))
-        return PointSet._raw(d, frozenset(map(keep, map(add, A.points, itertools.repeat((0,))))))
+        points = frozenset(map(keep, map(add, A.points, itertools.repeat((0,)))))
+        return PointSet._raw(d, points, A._integral or None)
     mask = [1 if (i + 1) in index_set else 0 for i in range(d)]
     D = RationalMatrix([[mask[i] if i == j else 0 for j in range(d)] for i in range(d)])
     return linear_image(basis.matrix @ D @ basis.inverse_matrix, A)

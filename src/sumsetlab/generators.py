@@ -4,11 +4,16 @@ linear systems, and seeded random instances.
 Randomness is deterministic and reproducible across platforms: everything is
 driven by a splitmix64 counter stream keyed only by the caller's seed, never
 by global state.
+
+Every point set is built from canonical ``int`` tuples, so it is handed to the
+trusted :meth:`PointSet._raw` as integral instead of being re-validated point
+by point.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import operator
+from typing import Iterable, Iterator
 
 from .core import (
     LinearSystem,
@@ -19,6 +24,12 @@ from .core import (
 )
 
 MASK64 = (1 << 64) - 1
+
+
+def _lattice_set(d: int, points: Iterable[tuple[int, ...]]) -> PointSet:
+    """The integral set of ``points``: non-empty tuples of ``int`` of length d,
+    repeats allowed.  Nothing is re-validated."""
+    return PointSet._raw(d, frozenset(points), True)
 
 
 def splitmix64_stream(seed: int) -> Iterator[int]:
@@ -70,7 +81,7 @@ def long_simplex(d: int, N: int) -> PointSet:
         points.append(tuple(1 if j == i else 0 for j in range(d)))
     for j in range(1, N - d + 1):
         points.append(tuple(j if i == 0 else 0 for i in range(d)))
-    return PointSet(d, points)
+    return _lattice_set(d, points)
 
 
 def long_simplex_summands(d: int, N: int) -> tuple[PointSet, PointSet]:
@@ -83,7 +94,7 @@ def long_simplex_summands(d: int, N: int) -> tuple[PointSet, PointSet]:
     for i in range(1, d):
         head.append(tuple(1 if j == i else 0 for j in range(d)))
     tail = [tuple(j if i == 0 else 0 for i in range(d)) for j in range(1, N - d + 1)]
-    return PointSet(d, head), PointSet(d, tail)
+    return _lattice_set(d, head), _lattice_set(d, tail)
 
 
 def long_simplex_sumset_form(d: int, N: int) -> PointSet:
@@ -102,7 +113,7 @@ def long_simplex_sumset_form(d: int, N: int) -> PointSet:
         points.append(tuple(j if i == 0 else 0 for i in range(d)))
         for axis in range(1, d):
             points.append(tuple(j if i == 0 else (1 if i == axis else 0) for i in range(d)))
-    return PointSet(d, points)
+    return _lattice_set(d, points)
 
 
 def cube(d: int, N: int) -> PointSet:
@@ -113,7 +124,7 @@ def cube(d: int, N: int) -> PointSet:
     points = [()]
     for _ in range(d):
         points = [p + (c,) for p in points for c in rng]
-    return PointSet(d, points)
+    return _lattice_set(d, points)
 
 
 def grid(dims: list[tuple[int, int]]) -> list[PointSet]:
@@ -125,9 +136,7 @@ def grid(dims: list[tuple[int, int]]) -> list[PointSet]:
     for n, m in dims:
         if n < 1 or m < 1:
             raise ValueError("grid sides must be >= 1")
-        out.append(
-            PointSet(2, [(x, y) for x in range(1, n + 1) for y in range(1, m + 1)])
-        )
+        out.append(_lattice_set(2, [(x, y) for x in range(1, n + 1) for y in range(1, m + 1)]))
     return out
 
 
@@ -135,7 +144,7 @@ def interval_set(lo: int, hi: int) -> PointSet:
     """The 1-dimensional arithmetic progression {lo, lo+1, ..., hi}."""
     if hi < lo:
         raise ValueError("need hi >= lo")
-    return PointSet(1, [(c,) for c in range(lo, hi + 1)])
+    return _lattice_set(1, [(c,) for c in range(lo, hi + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +203,7 @@ def shear_counterexample(N: int) -> tuple[LinearSystem, PointSet]:
     if N < 1:
         raise ValueError("N must be >= 1")
     system = shear_system()
-    progression = PointSet(2, [(0, i) for i in range(1, N + 1)])
+    progression = _lattice_set(2, [(0, i) for i in range(1, N + 1)])
     return system, weighted_sumset(system, progression)
 
 
@@ -205,11 +214,12 @@ def shear_counterexample(N: int) -> tuple[LinearSystem, PointSet]:
 
 def random_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
     """``size`` distinct points drawn uniformly from box^d, deterministically.
+    The ends of ``box`` are integers.
 
     Points are drawn by decoding a uniform index into the box and rejecting
     duplicates, so the result depends only on (d, size, box, seed).
     """
-    lo, hi = box
+    lo, hi = map(operator.index, box)
     side = hi - lo + 1
     if d < 1 or size < 1:
         raise ValueError("need d >= 1 and size >= 1")
@@ -225,7 +235,7 @@ def random_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
             index, r = divmod(index, side)
             point.append(lo + r)
         chosen.add(tuple(point))
-    return PointSet(d, chosen)
+    return _lattice_set(d, chosen)
 
 
 def random_full_dim_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:

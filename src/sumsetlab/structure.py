@@ -1,5 +1,4 @@
-"""Invariant-subspace structure of linear systems, and generalized
-arithmetic progressions.
+"""Invariant-subspace structure of linear systems.
 
 Q-irreducibility
 ----------------
@@ -48,7 +47,6 @@ before it is returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -59,22 +57,16 @@ from sympy import Poly, Rational as SymRational, Symbol
 from .core import (
     DimensionMismatchError,
     LinearSystem,
-    PointSet,
     RationalMatrix,
     Subspace,
     Vec,
-    as_vec,
     ensure,
     is_zero_vec,
     kernel_basis,
-    rref,
-    vec_add,
-    vec_scale,
-    vec_sub,
     _canon,
 )
 from .generators import splitmix64_stream, _rand_below
-from .serialization import decode_point, encode_point
+from .serialization import encode_point
 
 IRREDUCIBLE = "Irreducible"
 REDUCIBLE = "Reducible"
@@ -82,13 +74,6 @@ UNKNOWN = "Unknown"
 COPRIME = "Coprime"
 
 _X = Symbol("x")
-
-DEFAULT_ENUMERATION_BUDGET = 1_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A GAP enumeration would exceed the configured budget."""
-
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
@@ -338,120 +323,3 @@ def coprime_sufficient(system: LinearSystem) -> str:
     if any(abs(M.det()) == 1 for M in system.maps):
         return COPRIME
     return UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# generalized arithmetic progressions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GAP:
-    """{base + sum l_i * generators[i] : 1 <= l_i <= lengths[i]}.
-
-    The additive dimension is the number of generators; *proper* means the
-    expansion has exactly prod(lengths) distinct points.
-    """
-
-    base: Vec
-    generators: tuple[Vec, ...]
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        d = len(self.base)
-        object.__setattr__(self, "base", as_vec(self.base, d))
-        object.__setattr__(
-            self, "generators", tuple(as_vec(g, d) for g in self.generators)
-        )
-        object.__setattr__(self, "lengths", tuple(int(L) for L in self.lengths))
-        if len(self.generators) != len(self.lengths):
-            raise ValueError("need one length per generator")
-        if any(L < 1 for L in self.lengths):
-            raise ValueError("lengths must be positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-    @property
-    def additive_dimension(self) -> int:
-        return len(self.generators)
-
-    def volume(self) -> int:
-        return math.prod(self.lengths)
-
-    def expand(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PointSet:
-        if self.volume() > budget:
-            raise BudgetExceededError(
-                f"expansion of size {self.volume()} exceeds budget {budget}"
-            )
-        points = {self.base} if not self.generators else set()
-        if self.generators:
-            for combo in product(*(range(1, L + 1) for L in self.lengths)):
-                p = self.base
-                for li, g in zip(combo, self.generators):
-                    p = vec_add(p, vec_scale(li, g))
-                points.add(p)
-        return PointSet(self.dim, points)
-
-    def to_dict(self) -> dict:
-        return {
-            "base": encode_point(self.base),
-            "generators": [encode_point(g) for g in self.generators],
-            "lengths": list(self.lengths),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GAP":
-        if not isinstance(data, dict) or not {"base", "generators", "lengths"} <= set(data):
-            raise ValueError("GAP JSON needs keys 'base', 'generators', 'lengths'")
-        base = tuple(data["base"])
-        d = len(base)
-        return cls(
-            base=decode_point(base, d),
-            generators=tuple(decode_point(g, d) for g in data["generators"]),
-            lengths=tuple(data["lengths"]),
-        )
-
-
-def gap_contains(
-    P: GAP, A: PointSet, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> bool:
-    """Exact membership A <= P.
-
-    When the generators are linearly independent each point has at most one
-    rational coefficient vector, found by row reduction and then checked for
-    integrality and the box constraints.  Dependent generators fall back to
-    full expansion within the budget.
-    """
-    if P.dim != A.dim:
-        raise DimensionMismatchError("GAP and set dimensions differ")
-    D = P.additive_dimension
-    if D == 0:
-        return all(p == P.base for p in A.points)
-    columns = list(zip(*P.generators))  # d rows, D columns
-    _, pivots = rref([list(r) for r in columns], D)
-    if len(pivots) < D:
-        expansion = P.expand(budget)
-        return A.points <= expansion.points
-    for a in A.points:
-        rhs = vec_sub(a, P.base)
-        aug = [list(row) + [rhs[i]] for i, row in enumerate(columns)]
-        red, piv = rref(aug, D + 1)
-        if D in piv:
-            return False  # inconsistent system: a is not even in the affine span
-        coeffs = [Fraction(0)] * D
-        for r, pc in enumerate(piv):
-            coeffs[pc] = red[r][D]
-        ok = all(
-            Fraction(c).denominator == 1 and 1 <= c <= L
-            for c, L in zip(coeffs, P.lengths)
-        )
-        if not ok:
-            return False
-    return True
-
-
-def gap_is_proper(P: GAP, budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
-    """True iff the expansion has exactly prod(lengths) points."""
-    return len(P.expand(budget)) == P.volume()

@@ -19,6 +19,7 @@ from conftest import (
     point_sets,
     set_families,
     typed,
+    values,
 )
 from sumsetlab import core
 from sumsetlab import (
@@ -154,6 +155,21 @@ def engine_folds():
         mp.setattr(core, "_bitmap_fold", spy("bitmap", core._bitmap_fold))
         mp.setattr(core, "_pair_fold", spy("pairs", core._pair_fold))
         yield seen
+
+
+@contextlib.contextmanager
+def fractions_built():
+    """Count the ``Fraction`` objects constructed inside the block."""
+    built = [0]
+    construct = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return construct(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counted))
+        yield built
 
 
 @st.composite
@@ -399,6 +415,74 @@ class TestSumsetSize:
             sumset_size([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
 
 
+def expected_fold(sets):
+    """The fold the engine must choose for integral ``sets``, recomputed from
+    the points: the pair-set fold adds min(|A_1| ... |A_{j-1}|, cells of the
+    box of A_1 + ... + A_{j-1}) pairs per point of A_j, and the bitmap runs
+    when the final box has at most ``_BITMAP_DENSITY`` cells per such pair
+    and at most ``_BITMAP_MAX_CELLS`` cells."""
+
+    def cells(prefix):
+        return math.prod(
+            sum(max(p[i] for p in A) - min(p[i] for p in A) for A in prefix) + 1
+            for i in range(sets[0].dim)
+        )
+
+    work = sum(
+        min(math.prod(len(A) for A in sets[:j]), cells(sets[:j])) * len(sets[j])
+        for j in range(1, len(sets))
+    )
+    total = cells(sets)
+    if total <= core._BITMAP_MAX_CELLS and total <= core._BITMAP_DENSITY * work:
+        return "bitmap"
+    return "pairs"
+
+
+class TestFoldChoice:
+    """The engine's fold choice against :func:`expected_fold`, whose prefix
+    boxes are rebuilt from the points of every prefix."""
+
+    @given(data=st.data())
+    def test_random_families(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = data.draw(st.sampled_from([values(-2, 2), INT_VALUES, values(-40, 40)]))
+        sets = [data.draw(point_sets(dim, max_size=data.draw(st.integers(1, 12)), coords=coords))
+                for _ in range(data.draw(st.integers(2, 4)))]
+        with engine_folds() as seen:
+            got = sumset_size(sets)
+        assert seen == [expected_fold(sets)]
+        assert got == len(naive_sumset(sets))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("far_first", [False, True])
+    def test_threshold_with_prefix_boxes(self, dim, far_first):
+        # {0, m e_1} with two 3 x ... x 3 cubes: the cubes' prefix box (5 cells
+        # a side after two of them) is below their product of sizes, so the
+        # estimate depends on the boxes of the prefixes, not of the whole sum
+        cube3 = PointSet(dim, itertools.product(range(3), repeat=dim))
+        crossed = set()
+        for m in range(600):
+            far = PointSet(dim, [(0,) * dim, (m,) + (0,) * (dim - 1)])
+            sets = [far, cube3, cube3] if far_first else [cube3, cube3, far]
+            with engine_folds() as seen:
+                got = minkowski_sum(sets)
+            assert seen == [expected_fold(sets)], m
+            assert set(got.points) == naive_sumset(sets)
+            crossed.add(seen[0])
+        assert crossed == {"bitmap", "pairs"}
+
+    def test_exact_threshold(self):
+        # cube3 + cube3 + {0, m}: 3 * 3 pairs, then min(9, 5) * 2 = 10, so
+        # work = 19 and the box has 5 + m cells
+        cube3 = PointSet(1, [(0,), (1,), (2,)])
+        limit = core._BITMAP_DENSITY * 19
+        for m, fold in [(limit - 5, "bitmap"), (limit - 4, "pairs")]:
+            sets = [cube3, cube3, PointSet(1, [(0,), (m,)])]
+            with engine_folds() as seen:
+                sumset_size(sets)
+            assert seen == [fold] == [expected_fold(sets)]
+
+
 class TestEstimatedSumSize:
     @given(data=st.data())
     def test_bounds_rational_sums(self, data):
@@ -452,6 +536,44 @@ class TestLinearImage:
     def test_invertible_images_preserve_cardinality(self, A, seed):
         system = random_system(2, 1, 3, seed)
         assert len(linear_image(system.maps[0], A)) == len(A)
+
+    @given(data=st.data())
+    def test_matches_fraction_products(self, data):
+        dim = data.draw(st.integers(1, 3))
+        entries = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        coords = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        M = RationalMatrix(data.draw(st.lists(
+            st.lists(st.sampled_from(entries), min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+        A = data.draw(point_sets(dim, coords=coords))
+        integral = M.is_integral() and A.is_integral
+        with fractions_built() as built:
+            got = linear_image(M, A)
+        expected = {
+            tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, p)) for row in M.rows)
+            for p in A.points
+        }
+        if integral:  # flagged when built, before any read of is_integral
+            assert got._integral is True
+            assert built == [0]
+        assert typed(got.points) == typed(canonical(expected))
+        assert got.is_integral == all(type(c) is int for p in got for c in p)
+
+    def test_typed_coordinates(self):
+        half = Fraction(1, 2)
+        cases = [
+            # integral matrix, integral set: ints, flagged integral
+            (RationalMatrix([[2, 1], [0, -1]]), PointSet(2, [(1, 1)]), {(3, -1)}, True),
+            # integral matrix, rational set with an integral image
+            (RationalMatrix([[2, 0], [0, 2]]), PointSet(2, [(half, 1)]), {(1, 2)}, True),
+            (RationalMatrix([[1, 0], [0, 1]]), PointSet(2, [(half, 1)]), {(half, 1)}, False),
+            # rational matrix, integral set
+            (RationalMatrix([[half, 0], [0, 1]]), PointSet(2, [(4, 1), (1, 1)]), {(2, 1), (half, 1)}, False),
+            (RationalMatrix([[Fraction(2, 1), half], [0, 1]]), PointSet(2, [(1, 2)]), {(3, 2)}, True),
+        ]
+        for M, A, points, integral in cases:
+            got = linear_image(M, A)
+            assert typed(got.points) == typed(points)
+            assert got.is_integral is integral
 
 
 class TestWeightedSumset:
@@ -518,6 +640,31 @@ class TestSubspace:
         assert U.reduce((5, 3)) != U.reduce((5, 4))
 
 
+@st.composite
+def lattice_sets(draw):
+    """Integral sets in Z^1..Z^5 whose differences span at most ``rank``
+    generators, some repeated or doubled, with coordinates up to 2^70."""
+    dim = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    gens = draw(st.lists(vec, max_size=dim))
+    if gens and draw(st.booleans()):
+        gens.append(tuple(2 * x for x in draw(st.sampled_from(gens))))
+    scale = draw(st.sampled_from([1, 1, 2**64 + 13, 3**44]))
+    base = draw(st.tuples(*[st.integers(-(2**70), 2**70)] * dim))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(gens)), min_size=1, max_size=10))
+    return PointSet(dim, [
+        tuple(b + scale * sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
+        for cs in coeffs
+    ])
+
+
+def rref_rank(A):
+    """Affine dimension by the Fraction rref of the differences to one point."""
+    anchor, *rest = A.points
+    rows = [[Fraction(x - y) for x, y in zip(p, anchor)] for p in rest]
+    return len(core.rref(rows, A.dim)[1]) if rows else 0
+
+
 class TestAffineDimension:
     def test_singleton(self):
         assert affine_dimension(PointSet(3, [(1, 2, 3)])) == 0
@@ -528,6 +675,34 @@ class TestAffineDimension:
     @pytest.mark.parametrize("d,N", [(1, 3), (2, 4), (3, 5), (4, 8)])
     def test_long_simplex_is_full_dimensional(self, d, N):
         assert affine_dimension(long_simplex(d, N)) == d
+
+    @given(lattice_sets())
+    def test_integral_matches_rref(self, A):
+        with fractions_built() as built:
+            got = affine_dimension(A)
+        assert got == rref_rank(A)
+        assert built == [0]
+
+    @given(lattice_sets(), st.integers(2, 12))
+    def test_rational_set_matches_rref(self, A, q):
+        # A / q is scaled back to integral points, and no Fraction is built
+        shrunk = PointSet(A.dim, [tuple(Fraction(c, q) for c in p) for p in A.points])
+        with fractions_built() as built:
+            got = affine_dimension(shrunk)
+        assert got == rref_rank(shrunk) == affine_dimension(A)
+        assert built == [0]
+
+    @pytest.mark.parametrize(
+        "points, dim",
+        [
+            ([(2**64 + 1, 0, 0), (0, 2**64 + 1, 0), (0, 0, 2**64 + 1), (0, 0, 0)], 3),
+            ([(2**80, 3 * 2**80), (2**81, 6 * 2**80), (-(2**79), -3 * 2**79)], 1),
+            ([(1, 2, 3, 4, 5)], 0),
+            ([(0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (2, 2, 0, 0, 0), (0, 0, 1, 0, 1), (1, 1, 1, 0, 1)], 2),
+        ],
+    )
+    def test_fixed_integral_cases(self, points, dim):
+        assert affine_dimension(PointSet(len(points[0]), points)) == dim
 
 
 class TestProject:
@@ -573,6 +748,24 @@ class TestProject:
                     [[int(i == j and i + 1 in I) for j in range(d)] for i in range(d)]
                 )
                 assert typed(project(A, None, I)) == typed(linear_image(mask, A))
+
+    @given(st.integers(1, 4).flatmap(lambda d: point_sets(d, coords=MIXED_VALUES)), st.data())
+    def test_integral_flag(self, A, data):
+        I = data.draw(st.sets(st.integers(1, A.dim)))
+        integral = A.is_integral
+        got = project(A, None, I)
+        if integral:  # flagged when built, before any read of is_integral
+            assert got._integral is True
+        assert got.is_integral == all(type(c) is int for p in got for c in p)
+
+    def test_rational_set_with_integral_projection(self):
+        A = PointSet(2, [(Fraction(1, 2), 1), (Fraction(3, 2), 2)])
+        assert not A.is_integral
+        assert project(A, None, [2]).is_integral
+        assert project(A, None, []).is_integral
+        B = PointSet(1, [(Fraction(1, 2),)])
+        assert B.is_integral is False
+        assert project(B, None, []).is_integral
 
     def test_nonstandard_basis_values_pinned(self):
         A = PointSet(3, [(0, 0, 0), (1, 2, 3), (-2, 1, 0), (3, -1, 2), (1, 1, 1), (0, 2, -1)])

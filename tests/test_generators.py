@@ -200,3 +200,49 @@ class TestRandomGenerators:
         for M in system.maps:
             assert M.det() != 0
             assert all(abs(c) <= 3 for row in M.rows for c in row)
+
+
+GENERATED = {
+    "long_simplex": lambda: [long_simplex(d, N) for d, N in [(1, 2), (2, 5), (4, 9)]],
+    "long_simplex_summands": lambda: [*long_simplex_summands(1, 3), *long_simplex_summands(3, 7)],
+    "long_simplex_sumset_form": lambda: [long_simplex_sumset_form(d, 6) for d in (1, 2, 3)],
+    "cube": lambda: [cube(1, 0), cube(2, 3), cube(3, 1)],
+    "grid": lambda: grid([(1, 1), (2, 3), (4, 2)]),
+    "interval_set": lambda: [interval_set(-3, -3), interval_set(-2, 5)],
+    "shear_counterexample": lambda: [shear_counterexample(N)[1] for N in (1, 4)],
+    "random_set": lambda: [random_set(d, 6, (-4, 4), seed) for d in (1, 2, 3) for seed in (0, 7)]
+    + [random_set(2, 3, (2**70, 2**70 + 2), 5)],
+    "random_full_dim_set": lambda: [random_full_dim_set(d, d + 2, (-3, 3), 11) for d in (1, 2, 3)],
+}
+
+
+class TestGeneratedSets:
+    """Generators build their sets with the trusted constructor: each one must
+    equal the same points validated by ``PointSet``, hold ``int`` tuples only,
+    and carry the integral flag from construction."""
+
+    @pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED.keys())
+    def test_contract(self, make):
+        for out in make():
+            assert out == PointSet(out.dim, list(out.points))
+            assert type(out.points) is frozenset
+            assert all(type(p) is tuple and len(p) == out.dim for p in out.points)
+            assert all(type(c) is int for p in out.points for c in p)
+            assert out._integral is True and out.is_integral is True
+
+    def test_box_ends_become_int(self):
+        # any integer type with __index__, numpy's included, gives int points
+        class Int:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        A = random_set(2, 4, (Int(-1), Int(1)), 3)
+        assert A == random_set(2, 4, (-1, 1), 3)
+        assert all(type(c) is int for p in A.points for c in p)
+
+    def test_non_integer_box_rejected(self):
+        with pytest.raises(TypeError):
+            random_set(1, 2, (0.0, 5.0), 1)

@@ -1,4 +1,4 @@
-"""Irreducibility decisions, coprimality, and generalized progressions."""
+"""Irreducibility decisions and coprimality."""
 
 import os
 import subprocess
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 import sumsetlab
 from sumsetlab import (
-    DimensionMismatchError,
     LinearSystem,
-    PointSet,
     RationalMatrix,
     Subspace,
     coprime_sufficient,
@@ -24,12 +22,6 @@ from sumsetlab import (
     shear_system,
 )
 from sumsetlab import structure
-from sumsetlab.structure import (
-    GAP,
-    BudgetExceededError,
-    gap_contains,
-    gap_is_proper,
-)
 
 DIAG_23 = LinearSystem([RationalMatrix.identity(2), RationalMatrix([[2, 0], [0, 3]])])
 
@@ -186,64 +178,3 @@ class TestCoprimeSufficient:
         system = LinearSystem([RationalMatrix([[Fraction(1, 2)]])])
         with pytest.raises(ValueError):
             coprime_sufficient(system)
-
-
-class TestGAP:
-    P = GAP(base=(0,), generators=((1,),), lengths=(5,))
-
-    def test_expansion_is_coefficient_box(self):
-        # Coefficients run 1..L_i, so the rank-1 progression is {1, ..., 5}.
-        assert {p[0] for p in self.P.expand().points} == {1, 2, 3, 4, 5}
-
-    def test_contains_subprogression(self):
-        assert gap_contains(self.P, PointSet(1, [(1,), (3,), (5,)]))
-
-    def test_translated_point_outside(self):
-        assert not gap_contains(self.P, PointSet(1, [(9,)]))
-
-    def test_proper(self):
-        assert gap_is_proper(self.P)
-
-    def test_repeated_generator_improper(self):
-        P2 = GAP(base=(0,), generators=((1,), (1,)), lengths=(2, 2))
-        assert len(P2.expand()) == 3  # {2, 3, 4} collapses below volume 4
-        assert not gap_is_proper(P2)
-        assert P2.volume() == 4 and P2.additive_dimension == 2
-
-    def test_planar_box(self):
-        P = GAP(base=(0, 0), generators=((1, 0), (0, 1)), lengths=(3, 4))
-        assert P.volume() == 12 and len(P.expand()) == 12
-        assert gap_is_proper(P)
-        assert P.dim == 2 and P.additive_dimension == 2
-
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            gap_is_proper(self.P, budget=2)
-        dependent = GAP(base=(0,), generators=((1,), (1,)), lengths=(9, 9))
-        with pytest.raises(BudgetExceededError):
-            gap_contains(dependent, PointSet(1, [(3,)]), budget=4)
-
-    def test_round_trip(self):
-        P2 = GAP(base=(0,), generators=((1,), (1,)), lengths=(2, 2))
-        assert GAP.from_dict(P2.to_dict()) == P2
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            gap_contains(self.P, PointSet(2, [(0, 0)]))
-
-    @given(
-        st.integers(-3, 3),
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.integers(-2, 2),
-        st.integers(-2, 2),
-    )
-    @settings(max_examples=40)
-    def test_independent_path_matches_expansion(self, base, L1, L2, g1, g2):
-        # Membership through coefficient solving agrees with brute expansion.
-        P = GAP(base=(base, 0), generators=((g1, 1), (g2, 0)), lengths=(L1, L2))
-        expansion = P.expand()
-        box = PointSet(2, [(x, y) for x in range(-9, 10) for y in range(-5, 6)])
-        for q in box.points:
-            single = PointSet(2, [q])
-            assert gap_contains(P, single) == (q in {tuple(p) for p in expansion.points})
