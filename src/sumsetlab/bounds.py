@@ -90,9 +90,12 @@ def check_gs_kfold(sets: list[PointSet], direction) -> Certificate:
     v = as_vec(direction, 2)
     k = len(sets)
     rs = [covering_number(A, v) for A in sets]
-    density = sum(Fraction(len(A), r) for A, r in zip(sets, rs)) - (k - 1)
-    lines = sum(rs) - (k - 1)
-    lhs = _canon(density * lines)
+    # (sum |A_i|/r_i - (k-1)) (sum r_i - (k-1)) over the common denominator
+    # lcm(r_i), so at most one Fraction is built
+    common = math.lcm(*rs)
+    density = sum(len(A) * (common // r) for A, r in zip(sets, rs)) - (k - 1) * common
+    product = density * (sum(rs) - (k - 1))
+    lhs = product // common if product % common == 0 else Fraction(product, common)
     rhs = sumset_size(sets)
     return exact_certificate(
         "gs_kfold",
@@ -225,6 +228,11 @@ def check_discrete_bm(
     |sum A_i| >= (sum |A_i|^{1/d})^d - sum_{I proper subset of [d]}
     (k-1)^{d-|I|} |pi_I(sum A_i)|.
 
+    Every projection pi_I is linear, so pi_I(A_1 + ... + A_k) =
+    pi_I(A_1) + ... + pi_I(A_k): each correction term is counted by
+    :func:`sumset_size` on the projected summands, and no sum is decoded.
+    When k = 1 every factor (k-1)^{d-|I|} is 0 and nothing is projected.
+
     The root-power term is computed exactly whenever it is rational
     (perfect powers, equal sizes, common radical); otherwise by certified
     interval arithmetic with precision escalating up to ``precision_cap``.
@@ -240,12 +248,13 @@ def check_discrete_bm(
     if basis.dim != d:
         raise DimensionMismatchError("basis dimension mismatch")
     k = len(sets)
-    total = minkowski_sum(sets)
-    rhs = len(total)
+    rhs = sumset_size(sets)
     correction = 0
-    for size in range(d):
-        for I in combinations(range(1, d + 1), size):
-            correction += (k - 1) ** (d - size) * len(project(total, basis, I))
+    if k > 1:
+        for size in range(d):
+            for I in combinations(range(1, d + 1), size):
+                projected = [project(A, basis, I) for A in sets]
+                correction += (k - 1) ** (d - size) * sumset_size(projected)
     sizes = [len(A) for A in sets]
     params = {
         "k": k,

@@ -45,6 +45,7 @@ from .core import (
     minkowski_sum,
     point_sort_key,
     project,
+    sumset_size,
     vec_dot,
     vec_sub,
     _canon,
@@ -324,6 +325,10 @@ def check_projection_monotone(
     Proof shape: pi_I(C_i(A)) sits inside C_i(pi_I(A)) fiberwise, sums of
     compressions sit inside the compression of the sum, and compression
     preserves cardinality.  When i is not in I both sides are equal.
+
+    pi_I is linear, so pi_I(A_1 + ... + A_k) = pi_I(A_1) + ... + pi_I(A_k):
+    both sides are counted by :func:`sumset_size` on the projected summands,
+    and no sum is decoded.
     """
     if len(sets) < 1:
         raise ValueError("need at least one set")
@@ -331,8 +336,8 @@ def check_projection_monotone(
         raise ValueError("projection monotonicity is certified in the standard basis only")
     dim = sets[0].dim
     spec = CompressionSpec.axis(axis, dim)
-    lhs = len(project(minkowski_sum([compress(A, spec) for A in sets]), None, coords))
-    rhs = len(project(minkowski_sum(sets), None, coords))
+    lhs = sumset_size([project(compress(A, spec), None, coords) for A in sets])
+    rhs = sumset_size([project(A, None, coords) for A in sets])
     params = {
         "axis": axis,
         "coords": sorted(coords),

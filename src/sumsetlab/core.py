@@ -794,5 +794,8 @@ def covering_number(A: PointSet, direction: Sequence) -> int:
     v = as_vec(direction, 2)
     if is_zero_vec(v):
         raise ValueError("direction must be nonzero")
-    # the functional (-v2, v1) is constant exactly on lines parallel to v
-    return len({_canon(-v[1] * p[0] + v[0] * p[1]) for p in A.points})
+    # the functional (-v2, v1) is constant exactly on lines parallel to v;
+    # equal values collide in the set whatever their type, since
+    # Fraction(2, 1) == 2 and hashes alike, so none is canonicalised
+    a, b = -v[1], v[0]
+    return len({a * x + b * y for x, y in A.points})

@@ -48,15 +48,16 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-def _rand_below(stream: Iterator[int], n: int) -> int:
-    """Uniform draw from range(n) by rejection (no modulo bias)."""
+def _uniform_draws(stream: Iterator[int], n: int) -> Iterator[int]:
+    """Infinite stream of uniform draws from range(n), by rejection (no
+    modulo bias).  The rejection limit is computed once; each draw reads the
+    words of ``stream`` only when it is taken."""
     if n <= 0:
         raise ValueError("n must be positive")
     limit = (1 << 64) - ((1 << 64) % n)
-    while True:
-        word = next(stream)
+    for word in stream:
         if word < limit:
-            return word % n
+            yield word % n
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +226,15 @@ def random_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
         raise ValueError("need d >= 1 and size >= 1")
     if side < 1 or side ** d < size:
         raise ValueError("box too small for the requested size")
-    stream = splitmix64_stream(seed)
-    total = side ** d
     chosen: set = set()
-    while len(chosen) < size:
-        index = _rand_below(stream, total)
+    for index in _uniform_draws(splitmix64_stream(seed), side ** d):
         point = []
         for _ in range(d):
             index, r = divmod(index, side)
             point.append(lo + r)
         chosen.add(tuple(point))
-    return _lattice_set(d, chosen)
+        if len(chosen) == size:
+            return _lattice_set(d, chosen)
 
 
 def random_full_dim_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
@@ -255,14 +254,10 @@ def random_system(d: int, k: int, entry_bound: int, seed: int) -> LinearSystem:
     """k invertible integer d x d maps with entries in [-entry_bound, entry_bound]."""
     if k < 1 or entry_bound < 1:
         raise ValueError("need k >= 1 and entry_bound >= 1")
-    stream = splitmix64_stream(seed)
-    span = 2 * entry_bound + 1
+    draws = _uniform_draws(splitmix64_stream(seed), 2 * entry_bound + 1)
     maps = []
     while len(maps) < k:
-        rows = [
-            [_rand_below(stream, span) - entry_bound for _ in range(d)]
-            for _ in range(d)
-        ]
+        rows = [[next(draws) - entry_bound for _ in range(d)] for _ in range(d)]
         M = RationalMatrix(rows)
         if M.det() != 0:
             maps.append(M)

@@ -65,7 +65,7 @@ from .core import (
     kernel_basis,
     _canon,
 )
-from .generators import splitmix64_stream, _rand_below
+from .generators import splitmix64_stream, _uniform_draws
 from .serialization import encode_point
 
 IRREDUCIBLE = "Irreducible"
@@ -188,9 +188,9 @@ def _candidate_vectors(mats: list[RationalMatrix], d: int) -> list[Vec]:
     for M in mats:
         for lam in _rational_eigenvalues(M):
             cands.extend(_eigenvector_basis(M, lam))
-    stream = splitmix64_stream(0x5EED5E7)
+    draws = _uniform_draws(splitmix64_stream(0x5EED5E7), 7)
     for _ in range(64):
-        v = tuple(_rand_below(stream, 7) - 3 for _ in range(d))
+        v = tuple(next(draws) - 3 for _ in range(d))
         if not is_zero_vec(v):
             cands.append(v)
     return cands
@@ -206,11 +206,11 @@ def _element_schedule(mats: list[RationalMatrix], d: int) -> list[RationalMatrix
     for i, A in enumerate(mats):
         for B in mats[i + 1 :]:
             schedule.append(_mat_add(A, B))
-    stream = splitmix64_stream(0xA16EB8A)
+    draws = _uniform_draws(splitmix64_stream(0xA16EB8A), 5)
     for _ in range(24):
-        acc = _scaled_identity(_rand_below(stream, 5) - 2, d)
+        acc = _scaled_identity(next(draws) - 2, d)
         for M in mats:
-            c = _rand_below(stream, 5) - 2
+            c = next(draws) - 2
             if c:
                 acc = _mat_add(acc, _scaled_identity(c, d) @ M)
         schedule.append(acc)

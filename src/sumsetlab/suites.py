@@ -45,7 +45,7 @@ from .core import (
     vec_dot,
 )
 from .generators import (
-    _rand_below,
+    _uniform_draws,
     cube,
     grid,
     long_simplex,
@@ -71,7 +71,7 @@ class _Params:
         return next(self._words)
 
     def below(self, n: int) -> int:
-        return _rand_below(self._words, n)
+        return next(_uniform_draws(self._words, n))
 
     def range(self, lo: int, hi: int) -> int:
         return lo + self.below(hi - lo + 1)

@@ -11,15 +11,19 @@ compression from its definition in ``sumsetlab.compression`` with
 ``point_sets`` draws distinct points by construction: each point is an index
 into the finite grid ``coords^dim``, drawn without replacement, so no draw
 is rejected for repeating a point.
+
+The ``built_sums`` fixture records every sum a test makes the library build,
+so a check that only counts can be shown to build none.
 """
 
 import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from sumsetlab import PointSet
+from sumsetlab import PointSet, bounds, compression, core
 
 settings.register_profile(
     "default",
@@ -115,3 +119,26 @@ def set_families(draw, max_dim=3, max_k=3, max_size=8, coords=INT_VALUES):
     dim = draw(st.integers(min_value=1, max_value=max_dim))
     k = draw(st.integers(min_value=1, max_value=max_k))
     return [draw(point_sets(dim, 1, max_size, coords)) for _ in range(k)]
+
+
+@pytest.fixture
+def built_sums(monkeypatch):
+    """The names of the sum builders called while the test runs, in order:
+    ``minkowski_sum`` wherever the checks bind it, and the engine's
+    ``core._decode``, which every built sum passes through.  Each is wrapped
+    to record its call and then run as before."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module in (core, bounds, compression):
+        spy(module, "minkowski_sum")
+    spy(core, "_decode")
+    return calls

@@ -6,13 +6,23 @@ Expected values in this module were frozen from brute-force enumeration
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import point_sets, values
+from conftest import (
+    INT_VALUES,
+    MIXED_VALUES,
+    RATIONAL_VALUES,
+    naive_sumset,
+    point_sets,
+    set_families,
+    values,
+)
 from sumsetlab import (
+    Basis,
     DimensionMismatchError,
     affine_dimension,
     LinearSystem,
@@ -30,6 +40,7 @@ from sumsetlab import (
     check_plunnecke_ruzsa,
     check_ruzsa_triangle,
     check_simplex_formula,
+    covering_number,
     cube,
     det_main_term_probe,
     fit_deficit_exponent,
@@ -40,11 +51,29 @@ from sumsetlab import (
     long_simplex,
     main_term_probe,
     minkowski_sum,
+    project,
+    random_set,
     rotation_system,
     shear_system,
     simplex_cardinality,
 )
-from sumsetlab.certificates import canonical_json
+from sumsetlab.certificates import Interval, canonical_json
+
+# per dimension: the standard basis, an integral shear, and a basis with
+# rational entries
+BM_BASES = {
+    1: [None, Basis([(-1,)]), Basis([(Fraction(2, 3),)])],
+    2: [
+        None,
+        Basis([(1, 1), (0, 1)]),
+        Basis([(Fraction(1, 2), 1), (Fraction(-1, 3), Fraction(2, 5))]),
+    ],
+    3: [
+        None,
+        Basis([(1, 1, 0), (0, 1, 1), (0, 0, 1)]),
+        Basis([(Fraction(1, 2), 0, 1), (0, Fraction(2, 3), 1), (1, 1, Fraction(-1, 4))]),
+    ],
+}
 
 
 class TestElementary:
@@ -77,6 +106,19 @@ class TestPlanarKfold:
     def test_planar_only(self):
         with pytest.raises(DimensionMismatchError):
             check_gs_kfold([cube(3, 1), cube(3, 1)], (1, 0, 0))
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_bound_matches_fraction_formula(self, data):
+        domain = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        sets = data.draw(st.lists(point_sets(2, max_size=6, coords=domain), min_size=2, max_size=3))
+        v = data.draw(st.sampled_from([(a, b) for a in domain[:9] for b in domain[:9] if a or b]))
+        cert = check_gs_kfold(sets, v)
+        k, rs = len(sets), [covering_number(A, v) for A in sets]
+        expected = (sum(Fraction(len(A), r) for A, r in zip(sets, rs)) - (k - 1)) * (sum(rs) - (k - 1))
+        assert cert.lhs == expected
+        # an integral bound is an int, as canonical coordinates are
+        assert type(cert.lhs) is (int if expected.denominator == 1 else Fraction)
 
     @given(
         st.lists(point_sets(2, max_size=5), min_size=2, max_size=3),
@@ -204,6 +246,32 @@ class TestDiscreteBrunnMinkowski:
     @settings(max_examples=40)
     def test_never_violated(self, sets):
         assert check_discrete_bm(sets).verdict in ("Holds", "Indeterminate")
+
+    @given(st.data())
+    @settings(max_examples=120)
+    def test_counts_match_projected_naive_sum(self, data):
+        # the sizes the check counts from projected summands, against the
+        # enumerated sum projected as a whole
+        domain = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        sets = data.draw(set_families(max_dim=3, max_k=3, max_size=5, coords=domain))
+        d, k = sets[0].dim, len(sets)
+        basis = data.draw(st.sampled_from(BM_BASES[d]))
+        total = PointSet(d, naive_sumset(sets))
+        correction = sum(
+            (k - 1) ** (d - size) * len(project(total, basis, I))
+            for size in range(d)
+            for I in combinations(range(1, d + 1), size)
+        )
+        cert = check_discrete_bm(sets, basis)
+        assert cert.params["correction"] == correction
+        assert cert.rhs == (len(total) if cert.precision_bits is None else Interval.point(len(total)))
+
+    def test_builds_no_sum(self, built_sums):
+        A, B, C = (random_set(3, n, (0, 4), seed) for n, seed in [(11, 1), (14, 2), (17, 3)])
+        check_discrete_bm([A, B, C])
+        check_discrete_bm([A, B], BM_BASES[3][2])
+        check_discrete_bm([C])
+        assert built_sums == []
 
 
 class TestRuzsaTriangle:

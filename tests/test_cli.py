@@ -183,6 +183,7 @@ def forbid_sums(monkeypatch):
     monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
     monkeypatch.setattr(bounds, "sumset_size", no_sum)
     monkeypatch.setattr(compression, "minkowski_sum", no_sum)
+    monkeypatch.setattr(compression, "sumset_size", no_sum)
 
 
 class TestVerify:

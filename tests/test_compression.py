@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INT_VALUES, RATIONAL_VALUES, naive_compress, point_sets, typed, values
+from conftest import (
+    INT_VALUES,
+    MIXED_VALUES,
+    RATIONAL_VALUES,
+    naive_compress,
+    naive_sumset,
+    point_sets,
+    set_families,
+    typed,
+    values,
+)
 from sumsetlab import (
     CompressionSpec,
     PointSet,
@@ -219,6 +229,34 @@ class TestProjectionMonotone:
         assert cert.holds()
         projected = [project(compress(A, axis_spec(axis, 3)), None, coords) for A in sets]
         assert cert.lhs == len(minkowski_sum(projected))
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_counts_match_projected_naive_sums(self, data):
+        # both sides, counted from projected summands, against the enumerated
+        # sums projected as a whole, for every subset of the coordinates
+        domain = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        sets = data.draw(set_families(max_dim=3, max_k=3, max_size=5, coords=domain))
+        d = sets[0].dim
+        axis = data.draw(st.integers(1, d))
+        spec = axis_spec(axis, d)
+        compressed = [PointSet(d, naive_compress(A.points, spec.normal, spec.offset, spec.direction)) for A in sets]
+        full = PointSet(d, naive_sumset(sets))
+        squashed = PointSet(d, naive_sumset(compressed))
+        for size in range(d + 1):
+            for coords in itertools.combinations(range(1, d + 1), size):
+                cert = check_projection_monotone(sets, axis, None, list(coords))
+                assert cert.lhs == len(project(squashed, None, coords))
+                assert cert.rhs == len(project(full, None, coords))
+
+    def test_builds_no_sum(self, built_sums):
+        sets = [random_set(3, n, (0, 4), seed) for n, seed in [(11, 1), (14, 2), (17, 3)]]
+        check_projection_monotone(sets, 1, None, [1, 2])
+        check_projection_monotone(sets[:1], 3, None, [])
+        assert built_sums == []
+        # the containment witness needs the points, so the spy sees this one
+        check_sum_monotone(sets, axis_spec(1, 3))
+        assert {"minkowski_sum", "_decode"} <= set(built_sums)
 
 
 class TestReduceToSimplex:

@@ -821,6 +821,19 @@ class TestCoveringNumber:
         with pytest.raises(ValueError):
             covering_number(PointSet(2, [(0, 0)]), (0, 0))
 
+    @given(st.data())
+    def test_matches_line_grouping(self, data):
+        # two points share a line parallel to v iff their difference is
+        # parallel to v: group greedily, with no functional at all
+        domain = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        A = data.draw(point_sets(2, coords=domain))
+        v = data.draw(st.sampled_from([(a, b) for a in domain[:9] for b in domain[:9] if a or b]))
+        representatives = []
+        for p in A.points:
+            if not any((p[0] - q[0]) * v[1] == (p[1] - q[1]) * v[0] for q in representatives):
+                representatives.append(p)
+        assert covering_number(A, v) == len(representatives)
+
     def test_non_planar_rejected(self):
         with pytest.raises(DimensionMismatchError):
             covering_number(PointSet(3, [(0, 0, 0)]), (1, 0, 0))

@@ -25,6 +25,7 @@ from sumsetlab import (
     shear_system,
     splitmix64_stream,
 )
+from sumsetlab.generators import _uniform_draws
 
 
 class TestLongSimplex:
@@ -167,6 +168,33 @@ class TestSplitmix64:
         a = splitmix64_stream(seed)
         b = splitmix64_stream(seed)
         assert [next(a) for _ in range(4)] == [next(b) for _ in range(4)]
+
+
+def _draw_below(stream, n):
+    """One uniform draw from range(n), its rejection limit computed anew."""
+    limit = (1 << 64) - (1 << 64) % n
+    while True:
+        word = next(stream)
+        if word < limit:
+            return word % n
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 3**40, 2**63 + 1, 2**64 - 1, 2**64])
+    def test_match_draws_one_at_a_time(self, n):
+        # 2**63 + 1 rejects almost half of all words
+        draws, words = _uniform_draws(splitmix64_stream(n), n), splitmix64_stream(n)
+        assert [next(draws) for _ in range(64)] == [_draw_below(words, n) for _ in range(64)]
+
+    def test_fresh_draws_share_a_stream(self):
+        # a stream abandoned after one draw has read no word beyond it
+        sizes = [5, 2**63 + 1, 7, 2**63 + 1, 1, 3] * 8
+        shared, words = splitmix64_stream(9), splitmix64_stream(9)
+        assert [next(_uniform_draws(shared, n)) for n in sizes] == [_draw_below(words, n) for n in sizes]
+
+    def test_nonpositive_bound_rejected(self):
+        with pytest.raises(ValueError):
+            next(_uniform_draws(splitmix64_stream(0), 0))
 
 
 class TestRandomGenerators:
