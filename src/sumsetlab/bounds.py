@@ -40,7 +40,6 @@ from .core import (
     as_vec,
     covering_number,
     ensure,
-    iterated_sumset,
     linear_image,
     max_fiber,
     minkowski_sum,
@@ -302,21 +301,19 @@ def check_ruzsa_triangle(U: PointSet, V: PointSet, W: PointSet) -> Certificate:
     )
 
 
-def _iterated_or_origin(A: PointSet, m: int) -> PointSet:
-    if m == 0:
-        return PointSet(A.dim, [tuple(0 for _ in range(A.dim))])
-    return iterated_sumset(A, m)
-
-
 def check_plunnecke_ruzsa(A: PointSet, B: PointSet, m: int, n: int) -> Certificate:
     """|mA - nA| <= K^{m+n} |B| with K = |A + B| / |B| (the sharpest
-    admissible doubling ratio for the hypothesis)."""
+    admissible doubling ratio for the hypothesis).
+
+    mA - nA is the sum of m copies of A and n copies of -A, counted by
+    :func:`sumset_size`; for m = n = 0 it is {0}, of size 1."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if A.dim != B.dim:
         raise DimensionMismatchError("mixed dimensions")
     K = Fraction(sumset_size([A, B]), len(B))
-    lhs = sumset_size([_iterated_or_origin(A, m), _iterated_or_origin(A, n).negate()])
+    summands = [A] * m + [A.negate()] * n
+    lhs = sumset_size(summands) if summands else 1
     rhs = _canon(K ** (m + n) * len(B))
     return exact_certificate(
         "plunnecke_ruzsa",
@@ -327,23 +324,22 @@ def check_plunnecke_ruzsa(A: PointSet, B: PointSet, m: int, n: int) -> Certifica
     )
 
 
-def check_iterated_pr(sets: list[PointSet], k: int | None = None) -> Certificate:
+def check_iterated_pr(sets: list[PointSet]) -> Certificate:
     """|X + X| <= K^7 N for X = A_1 + ... + A_k with all |A_i| = N and
     K = |X| / N.  The hypothesis needs k >= 2: for a single summand K = 1
-    and the conclusion |A + A| <= |A| is generally false."""
-    if k is None:
-        k = len(sets)
-    if k != len(sets):
-        raise ValueError("k disagrees with the number of sets")
+    and the conclusion |A + A| <= |A| is generally false.
+
+    X + X is the sum of every summand twice, so both sizes are counted by
+    :func:`sumset_size` and X is never built."""
+    k = len(sets)
     if k < 2:
         raise ValueError("the iterated bound needs at least two summands")
     sizes = {len(A) for A in sets}
     if len(sizes) != 1:
         raise ValueError("all summands must have equal size")
     N = sizes.pop()
-    X = minkowski_sum(sets)
-    K = Fraction(len(X), N)
-    lhs = sumset_size([X, X])
+    K = Fraction(sumset_size(sets), N)
+    lhs = sumset_size(sets + sets)
     rhs = _canon(K ** 7 * N)
     return exact_certificate(
         "iterated_pr",
@@ -522,25 +518,6 @@ def _interpolate(nodes: list[int], values: list[int]) -> tuple[Fraction, ...]:
     return _poly_trim(coeffs)
 
 
-def _reference_growth_poly(d: int, size: int) -> tuple[Fraction, ...]:
-    """Q(k) = C(k+d-1, d) * size - (k-1) C(k+d-1, d-1) as exact coefficients."""
-    rising_d = [Fraction(1)]
-    for j in range(d):
-        rising_d = _poly_mul(rising_d, [Fraction(j), Fraction(1)])
-    rising_d = [c / math.factorial(d) for c in rising_d]
-    rising_d1 = [Fraction(1)]
-    for j in range(1, d):
-        rising_d1 = _poly_mul(rising_d1, [Fraction(j), Fraction(1)])
-    rising_d1 = [c / math.factorial(d - 1) for c in rising_d1]
-    second = _poly_mul([Fraction(-1), Fraction(1)], rising_d1)
-    out = [Fraction(0)] * max(len(rising_d), len(second))
-    for i, c in enumerate(rising_d):
-        out[i] += size * c
-    for i, c in enumerate(second):
-        out[i] -= c
-    return _poly_trim(out)
-
-
 @dataclass(frozen=True)
 class GrowthFitReport:
     """Observed |kA| growth against the minimal lower-bound polynomial."""
@@ -598,7 +575,10 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
             threshold = k
         else:
             break
-    reference = _reference_growth_poly(d, len(A))
+    # the reference Q(k) has degree d, so its values at the d + 1 fit nodes
+    # determine it
+    bound = [math.comb(k + d - 1, d) * len(A) - (k - 1) * math.comb(k + d - 1, d - 1) for k in nodes]
+    reference = _interpolate(nodes, bound)
     dominates = all(
         values[k - 1] >= _poly_eval(reference, k) for k in range(1, k_max + 1)
     )

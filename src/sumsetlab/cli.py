@@ -172,6 +172,13 @@ def _emit_doc(doc, args: argparse.Namespace) -> None:
     _write(dumps_canonical(doc), args)
 
 
+def _emit_set(A: PointSet, args: argparse.Namespace) -> None:
+    """A computed point set with its size."""
+    doc = pointset_to_dict(A)
+    doc["size"] = len(A)
+    _emit_doc(doc, args)
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -305,36 +312,31 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         raise CliError("no summands given")
     _guard_budget(summands, args.budget)
     total = minkowski_sum(summands)
-    doc = pointset_to_dict(total)
-    doc["size"] = len(total)
-    _emit_doc(doc, args)
+    _emit_set(total, args)
     print(f"size {len(total)}", file=sys.stderr)
     return 0
 
 
+def _spec_arg(args: argparse.Namespace, dim: int, context: str) -> CompressionSpec:
+    """The compression of ``--axis`` or ``--spec``, exactly one of them given."""
+    if (args.axis is None) == (args.spec is None):
+        raise CliError(f"{context} needs exactly one of --axis or --spec")
+    if args.axis is None:
+        return _load(lambda data: CompressionSpec.from_dict(data, dim), args.spec)
+    if not 1 <= args.axis <= dim:
+        raise CliError(f"--axis must be in 1..{dim}")
+    return CompressionSpec.axis(args.axis, dim)
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
-    if (args.axis is None) == (args.spec is None):
-        raise CliError("compress needs exactly one of --axis or --spec")
-    if args.axis is not None:
-        if not 1 <= args.axis <= A.dim:
-            raise CliError(f"--axis must be in 1..{A.dim}")
-        spec = CompressionSpec.axis(args.axis, A.dim)
-    else:
-        spec = _load(lambda data: CompressionSpec.from_dict(data, A.dim), args.spec)
-    result = compress(A, spec)
-    doc = pointset_to_dict(result)
-    doc["size"] = len(result)
-    _emit_doc(doc, args)
+    _emit_set(compress(A, _spec_arg(args, A.dim, "compress")), args)
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
-    try:
-        final, trace = reduce_to_simplex(A, max_steps=args.max_steps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    final, trace = reduce_to_simplex(A, max_steps=args.max_steps)
     doc = trace.to_dict()
     doc["steps_taken"] = len(trace.steps)
     _emit_doc(doc, args)
@@ -346,13 +348,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
     coords = _parse_ints(args.coords, "--coords")
     basis = _load(basis_from_dict, args.basis) if args.basis else None
-    try:
-        result = project(A, basis, coords)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    doc = pointset_to_dict(result)
-    doc["size"] = len(result)
-    _emit_doc(doc, args)
+    _emit_set(project(A, basis, coords), args)
     return 0
 
 
@@ -479,22 +475,12 @@ def _v_fiber_bound(args) -> list[Certificate]:
     return [check_fiber_bound(system, A, U)]
 
 
-def _guard_compressed_sums(sets: list[PointSet], spec: CompressionSpec, budget: int) -> None:
-    """The compression checks add the sets and, separately, their compressions."""
-    _guard_budget(sets, budget)
-    _guard_budget([compress(A, spec) for A in sets], budget)
-
-
 def _v_sum_monotone(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "sum_monotone")
-    dim = sets[0].dim
-    if (args.axis is None) == (args.spec is None):
-        raise CliError("verify sum_monotone needs exactly one of --axis or --spec")
-    if args.axis is not None:
-        spec = CompressionSpec.axis(args.axis, dim)
-    else:
-        spec = _load(lambda data: CompressionSpec.from_dict(data, dim), args.spec)
-    _guard_compressed_sums(sets, spec, args.budget)
+    spec = _spec_arg(args, sets[0].dim, "verify sum_monotone")
+    # the check adds the sets and, separately, their compressions
+    _guard_budget(sets, args.budget)
+    _guard_budget([compress(A, spec) for A in sets], args.budget)
     return [check_sum_monotone(sets, spec)]
 
 
@@ -503,7 +489,11 @@ def _v_projection_monotone(args) -> list[Certificate]:
     if args.axis is None or not args.coords:
         raise CliError("verify projection_monotone needs --axis and --coords")
     coords = _parse_ints(args.coords, "--coords")
-    _guard_compressed_sums(sets, CompressionSpec.axis(args.axis, sets[0].dim), args.budget)
+    spec = CompressionSpec.axis(args.axis, sets[0].dim)
+    # the check adds the projected sets and, separately, their projected
+    # compressions
+    _guard_budget([project(A, None, coords) for A in sets], args.budget)
+    _guard_budget([project(compress(A, spec), None, coords) for A in sets], args.budget)
     return [check_projection_monotone(sets, args.axis, None, coords)]
 
 
@@ -529,11 +519,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if builder is None:
         known = ", ".join(sorted(_VERIFY_BUILDERS))
         raise CliError(f"unknown statement {args.statement!r} (known: {known})")
-    try:
-        certs = builder(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(str(exc)) from exc
-    return _emit_certificates(certs, args)
+    return _emit_certificates(builder(args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +528,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    try:
-        report = run_suite(args.name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = run_suite(args.name)
     for criterion in report.reports:
         print(criterion.summary_line(), file=sys.stderr)
         for failure in criterion.failures:
@@ -560,23 +543,16 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             raise CliError(f"probe {args.kind} needs --system and --set")
         system = _load(system_from_dict, args.system)
         A = _load(pointset_from_dict, args.set)
-        try:
-            if args.kind == "main-term":
-                cert = main_term_probe(system, A)
-            else:
-                cert = det_main_term_probe(system, A, precision_cap=args.precision_cap)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        if args.kind == "main-term":
+            cert = main_term_probe(system, A)
+        else:
+            cert = det_main_term_probe(system, A, precision_cap=args.precision_cap)
         return _emit_certificates([cert], args)
     if args.kind == "khovanskii":
         if not args.set:
             raise CliError("probe khovanskii needs --set")
         A = _load(pointset_from_dict, args.set)
-        try:
-            report = khovanskii_probe(A, args.k_max)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        _emit_doc(report.to_dict(), args)
+        _emit_doc(khovanskii_probe(A, args.k_max).to_dict(), args)
         return 0
     raise CliError(f"unknown probe {args.kind!r}")  # pragma: no cover
 
@@ -718,10 +694,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             raise CliError("--budget must be >= 1")
         validate_precision_cap(args.precision_cap)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError, ZeroDivisionError) as exc:
+        # the one place where an input error of the library becomes exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

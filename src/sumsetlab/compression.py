@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
+from typing import Iterator
 
 from .certificates import (
     HOLDS,
@@ -388,21 +389,39 @@ def _shear_spec(j: int, w: int, d: int) -> CompressionSpec:
     return CompressionSpec(normal=normal, offset=0, direction=direction)
 
 
+def _moves(state: PointSet, d: int) -> Iterator[CompressionSpec]:
+    """The candidate moves of :func:`reduce_to_simplex` at ``state``, in
+    schedule order: the axis compressions, then the shears if ``state`` is a
+    down set and the pair alignments otherwise.  Each is built only when the
+    previous one did not fire."""
+    for i in range(1, d + 1):
+        yield CompressionSpec.axis(i, d)
+    if is_down_set(state):
+        w = max(p[0] for p in state.points)
+        for j in range(2, d + 1):
+            yield _shear_spec(j, w, d)
+    else:
+        pts = state.sorted_points()
+        for a_idx in range(len(pts)):
+            for b_idx in range(a_idx + 1, len(pts)):
+                yield _alignment_spec(vec_sub(pts[b_idx], pts[a_idx]), d)
+
+
 def reduce_to_simplex(A: PointSet, max_steps: int | None = None) -> tuple[PointSet, CompressionTrace]:
     """Drive a full-dimensional finite subset of Z^d to the long simplex on
     |A| points by dimension-preserving compressions.
 
-    Move schedule, re-scanned from the top after every fired move:
+    Move schedule, re-scanned from the top after every fired move (see
+    :func:`_moves`); a move fires when it changes the set and keeps it
+    full-dimensional:
 
-    1. the first axis compression that changes the set *and* keeps it
-       full-dimensional;
+    1. the first axis compression that fires;
     2. if the set is a down set: the first shear (normal e_j, direction
-       e_j - w e_1 with w the maximal first coordinate) that changes it;
+       e_j - w e_1 with w the maximal first coordinate) that fires;
     3. otherwise: the first pair-alignment compression (direction = primitive
-       integer vector of a pairwise difference) that changes the set and
-       keeps it full-dimensional.  These may pass through rational
-       intermediate states; the subsequent axis compressions restore
-       integrality coordinate by coordinate.
+       integer vector of a pairwise difference) that fires.  These may pass
+       through rational intermediate states; the subsequent axis
+       compressions restore integrality coordinate by coordinate.
 
     Every move preserves cardinality and never increases any sumset size, so
     the trace certifies |k * final| <= |k * A| step by step.  Raises
@@ -422,54 +441,18 @@ def reduce_to_simplex(A: PointSet, max_steps: int | None = None) -> tuple[PointS
     if max_steps is None:
         max_steps = 200 * (len(A) + d) ** 2
 
-    def fire(spec: CompressionSpec, state: PointSet) -> PointSet | None:
-        nxt = compress(state, spec)
-        if nxt == state:
-            return None
-        if affine_dimension(nxt) != d:
-            return None
-        return nxt
-
     while current != target:
         if len(steps) >= max_steps:
             raise ReductionError(
                 f"no convergence after {len(steps)} moves (|A|={len(A)}, d={d})"
             )
-        moved = False
-        for i in range(1, d + 1):
-            nxt = fire(CompressionSpec.axis(i, d), current)
-            if nxt is not None:
-                steps.append(CompressionSpec.axis(i, d))
+        for spec in _moves(current, d):
+            nxt = compress(current, spec)
+            if nxt != current and affine_dimension(nxt) == d:
+                steps.append(spec)
                 current = nxt
-                moved = True
                 break
-        if moved:
-            continue
-        if is_down_set(current):
-            w = max(p[0] for p in current.points)
-            for j in range(2, d + 1):
-                spec = _shear_spec(j, w, d)
-                nxt = fire(spec, current)
-                if nxt is not None:
-                    steps.append(spec)
-                    current = nxt
-                    moved = True
-                    break
         else:
-            pts = current.sorted_points()
-            for a_idx in range(len(pts)):
-                for b_idx in range(a_idx + 1, len(pts)):
-                    delta = vec_sub(pts[b_idx], pts[a_idx])
-                    spec = _alignment_spec(delta, d)
-                    nxt = fire(spec, current)
-                    if nxt is not None:
-                        steps.append(spec)
-                        current = nxt
-                        moved = True
-                        break
-                if moved:
-                    break
-        if not moved:
             raise ReductionError(
                 f"stalled after {len(steps)} moves at a non-simplex state "
                 f"(|A|={len(A)}, d={d})"

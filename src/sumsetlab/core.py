@@ -27,8 +27,10 @@ Outside the engine, integral inputs take integer paths as well.
 dot products and marks the image integral; other pairs keep the ``Fraction``
 code.  :func:`affine_dimension` ranks the differences of a set, scaled to
 integral points like a rational sum, by fraction-free elimination
-(:func:`_integer_rank`).  :func:`project` onto standard coordinates keeps the
-integral flag.
+(:func:`_bareiss`), and :meth:`RationalMatrix.det` runs the same elimination
+on the matrix scaled by the lcm q of its denominators and divides the last
+pivot by q^d.  :func:`project` onto standard coordinates keeps the integral
+flag.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -499,28 +501,15 @@ class RationalMatrix:
         return RationalMatrix(list(zip(*self.rows)))
 
     def det(self) -> Coord:
-        mat = [list(r) for r in self.rows]
+        """The determinant, by :func:`_bareiss` on qM for q the lcm of the
+        entries' denominators: det(qM) = q^d det M."""
         d = self.dim
-        result = Fraction(1)
-        sign = 1
-        for col in range(d):
-            pivot_row = None
-            for r in range(col, d):
-                if mat[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return 0
-            if pivot_row != col:
-                mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-                sign = -sign
-            pivot = mat[col][col]
-            result *= pivot
-            for r in range(col + 1, d):
-                if mat[r][col] != 0:
-                    factor = Fraction(mat[r][col], 1) / pivot
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-        return _canon(sign * result)
+        q = math.lcm(*(c.denominator for row in self.rows for c in row))
+        scaled = [[c.numerator * (q // c.denominator) for c in row] for row in self.rows]
+        rank, pivot = _bareiss(scaled, d)
+        if rank < d:
+            return 0
+        return pivot if q == 1 else _canon(Fraction(pivot, q ** d))
 
     def inverse(self) -> "RationalMatrix":
         d = self.dim
@@ -716,19 +705,25 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rank(rows: list[list[int]], width: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _bareiss(rows: list[list[int]], width: int) -> tuple[int, int]:
+    """(rank, signed last pivot) of an integer matrix by fraction-free
+    (Bareiss) elimination.
 
     After the step on pivot column c, each entry right of the pivots is a
     minor of the matrix, so dividing by the previous pivot is exact
     (Sylvester's identity) and entries grow only polynomially.  No
-    ``Fraction`` is built.  ``rows`` is overwritten."""
-    rank, previous = 0, 1
+    ``Fraction`` is built.  The last pivot is the leading minor of the
+    pivot rows and columns; its sign is flipped once per row swap, so for a
+    square matrix of full rank it is the determinant.  ``rows`` is
+    overwritten."""
+    rank, previous, sign = 0, 1, 1
     for col in range(width):
         pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            sign = -sign
         pivot_vals = rows[rank]
         pivot = pivot_vals[col]
         for r in range(rank + 1, len(rows)):
@@ -736,18 +731,18 @@ def _integer_rank(rows: list[list[int]], width: int) -> int:
             rows[r] = [(pivot * x - factor * y) // previous for x, y in zip(rows[r], pivot_vals)]
         previous = pivot
         rank += 1
-    return rank
+    return rank, sign * previous
 
 
 def affine_dimension(A: PointSet) -> int:
     """Dimension of the affine hull of A (0 for a single point): the rank of
-    the differences to one point, by :func:`_integer_rank`.  A rational set
+    the differences to one point, by :func:`_bareiss`.  A rational set
     is first scaled to integral points by :func:`_scaled`, which is one-to-one
     and linear and so keeps the affine dimension."""
     _, (points,) = _scaled([A])
     pts = iter(points)
     anchor = next(pts)
-    return _integer_rank([list(map(sub, p, anchor)) for p in pts], A.dim)
+    return _bareiss([list(map(sub, p, anchor)) for p in pts], A.dim)[0]
 
 
 def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet:

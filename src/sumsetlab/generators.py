@@ -51,9 +51,12 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
 def _uniform_draws(stream: Iterator[int], n: int) -> Iterator[int]:
     """Infinite stream of uniform draws from range(n), by rejection (no
     modulo bias).  The rejection limit is computed once; each draw reads the
-    words of ``stream`` only when it is taken."""
+    words of ``stream`` only when it is taken.  A draw takes one 64-bit
+    word, so n above 2**64 (whose limit would be 0) is refused."""
     if n <= 0:
         raise ValueError("n must be positive")
+    if n > 1 << 64:
+        raise ValueError(f"cannot draw uniformly from {n} values: the limit is 2**64")
     limit = (1 << 64) - ((1 << 64) % n)
     for word in stream:
         if word < limit:

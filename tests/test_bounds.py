@@ -5,6 +5,7 @@ Expected values in this module were frozen from brute-force enumeration
 """
 
 import hashlib
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -295,9 +296,29 @@ class TestPlunneckeRuzsa:
         assert cert.params["K"] == Fraction(19, 10)
 
     def test_m_n_zero_is_trivial(self):
-        A = interval_set(0, 4)
-        cert = check_plunnecke_ruzsa(A, A, 0, 0)
-        assert cert.lhs == 1 and cert.holds()
+        # 0A - 0A = {0} whatever A is: |{0}| = 1 and K^0 |B| = |B|
+        for A, B in [
+            (interval_set(0, 4), interval_set(0, 4)),
+            (PointSet(2, [(Fraction(1, 2), 0), (1, Fraction(2, 3))]), PointSet(2, [(0, 0), (1, 1), (2, 5)])),
+        ]:
+            cert = check_plunnecke_ruzsa(A, B, 0, 0)
+            assert (cert.lhs, cert.rhs, cert.slack) == (1, len(B), len(B) - 1)
+            assert type(cert.lhs) is int and cert.holds()
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (1, 1), (2, 1)])
+    def test_counts_m_copies_minus_n_copies(self, m, n):
+        A = PointSet(2, [(0, 0), (1, 0), (0, 2), (3, 1)])
+        minus = {tuple(-c for c in p) for p in A.points}
+        points = {(0, 0)}
+        for summand in [A.points] * m + [minus] * n:
+            points = {tuple(x + y for x, y in zip(p, a)) for p in points for a in summand}
+        assert check_plunnecke_ruzsa(A, A, m, n).lhs == len(points)
+
+    def test_builds_no_sum(self, built_sums):
+        A, B = random_set(2, 6, (0, 5), 1), random_set(2, 5, (0, 5), 2)
+        for m, n in [(0, 0), (2, 0), (0, 2), (2, 1)]:
+            check_plunnecke_ruzsa(A, B, m, n)
+        assert built_sums == []
 
     @given(point_sets(1, max_size=8), point_sets(1, max_size=8), st.integers(0, 2), st.integers(0, 2))
     @settings(max_examples=50)
@@ -326,6 +347,11 @@ class TestIteratedPR:
     def test_progressions_never_violated(self, N, k):
         sets = [interval_set(0, N - 1)] * k
         assert check_iterated_pr(sets).holds()
+
+    def test_builds_no_sum(self, built_sums):
+        check_iterated_pr([random_set(2, 5, (0, 4), seed) for seed in (1, 2, 3)])
+        check_iterated_pr([interval_set(0, 3)] * 2)
+        assert built_sums == []
 
 
 class TestLinearPR:
@@ -453,6 +479,16 @@ class TestKhovanskiiProbe:
     def test_k_max_too_small_rejected(self):
         with pytest.raises(ValueError):
             khovanskii_probe(interval_set(0, 2), 1)
+
+    @pytest.mark.parametrize("d, N, k_max", [(1, 3, 3), (2, 5, 4), (3, 6, 7), (4, 6, 6)])
+    def test_reference_is_the_kfold_bound(self, d, N, k_max):
+        # Q(k) = C(k+d-1, d)|A| - (k-1) C(k+d-1, d-1) at every k, not only at
+        # the fit nodes
+        rep = khovanskii_probe(long_simplex(d, N), k_max)
+        for k in range(0, 12):
+            expected = math.comb(k + d - 1, d) * N - (k - 1) * math.comb(k + d - 1, d - 1)
+            assert sum(c * k**i for i, c in enumerate(rep.reference)) == expected
+        assert len(rep.reference) == d + 1 and all(type(c) is Fraction for c in rep.reference)
 
     @given(point_sets(1, min_size=2, max_size=5, coords=values(0, 6)))
     @settings(max_examples=30)

@@ -167,6 +167,38 @@ class TestCompressReduceProject:
         assert code == 0 and json.loads(out)["size"] == 2
 
 
+# the shear pair is reducible: both maps fix the line spanned by (1, 0)
+SHEAR = {"dim": 2, "maps": [[["1", "1"], ["0", "1"]], [["1", "1"], ["-1", "1"]]]}
+SQUARE = PointSet(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+class TestLibraryErrors:
+    """A library ValueError becomes exit 2 with one ``error:`` line in
+    ``cli.run``, and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("reduce", "--set", "line"), "error: reduction needs a full-dimensional set"),
+            (("project", "--set", "square", "--coords", "5"), "error: projection coordinates must lie in 1..2"),
+            (("probe", "khovanskii", "--set", "square", "--k-max", "3"),
+             "error: need k_max >= 4 to fit a degree-2 polynomial"),
+            (("probe", "main-term", "--system", "shear", "--set", "square"),
+             "error: main-term probe requires a certified irreducible system"),
+            (("compress", "--set", "square", "--axis", "9"), "error: --axis must be in 1..2"),
+            (("verify", "sum_monotone", "--sets", "square", "--axis", "9"), "error: --axis must be in 1..2"),
+            (("gen", "random", "--d", "4", "--size", "3", "--box=-100000,100000", "--seed", "1"),
+             "error: cannot draw uniformly from 1600032000240000800001 values: the limit is 2**64"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, call, tmp_path, monkeypatch, argv, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "line").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(0, 0), (1, 1), (2, 2)]))))
+        (tmp_path / "square").write_text(dumps_canonical(pointset_to_dict(SQUARE)))
+        (tmp_path / "shear").write_text(dumps_canonical(SHEAR))
+        assert call(*argv) == (2, "", line + "\n")
+
+
 # arguments beyond --sets that a statement needs
 SET_FILE_EXTRA = {
     "sum_monotone": ("--axis", "1"),
@@ -271,13 +303,25 @@ class TestVerify:
             # the diagonal compression moves C into a 7 x 19 box
             ("sum_monotone", "CCC", ("--spec", "diagonal.json"), 703),
             ("projection_monotone", "CC", ("--axis", "1", "--coords", "1,2"), 169),
+            # P and its compression both project to {0, 1} on coordinate 2:
+            # the counted sums have 3 points, the unprojected ones 1600
+            ("projection_monotone", "PP", ("--axis", "1", "--coords", "2"), 3),
+            # unprojected, P + P is bounded by 40 x 40 pairs, and its
+            # compression, 20 points on each of two lines, by a 39 x 3 box
+            ("projection_monotone", "PP", ("--axis", "1", "--coords", "1,2"), 1600),
+            # scaled by 2, R + R fills a 3 x 1 box, while the sum of its
+            # compression {(0, 1/2), (1, 1/2)} is bounded by its 2 x 2 pairs
+            ("projection_monotone", "RR", ("--axis", "1", "--coords", "1,2"), 4),
         ],
     )
     def test_budget_guard_bound_is_tight(self, call, tmp_path, monkeypatch, statement, sets, extra, bound):
-        # C is the 7 x 7 cube and L four points on a line
+        # C is the 7 x 7 cube, L four points on a line, P the 40 points
+        # (25i, i mod 2) and R = {(0, 1/2), (1/2, 1/2)}
         monkeypatch.chdir(tmp_path)
         assert call("gen", "cube", "--d", "2", "--N", "3", "-o", "C")[0] == 0
         (tmp_path / "L").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(j, 0) for j in range(4)]))))
+        (tmp_path / "R").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))]))))
+        (tmp_path / "P").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(25 * i, i % 2) for i in range(40)]))))
         diagonal = {"hyperplane": {"normal": ["1", "0"], "offset": "0"}, "direction": ["1", "1"]}
         (tmp_path / "diagonal.json").write_text(dumps_canonical(diagonal))
         argv = ("verify", statement, "--sets", *sets, *extra)
@@ -418,6 +462,17 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "20192382712f86d7e041cf70a6f5bbcbd261c5f7140c896254f94017f4b04096"
+        )
+
+    def test_golden_reduce_stdout(self, call, tmp_path):
+        # a trace with axis, alignment and shear moves
+        path = str(tmp_path / "a.json")
+        gen = ("gen", "random-full-dim", "--d", "3", "--size", "6", "--box", "0,6", "--seed", "34")
+        assert call(*gen, "-o", path)[0] == 0
+        code, out, err = call("reduce", "--set", path)
+        assert code == 0 and err == "reduced in 6 steps to 6 points\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5bb0167664018de26bb3a0d6559a2d4dddd1468a31ad73a134624cdef34c2d71"
         )
 
 

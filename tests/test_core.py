@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -595,6 +597,32 @@ class TestRationalMatrix:
 
     def test_det_singular(self):
         assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_det_matches_sympy(self, d):
+        # seeded rational matrices, a third with a zero corner (a row swap when
+        # invertible) and a fifth with a dependent last row
+        rng = random.Random(d)
+        kinds = {"singular": 0, "swap": 0}
+        for i in range(120):
+            den = rng.choice((1, 1, 2, 6, 35))
+            rows = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, den)) if rng.random() < 0.8 else 0 for _ in range(d)]
+                for _ in range(d)
+            ]
+            if i % 3 == 0:
+                rows[0][0] = 0
+            if i % 5 == 0:
+                a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[d // 2])]
+            expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).det()
+            expected = Fraction(int(expected.p), int(expected.q))
+            got = RationalMatrix(rows).det()
+            assert got == expected
+            assert type(got) is (int if expected.denominator == 1 else Fraction)
+            kinds["singular"] += expected == 0
+            kinds["swap"] += expected != 0 and rows[0][0] == 0
+        assert kinds["singular"] >= 20 and (d == 1 or kinds["swap"] >= 20)
 
     def test_inverse_round_trip(self):
         M = RationalMatrix([[1, 1], [0, 1]])

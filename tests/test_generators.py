@@ -196,6 +196,16 @@ class TestUniformDraws:
         with pytest.raises(ValueError):
             next(_uniform_draws(splitmix64_stream(0), 0))
 
+    @pytest.mark.parametrize("n", [2**64 + 1, 3 * 2**64, 200001**4])
+    def test_bound_beyond_one_word_rejected(self, n):
+        # every word would be rejected: the rejection limit is 0
+        with pytest.raises(ValueError, match=r"the limit is 2\*\*64"):
+            next(_uniform_draws(splitmix64_stream(0), n))
+
+    def test_random_set_in_too_large_a_box_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            random_set(4, 3, (-100000, 100000), 1)
+
 
 class TestRandomGenerators:
     def test_random_set_frozen(self):
