@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from sympy import factorint
-
 from .certificates import (
     DEFAULT_PRECISION_CAP,
     HOLDS,
@@ -189,13 +187,24 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
 
 
 def _extract_dth_power(n: int, d: int) -> tuple[int, int]:
-    """n = c**d * m with m free of d-th powers; returns (c, m)."""
+    """n = c**d * m with m free of d-th powers; returns (c, m).
+
+    Trial division: for p = 2, 3, 4, ... while p**d <= m, divide p**d out of
+    m as often as it goes.  A composite p never divides, since its prime
+    factors were divided out before it, and a prime q with q**d | m at the
+    end would have q**d <= m, so q was tried.  The loop takes at most
+    n ** (1/d) <= sqrt(n) steps; n is a set size here."""
     if n < 1:
         raise ValueError("need a positive integer")
-    c, m = 1, 1
-    for p, e in factorint(n).items():
-        c *= p ** (e // d)
-        m *= p ** (e % d)
+    if d == 1:
+        return n, 1
+    c, m = 1, n
+    p = 2
+    while (power := p ** d) <= m:
+        while m % power == 0:
+            m //= power
+            c *= p
+        p += 1
     return c, m
 
 
@@ -520,14 +529,19 @@ def _interpolate(nodes: list[int], values: list[int]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class GrowthFitReport:
-    """Observed |kA| growth against the minimal lower-bound polynomial."""
+    """Observed |kA| growth against the minimal lower-bound polynomial.
+
+    ``observed_threshold`` is the least k from which the computed values
+    agree with the polynomial fitted at k_max - d, ..., k_max.  It is only
+    observed inside k_max, not a certified Khovanskii threshold, so the JSON
+    carries ``"certified": false`` beside it."""
 
     dim: int
     size: int
     k_max: int
     values: tuple[int, ...]
     degree: int
-    threshold: int
+    observed_threshold: int
     polynomial: tuple[Fraction, ...]
     reference: tuple[Fraction, ...]
     equals_reference: bool
@@ -540,7 +554,8 @@ class GrowthFitReport:
             "k_max": self.k_max,
             "values": list(self.values),
             "degree": self.degree,
-            "threshold": self.threshold,
+            "observed_threshold": self.observed_threshold,
+            "certified": False,
             "polynomial": [encode_coord(c) for c in self.polynomial],
             "reference": [encode_coord(c) for c in self.reference],
             "equals_reference": self.equals_reference,
@@ -550,8 +565,9 @@ class GrowthFitReport:
 
 def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
     """Computes |kA| for k = 1..k_max, interpolates the degree-d tail
-    polynomial exactly, locates the stabilization threshold, and compares
-    against the reference lower-bound polynomial Q (the k-fold bound).
+    polynomial exactly, finds the least k from which the values agree with
+    it (the observed threshold), and compares against the reference
+    lower-bound polynomial Q (the k-fold bound).
 
     |kA| agrees with a polynomial of degree d = dim(A) for k large; the
     last d+1 computed values pin that polynomial down exactly when k_max is
@@ -569,10 +585,10 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
         values.append(len(acc))
     nodes = list(range(k_max - d, k_max + 1))
     poly = _interpolate(nodes, values[k_max - d - 1 :])
-    threshold = k_max
+    observed_threshold = k_max
     for k in range(k_max, 0, -1):
         if _poly_eval(poly, k) == values[k - 1]:
-            threshold = k
+            observed_threshold = k
         else:
             break
     # the reference Q(k) has degree d, so its values at the d + 1 fit nodes
@@ -588,7 +604,7 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
         k_max=k_max,
         values=tuple(values),
         degree=len(poly) - 1,
-        threshold=threshold,
+        observed_threshold=observed_threshold,
         polynomial=poly,
         reference=reference,
         equals_reference=poly == reference,

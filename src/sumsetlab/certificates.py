@@ -13,8 +13,9 @@ guaranteed to contain the true value.  The verdict is
   asymptotic probe at a single instance size).
 
 Interval endpoints are Fractions with power-of-two denominators produced by
-``sympy.integer_nthroot``, so a certificate can be replayed and re-verified
-with integer arithmetic only.
+the integer d-th root :func:`int_nth_root` (``math.isqrt`` and integer
+Newton), so a certificate can be replayed and re-verified with integer
+arithmetic only.
 
 A certificate also pins its inputs by ``inputs_digest``, the sha256 of their
 canonical JSON (:func:`digest`).  Checks hand over the inputs themselves, and
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-
-from sympy import integer_nthroot
 
 from .core import PointSet
 from .serialization import encode_coord, encode_point
@@ -108,12 +108,36 @@ class Interval:
         return self.hi - self.lo
 
 
+def int_nth_root(n: int, d: int) -> tuple[int, bool]:
+    """(floor(n ** (1/d)), whether n is a perfect d-th power) for n >= 0 and
+    d >= 1, in integer arithmetic.
+
+    d = 2 is ``math.isqrt``.  For d >= 3, integer Newton starts at
+    x = 2**ceil(bitlen(n) / d), which exceeds n ** (1/d), and steps to
+    ((d-1) x + n // x**(d-1)) // d while that decreases.  Each step is at
+    least floor(n ** (1/d)) by the AM-GM inequality, and it decreases
+    whenever x ** d > n, so the last x is the floor.
+    """
+    if d == 1 or n < 2:
+        return n, True
+    if d == 2:
+        root = math.isqrt(n)
+    else:
+        root = 1 << -(-n.bit_length() // d)
+        while True:
+            step = ((d - 1) * root + n // root ** (d - 1)) // d
+            if step >= root:
+                break
+            root = step
+    return root, root ** d == n
+
+
 def int_nth_root_interval(n: int, d: int, bits: int) -> Interval:
     """Certified enclosure of n**(1/d) with width at most 2**-bits.
 
     Perfect d-th powers yield a degenerate (point) interval.  Otherwise the
     lower endpoint is floor((n * 2**(bits*d)) ** (1/d)) / 2**bits, which is
-    exact integer arithmetic via ``sympy.integer_nthroot``.
+    exact integer arithmetic via :func:`int_nth_root`.
     """
     if n < 0:
         raise ValueError("radicand must be non-negative")
@@ -121,10 +145,10 @@ def int_nth_root_interval(n: int, d: int, bits: int) -> Interval:
         raise ValueError("root degree must be >= 1")
     if n == 0:
         return Interval.point(0)
-    root, exact = integer_nthroot(n, d)
+    root, exact = int_nth_root(n, d)
     if exact:
         return Interval.point(root)
-    scaled, _ = integer_nthroot(n << (bits * d), d)
+    scaled, _ = int_nth_root(n << (bits * d), d)
     lo = Fraction(scaled, 1 << bits)
     return Interval(lo, lo + Fraction(1, 1 << bits))
 

@@ -51,9 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from sympy import Matrix as SymMatrix
-from sympy import Poly, Rational as SymRational, Symbol
-
 from .core import (
     DimensionMismatchError,
     LinearSystem,
@@ -73,7 +70,6 @@ REDUCIBLE = "Reducible"
 UNKNOWN = "Unknown"
 COPRIME = "Coprime"
 
-_X = Symbol("x")
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
@@ -127,23 +123,26 @@ def _spin(seeds: list[Vec], mats: list[RationalMatrix], d: int) -> Subspace:
     return space
 
 
-def _sym_matrix(M: RationalMatrix) -> SymMatrix:
-    return SymMatrix(
-        M.dim,
-        M.dim,
-        lambda i, j: SymRational(M.rows[i][j].numerator, M.rows[i][j].denominator),
-    )
-
-
 def _charpoly_factors(M: RationalMatrix) -> list[tuple[list[Fraction], int]]:
     """Irreducible factors of charpoly(M) over Q as (coefficients, degree),
-    coefficients highest-first and monic up to a rational scalar."""
-    poly = _sym_matrix(M).charpoly(_X)
-    _, factors = Poly(poly.as_expr(), _X).factor_list()
+    coefficients highest-first and monic up to a rational scalar.
+
+    This is the only function of the package that needs sympy, so it imports
+    it here: a process that factors no characteristic polynomial never loads
+    it."""
+    from sympy import Matrix, Poly, Rational, Symbol
+
+    x = Symbol("x")
+    poly = Matrix(
+        M.dim,
+        M.dim,
+        lambda i, j: Rational(M.rows[i][j].numerator, M.rows[i][j].denominator),
+    ).charpoly(x)
+    _, factors = Poly(poly.as_expr(), x).factor_list()
     out = []
     for fac, _mult in factors:
         coeffs = [
-            Fraction(int(c.p), int(c.q)) for c in Poly(fac, _X).all_coeffs()
+            Fraction(int(c.p), int(c.q)) for c in Poly(fac, x).all_coeffs()
         ]
         out.append((coeffs, len(coeffs) - 1))
     return out

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,7 @@ from sumsetlab import (
     shear_system,
     simplex_cardinality,
 )
+from sumsetlab.bounds import _extract_dth_power
 from sumsetlab.certificates import Interval, canonical_json
 
 # per dimension: the standard basis, an integral shear, and a basis with
@@ -275,6 +277,58 @@ class TestDiscreteBrunnMinkowski:
         assert built_sums == []
 
 
+def factorint_dth_power(n, d):
+    """(c, m) with n = c**d * m and m free of d-th powers, read from sympy's
+    prime factorization: the reference for ``_extract_dth_power``."""
+    c, m = 1, 1
+    for p, e in sympy.factorint(n).items():
+        c *= p ** (e // d)
+        m *= p ** (e % d)
+    return c, m
+
+
+class CountingInt(int):
+    """An int that counts the remainders taken of it."""
+
+    mods = 0
+
+    def __mod__(self, other):
+        CountingInt.mods += 1
+        return int(self) % other
+
+
+class TestExtractDthPower:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_small_sizes(self, d):
+        for n in range(1, 3000):
+            assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+
+    @given(st.integers(1, 10**5), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_matches_factorint(self, n, d):
+        assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+
+    @given(st.integers(1, 20), st.integers(1, 250), st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_powers_times_small_factors(self, c, m, d):
+        # n carries a d-th power on purpose
+        n = c**d * m
+        assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_trial_division_steps_at_most_sqrt(self, d):
+        # a prime is never divided, so every step takes a remainder of it;
+        # d = 1 returns at once
+        CountingInt.mods = 0
+        n = CountingInt(99_991)
+        assert _extract_dth_power(n, d) == ((n, 1) if d == 1 else (1, n))
+        assert CountingInt.mods <= (0 if d == 1 else math.isqrt(n))
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            _extract_dth_power(0, 2)
+
+
 class TestRuzsaTriangle:
     def test_interval_triple(self):
         I = interval_set(0, 1)
@@ -460,8 +514,13 @@ class TestKhovanskiiProbe:
         rep = khovanskii_probe(long_simplex(2, 4), 6)
         assert rep.values == (4, 9, 16, 25, 36, 49)
         assert rep.polynomial == (1, 2, 1)
-        assert rep.threshold == 1 and rep.degree == 2
+        assert rep.observed_threshold == 1 and rep.degree == 2
         assert rep.equals_reference and rep.dominates_reference
+
+    def test_json_marks_threshold_uncertified(self):
+        doc = khovanskii_probe(long_simplex(2, 4), 6).to_dict()
+        assert doc["observed_threshold"] == 1 and doc["certified"] is False
+        assert "threshold" not in doc
 
     def test_progression_growth(self):
         rep = khovanskii_probe(interval_set(0, 1), 4)
@@ -472,7 +531,7 @@ class TestKhovanskiiProbe:
         # fitted polynomial dominates but does not equal the reference 2k + 1.
         rep = khovanskii_probe(PointSet(1, [(0,), (1,), (3,)]), 6)
         assert rep.values == (3, 6, 9, 12, 15, 18)
-        assert rep.polynomial == (0, 3) and rep.threshold == 1
+        assert rep.polynomial == (0, 3) and rep.observed_threshold == 1
         assert rep.reference == (1, 2)
         assert rep.dominates_reference and not rep.equals_reference
 
@@ -494,7 +553,7 @@ class TestKhovanskiiProbe:
     @settings(max_examples=30)
     def test_fitted_polynomial_reproduces_values(self, A):
         rep = khovanskii_probe(A, 5)
-        for k in range(rep.threshold, 6):
+        for k in range(rep.observed_threshold, 6):
             value = sum(c * k**i for i, c in enumerate(rep.polynomial))
             assert value == len(iterated_sumset(A, k))
 

@@ -4,7 +4,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
@@ -43,6 +44,7 @@ from sumsetlab.certificates import (
     canonical_json,
     digest,
     exact_certificate,
+    int_nth_root,
     int_nth_root_interval,
     interval_certificate,
     precision_schedule,
@@ -110,6 +112,35 @@ class TestNthRootEnclosure:
     def test_enclosure_is_sound(self, n, d):
         iv = int_nth_root_interval(n, d, 96)
         assert iv.lo ** d <= n <= iv.hi ** d
+
+
+class TestIntegerRoot:
+    """``int_nth_root`` against the reference ``sympy.integer_nthroot``:
+    (floor(n ** (1/d)), whether n is a perfect d-th power)."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_small_radicands(self, d):
+        for n in range(2000):
+            assert int_nth_root(n, d) == sympy.integer_nthroot(n, d)
+
+    @given(st.integers(0, 2**2000), st.integers(1, 12))
+    def test_matches_sympy(self, n, d):
+        assert int_nth_root(n, d) == sympy.integer_nthroot(n, d)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    @given(data=st.data(), offset=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=40)
+    def test_perfect_powers_and_neighbours(self, d, data, offset):
+        root = data.draw(st.integers(1, 2 ** (2000 // d)))
+        n = root**d + offset
+        assert int_nth_root(n, d) == sympy.integer_nthroot(n, d)
+
+    @given(st.integers(1, 10**6), st.integers(1, 12), st.integers(1, 256))
+    def test_interval_encloses_with_width(self, n, d, bits):
+        iv = int_nth_root_interval(n, d, bits)
+        assert iv.lo ** d <= n <= iv.hi ** d
+        assert iv.width() <= Fraction(1, 2**bits)
+        assert iv.is_point == sympy.integer_nthroot(n, d)[1]
 
 
 class TestCanonicalJson:
@@ -354,5 +385,5 @@ class TestCertificateBytesPinned:
         doc = khovanskii_probe(long_simplex(2, 5), 6).to_dict()
         assert any("/" in c for c in doc["reference"])
         assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == (
-            "a3c43cc9e916003cd9858a7457fed299285e712d11e635ceed0ea57ee1285044"
+            "07c9c553c335cdf84e1bbf216e6ed0bd7e38d183822df86147ea166a36e6f563"
         )

@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sumsetlab
 from sumsetlab.cli import run
 from sumsetlab.serialization import dumps_canonical, pointset_to_dict
 from sumsetlab import PointSet, bounds, compression, long_simplex
@@ -476,7 +479,6 @@ class TestDeterminism:
         )
 
 
-
 class TestSuite:
     def test_smoke_suite_passes(self, call):
         code, out, err = call("suite", "smoke")
@@ -487,3 +489,66 @@ class TestSuite:
 
     def test_unknown_suite_is_usage_error(self, call):
         assert call("suite", "nightly")[0] == 2
+
+
+# Runs CLI commands in one fresh interpreter and prints, as JSON, each
+# command's exit code and stdout and whether sympy was loaded after it.
+START_PATH_SCRIPT = """
+import contextlib, io, json, sys
+from sumsetlab import cli
+
+steps = [("import", 0, "", "sympy" in sys.modules)]
+for line in sys.stdin.read().splitlines():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(line.split())
+    steps.append((line, code, out.getvalue(), "sympy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+class TestStartPath:
+    """Only factoring a characteristic polynomial loads sympy.  pytest has
+    sympy loaded already, so the commands run in a fresh interpreter."""
+
+    COMMANDS = [
+        "gen random --d 2 --size 6 --box 0,4 --seed 1 -o a.json",
+        "gen random --d 2 --size 6 --box 0,4 --seed 2 -o b.json",
+        "gen random --d 2 --size 2 --box 0,4 --seed 3 -o c.json",
+        "gen random --d 2 --size 3 --box 0,4 --seed 4 -o e.json",
+        "gen random-full-dim --d 3 --size 6 --box 0,6 --seed 34 -o f.json",
+        "gen rotation --d 2 -o rot.json",
+        "gen cube --d 2 --N 1 -o cube.json",
+        "sumset --sets a.json b.json",
+        "compress --set a.json --axis 1",
+        "project --set a.json --coords 1",
+        "reduce --set f.json",
+        "verify discrete_bm --sets a.json b.json",
+        "verify discrete_bm --sets c.json e.json",
+        "verify freiman_kfold --set a.json --k 2-3",
+    ]
+    PROBE = "probe main-term --system rot.json --set cube.json"
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_sympy_loaded_only_by_the_probe(self, tmp_path, flags):
+        src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", START_PATH_SCRIPT],
+            input="\n".join([*self.COMMANDS, self.PROBE]),
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        steps = json.loads(result.stdout)
+        assert [line for line, *_ in steps] == ["import", *self.COMMANDS, self.PROBE]
+        assert [code for _, code, _, _ in steps[:-1]] == [0] * (len(steps) - 1)
+        assert [loaded for *_, loaded in steps[:-1]] == [False] * (len(steps) - 1)
+        # the probe decides irreducibility, which factors a characteristic
+        # polynomial, so the check above could see a load
+        assert steps[-1][1] == 3 and steps[-1][3] is True
+        # equal sizes take the exact root-sum path, sizes 2 and 3 the interval one
+        by_line = {line: out for line, _, out, _ in steps}
+        exact = json.loads(by_line["verify discrete_bm --sets a.json b.json"])
+        interval = json.loads(by_line["verify discrete_bm --sets c.json e.json"])
+        assert exact["params"]["sizes"] == ["6", "6"] and "precision_bits" not in exact
+        assert interval["params"]["sizes"] == ["2", "3"] and interval["precision_bits"] == 128
