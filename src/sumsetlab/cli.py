@@ -49,9 +49,10 @@ from .compression import (
 from .core import (
     PointSet,
     Subspace,
+    _require_same_dim,
+    _scaled_sum,
     estimated_sum_size,
     linear_image,
-    minkowski_sum,
     project,
 )
 from .generators import (
@@ -71,6 +72,7 @@ from .generators import (
 from .serialization import (
     basis_from_dict,
     dumps_canonical,
+    encode_points,
     pointset_from_dict,
     pointset_to_dict,
     system_from_dict,
@@ -172,10 +174,9 @@ def _emit_doc(doc, args: argparse.Namespace) -> None:
     _write(dumps_canonical(doc), args)
 
 
-def _emit_set(A: PointSet, args: argparse.Namespace) -> None:
-    """A computed point set with its size."""
-    doc = pointset_to_dict(A)
-    doc["size"] = len(A)
+def _emit_set(doc: dict, args: argparse.Namespace) -> None:
+    """A computed point set, encoded as by ``pointset_to_dict``, with its size."""
+    doc["size"] = len(doc["points"])
     _emit_doc(doc, args)
 
 
@@ -310,10 +311,12 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         raise CliError("sumset needs --sets or --set")
     if not summands:
         raise CliError("no summands given")
+    dim = _require_same_dim(summands)
     _guard_budget(summands, args.budget)
-    total = minkowski_sum(summands)
-    _emit_set(total, args)
-    print(f"size {len(total)}", file=sys.stderr)
+    # the sum is written from its scaled form: a rational sum is never unscaled
+    q, points = _scaled_sum(summands)
+    _emit_set({"dim": dim, "points": encode_points(q, points)}, args)
+    print(f"size {len(points)}", file=sys.stderr)
     return 0
 
 
@@ -330,7 +333,7 @@ def _spec_arg(args: argparse.Namespace, dim: int, context: str) -> CompressionSp
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
-    _emit_set(compress(A, _spec_arg(args, A.dim, "compress")), args)
+    _emit_set(pointset_to_dict(compress(A, _spec_arg(args, A.dim, "compress"))), args)
     return 0
 
 
@@ -348,7 +351,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
     coords = _parse_ints(args.coords, "--coords")
     basis = _load(basis_from_dict, args.basis) if args.basis else None
-    _emit_set(project(A, basis, coords), args)
+    _emit_set(pointset_to_dict(project(A, basis, coords)), args)
     return 0
 
 

@@ -185,7 +185,7 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
             out.add(point)
     ensure(len(out) == len(A.points), "compression must preserve cardinality")
     Q = q * m
-    return PointSet._raw(A.dim, _unscaled(frozenset(out), Q), Q == 1 or None)
+    return PointSet._raw(A.dim, _unscaled(Q, frozenset(out)), Q == 1 or None)
 
 
 def is_down_set(A: PointSet) -> bool:

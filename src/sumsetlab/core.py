@@ -8,7 +8,7 @@ because Python guarantees ``hash(Fraction(2, 1)) == hash(2)``.
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
-:func:`weighted_sumset`) goes through one engine, :func:`_sum_points`.  It
+:func:`weighted_sumset`) goes through one engine, :func:`_scaled_sum`.  It
 packs each distinct summand once into integers in the mixed radix of the
 final sum's bounding box, folds, and decodes once.  The fold is an ``int``
 bitmap (one shift and OR per summand point) when the box has at most
@@ -16,7 +16,9 @@ bitmap (one shift and OR per summand point) when the box has at most
 ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of packed integers that
 adds every pair.  The choice depends only on the summands' sizes and
 bounding boxes, and both folds return the same set.  A rational sum is
-scaled by q, the lcm of its coordinate denominators, and divided back by q.
+scaled by q, the lcm of its coordinate denominators, and divided back by q
+only when a ``PointSet`` is asked for: the ``sumset`` command writes the
+scaled sum out as it is (:func:`serialization.encode_points`).
 :func:`sumset_size` runs the same scaling and folds and counts the result
 without decoding it: the bitmap's set bits, or the size of the packed set.
 
@@ -371,22 +373,33 @@ def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[Collection[
     return q, [scaled[id(A)] for A in sets]
 
 
-def _unscaled(points: frozenset, q: int) -> frozenset:
+def _unscaled(q: int, points: frozenset) -> frozenset:
     """Integral points divided by q: each coordinate c becomes ``c // q``, or
-    ``Fraction(c, q)`` if q does not divide c."""
+    ``Fraction(c, q)`` if q does not divide c.  Each distinct coordinate is
+    converted once."""
     if q == 1:
         return points
-    return frozenset(tuple(c // q if c % q == 0 else Fraction(c, q) for c in p) for p in points)
+    coords = set(itertools.chain.from_iterable(points))
+    table = {c: c // q if c % q == 0 else Fraction(c, q) for c in coords}
+    return frozenset(tuple(map(table.__getitem__, p)) for p in points)
+
+
+def _scaled_sum(sets: Sequence[PointSet]) -> tuple[int, frozenset]:
+    """(q, q(A_1 + ... + A_k)): the one engine behind every sumset.  The
+    summands are scaled to integral points by :func:`_scaled`, added by
+    :func:`_integral_fold` and decoded; the sum is left scaled by q, so a
+    caller that only writes it out never builds a ``Fraction``."""
+    q, scaled = _scaled(sets)
+    if len(scaled) == 1:
+        return q, scaled[0]
+    return q, _decode(*_integral_fold(scaled))
 
 
 def _sum_points(sets: Sequence[PointSet]) -> frozenset:
-    """The points of A_1 + ... + A_k: the one engine behind every sumset.  The
-    summands are scaled to integral points by :func:`_scaled`, added by
-    :func:`_integral_fold`, decoded, and divided back by q."""
+    """The points of A_1 + ... + A_k: :func:`_scaled_sum` divided back by q."""
     if len(sets) == 1:
         return sets[0].points
-    q, scaled = _scaled(sets)
-    return _unscaled(_decode(*_integral_fold(scaled)), q)
+    return _unscaled(*_scaled_sum(sets))
 
 
 def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], int]:

@@ -3,12 +3,23 @@
 Coordinates are written as decimal strings ("5", "-3/4") rather than floats:
 round-tripping must be exact.  All emitters sort keys and order points
 canonically so identical mathematical objects serialize to identical bytes.
+
+A point set is encoded from its scaled integer form (q, integral points), the
+form the sumset engine computes (:func:`core._scaled`): :func:`encode_points`
+reduces each distinct coordinate c to (c/g, q/g) with g = gcd(c, q) once, and
+writes it with the same formatter as :func:`encode_coord`, so no ``Fraction``
+is built to print a point.  Canonical order is lexicographic on (numerator,
+denominator) per coordinate, which is not numeric order: 1/2 comes before
+1/3.  For q = 1 every key is (c, 1), so integral points sort as they are.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
+from typing import Collection
 
 from .core import (
     Basis,
@@ -17,13 +28,20 @@ from .core import (
     PointSet,
     RationalMatrix,
     Vec,
+    _scaled,
     as_coord,
 )
 
 
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """The one text form of an exact number in lowest terms: "7" or "-3/7".
+    An integer is its ``str``."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def encode_coord(c: Coord) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
+    if isinstance(c, Fraction):
+        return _ratio_text(c.numerator, c.denominator)
     return str(int(c))
 
 
@@ -50,11 +68,29 @@ def decode_point(raw, dim: int) -> Vec:
     return tuple(decode_coord(c) for c in raw)
 
 
+def encode_points(q: int, points: Collection[tuple[int, ...]]) -> list[list[str]]:
+    """The points p / q, for integral points p, as coordinate strings in
+    canonical order.  For q = 1 every key is (c, 1), so the points sort as
+    they are.  Otherwise each distinct coordinate c is reduced once to its key
+    (c/g, q/g), g = gcd(c, q), and to its text, and the points sort as tuples
+    of the ranks of their coordinates' keys."""
+    if q == 1:
+        return [list(map(str, p)) for p in sorted(points)]
+    keys = {}
+    for c in set(itertools.chain.from_iterable(points)):
+        g = math.gcd(c, q)
+        keys[c] = (c // g, q // g)
+    order = sorted(keys, key=keys.__getitem__)
+    rank = {c: i for i, c in enumerate(order)}
+    texts = [_ratio_text(*keys[c]) for c in order]
+    # by columns, so that every lookup runs inside map and zip
+    ranked = sorted(zip(*[map(rank.__getitem__, col) for col in zip(*points)]))
+    return list(map(list, zip(*[map(texts.__getitem__, col) for col in zip(*ranked)])))
+
+
 def pointset_to_dict(A: PointSet) -> dict:
-    return {
-        "dim": A.dim,
-        "points": [encode_point(p) for p in A.sorted_points()],
-    }
+    q, (points,) = _scaled([A])
+    return {"dim": A.dim, "points": encode_points(q, points)}
 
 
 def pointset_from_dict(data: dict) -> PointSet:

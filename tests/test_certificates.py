@@ -159,6 +159,18 @@ class TestCanonicalJson:
         A = PointSet(2, [(F(1, 2), -3), (0, 0), (2, F(-5, 4))])
         assert digest([A, {"k": 2}]) == digest([pointset_to_dict(A), {"k": 2}])
 
+    def test_rational_inputs_digest_pinned(self):
+        # recorded before point sets were encoded from their scaled integer
+        # form; T has coordinates whose key order is not numeric order
+        T = PointSet(3, [(0, 0, 0), (F(1, 2), 1, F(-2, 3)), (F(1, 2), 2, 0), (F(1, 2), F(5, 2), 0),
+                         (2, F(1, 4), 1), (-1, F(3, 4), F(5, 6)), (-1, F(3, 4), F(1, 6))])
+        assert check_elementary([_RATIONAL, cube(2, 1)]).inputs_digest == (
+            "aae45e96a187cbe7d0e8b3f1de864d9dea0f1eb97bd0aa5b4dbf38f798abc572"
+        )
+        assert check_elementary([T, T]).inputs_digest == (
+            "7409fc5db23cabc9d3050ddde9415fde15ab32b67f96f58be614b71a804ccfd5"
+        )
+
     def test_digest_independent_of_key_order(self):
         assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
 

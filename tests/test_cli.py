@@ -121,6 +121,13 @@ class TestSumset:
         code, out, err = call("sumset", "--set", h, "--k", "3", "--budget", "3720")
         assert code == 2 and "budget" in err and out == ""
 
+    def test_mixed_dimensions_rejected(self, call, workset):
+        _, write = workset
+        a = write("a.json", pointset_to_dict(PointSet(1, [(0,), (1,)])))
+        b = write("b.json", pointset_to_dict(PointSet(2, [(0, 0), (1, 1)])))
+        code, out, err = call("sumset", "--sets", a, b)
+        assert code == 2 and "mixed dimensions" in err and out == ""
+
     def test_budget_guard(self, call, workset):
         _, write = workset
         a = write("a.json", pointset_to_dict(long_simplex(2, 12)))
@@ -132,6 +139,75 @@ class TestSumset:
         bad = write("bad.json", {"dim": 2, "points": []})
         code, _, err = call("sumset", "--set", bad)
         assert code == 2 and "error" in err
+
+
+class TestRationalOutputPinned:
+    """stdout of rational sums, compressions and projections, pinned as the
+    sha256 of the bytes written before points were encoded from their scaled
+    integer form."""
+
+    R = PointSet(2, [(0, 0), (Fraction(1, 2), 1), (Fraction(2, 3), Fraction(-1, 3)), (3, Fraction(5, 4)),
+                     (-1, Fraction(1, 6)), (Fraction(7, 5), 2)])
+    # three summands with denominators {2, 3}, {4, 5} and {3, 6}
+    SUMMANDS = [
+        PointSet(2, [(0, 0), (Fraction(1, 2), 1), (3, Fraction(-1, 3))]),
+        PointSet(2, [(Fraction(1, 5), 0), (-2, Fraction(3, 4)), (1, 1)]),
+        PointSet(2, [(0, Fraction(1, 6)), (Fraction(7, 3), 2)]),
+    ]
+    T = PointSet(3, [(0, 0, 0), (Fraction(1, 2), 1, Fraction(-2, 3)), (Fraction(1, 2), 2, 0),
+                     (Fraction(1, 2), Fraction(5, 2), 0), (2, Fraction(1, 4), 1),
+                     (-1, Fraction(3, 4), Fraction(5, 6)), (-1, Fraction(3, 4), Fraction(1, 6))])
+
+    @staticmethod
+    def sha(call, *argv):
+        code, out, _ = call(*argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_sets_of_different_denominators(self, call, workset):
+        _, write = workset
+        paths = [write(f"s{i}.json", pointset_to_dict(A)) for i, A in enumerate(self.SUMMANDS)]
+        assert self.sha(call, "sumset", "--sets", *paths) == (
+            "2e7ce1102999aa8a83fdf65d529bd2833f4d246a184c4c3e36dd723824513816"
+        )
+
+    def test_single_fold(self, call, workset):
+        _, write = workset
+        r = write("r.json", pointset_to_dict(self.R))
+        assert self.sha(call, "sumset", "--set", r, "--k", "1") == (
+            "0036d4b09e879e418858860ef04e0d027744f948beeaf597ac5b35fb93ef6d13"
+        )
+
+    def test_threefold(self, call, tmp_path):
+        # the set of the "Golden rational sumset stdout" CI step, written as there
+        path = tmp_path / "rat.json"
+        path.write_text('{"dim": 2, "points": [["1/3", "0"], ["1/2", "2/5"], ["-7/6", "3"], ["4", "-1/10"],'
+                        ' ["0", "0"], ["5/4", "-3/8"]]}')
+        assert self.sha(call, "sumset", "--set", str(path), "--k", "3") == (
+            "f2780bd5e1e4ad8aad405bdac16ca0306043fb33456f14a75b3871b892939e10"
+        )
+
+    def test_rational_system(self, call, workset):
+        _, write = workset
+        r = write("r.json", pointset_to_dict(self.R))
+        s = write("s.json", {"dim": 2, "maps": [[["1/2", "0"], ["0", "1"]], [["1", "1/3"], ["0", "2"]]]})
+        assert self.sha(call, "sumset", "--set", r, "--system", s) == (
+            "6207d07815f8ec1022a98755f68f4e25be1355f2b0a2c8975c353ac762f4ab73"
+        )
+
+    def test_compress(self, call, workset):
+        _, write = workset
+        t = write("t.json", pointset_to_dict(self.T))
+        assert self.sha(call, "compress", "--set", t, "--axis", "2") == (
+            "63e235b545fc7fbf21244bf84eafea4943b91f2680960e862ef8070b7e1d2879"
+        )
+
+    def test_project(self, call, workset):
+        _, write = workset
+        t = write("t.json", pointset_to_dict(self.T))
+        assert self.sha(call, "project", "--set", t, "--coords", "1,2") == (
+            "bea1dbe33594809036271b35479c8207d90d9f6d3616eb057a9c4ed688d313c9"
+        )
 
 
 class TestCompressReduceProject:

@@ -376,6 +376,31 @@ class TestRationalSums:
         assert seen == [fold]
 
 
+class TestUnscaled:
+    """``core._unscaled`` converts each distinct coordinate once; it must give
+    the points, and the type of every coordinate, of the per-point division."""
+
+    @staticmethod
+    def per_point(points, q):
+        return frozenset(tuple(c // q if c % q == 0 else Fraction(c, q) for c in p) for p in points)
+
+    @given(data=st.data())
+    def test_matches_per_point_division(self, data):
+        dim = data.draw(st.integers(1, 4))
+        q = data.draw(st.integers(1, 60))
+        coord = st.integers(-3 * q, 3 * q) | st.just(0)
+        points = data.draw(st.frozensets(st.tuples(*[coord] * dim), min_size=1, max_size=40))
+        got = core._unscaled(q, points)
+        assert typed(got) == typed(self.per_point(points, q))
+
+    def test_shared_coordinates_and_signs(self):
+        points = frozenset({(-6, 0, 3), (3, -3, 0), (0, 5, -4), (-1, 6, 9)})
+        got = core._unscaled(6, points)
+        assert got == {(-1, 0, Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2), 0),
+                       (0, Fraction(5, 6), Fraction(-2, 3)), (Fraction(-1, 6), 1, Fraction(3, 2))}
+        assert typed(got) == typed(self.per_point(points, 6))
+
+
 class TestSumsetSize:
     """``sumset_size`` counts the folds of the engine without decoding them:
     against ``len(naive_sumset)`` on both folds and on rational sums, and

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RATIONAL_VALUES, point_sets, rational_coords
+from conftest import INT_VALUES, MIXED_VALUES, RATIONAL_VALUES, point_sets, rational_coords, values
 from sumsetlab import Basis, CompressionSpec, LinearSystem, PointSet, RationalMatrix
+from sumsetlab.core import _scaled, point_sort_key
 from sumsetlab.serialization import (
     basis_from_dict,
     basis_to_dict,
     decode_coord,
     dumps_canonical,
     encode_coord,
+    encode_point,
+    encode_points,
     matrix_from_dict,
     matrix_from_rows,
     matrix_to_dict,
@@ -80,6 +83,48 @@ class TestPointSetCodec:
     @given(point_sets(2, coords=RATIONAL_VALUES))
     def test_round_trip(self, A):
         assert pointset_from_dict(pointset_to_dict(A)) == A
+
+
+def old_recipe(A):
+    """The point encoding of earlier versions: ``Fraction`` coordinates sorted by
+    ``point_sort_key`` and written one at a time by ``encode_point``."""
+    return [encode_point(p) for p in sorted(A.points, key=point_sort_key)]
+
+
+# negative and zero coordinates with denominators up to 12
+TWELFTHS = values(-2, 2, max_denominator=12)
+
+
+class TestEncodePoints:
+    """``encode_points`` writes (q, integral points) without building a
+    ``Fraction``; ``pointset_to_dict`` and certificate digests go through it."""
+
+    @given(data=st.data())
+    def test_matches_old_recipe(self, data):
+        dim = data.draw(st.integers(1, 4))
+        coords = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES, TWELFTHS]))
+        A = data.draw(point_sets(dim, max_size=30, coords=coords))
+        q, (points,) = _scaled([A])
+        assert encode_points(q, points) == old_recipe(A)
+        assert pointset_to_dict(A) == {"dim": dim, "points": old_recipe(A)}
+
+    @given(data=st.data())
+    def test_any_scale(self, data):
+        # a sum keeps the lcm q of its summands, also when q divides every point
+        dim = data.draw(st.integers(1, 4))
+        q = data.draw(st.integers(1, 60))
+        coord = st.integers(-3 * q, 3 * q) | st.sampled_from([0, q, -q])
+        points = data.draw(st.frozensets(st.tuples(*[coord] * dim), min_size=1, max_size=30))
+        A = PointSet(dim, [[Fraction(c, q) for c in p] for p in points])
+        assert encode_points(q, points) == old_recipe(A)
+
+    def test_order_is_by_numerator_then_denominator(self):
+        # 1/2, 1/3, 1/4 are keyed (1, 2) < (1, 3) < (1, 4): not numeric order
+        assert encode_points(12, {(3,), (4,), (6,)}) == [["1/2"], ["1/3"], ["1/4"]]
+        assert encode_points(12, {(3, -12), (3, 0), (-6, 24)}) == [["-1/2", "2"], ["1/4", "-1"], ["1/4", "0"]]
+
+    def test_integral_points_sort_as_tuples(self):
+        assert encode_points(1, {(2, -1), (-3, 5), (2, -7)}) == [["-3", "5"], ["2", "-7"], ["2", "-1"]]
 
 
 class TestMatrixCodec:
