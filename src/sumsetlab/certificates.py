@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .core import InvariantError, PointSet
+from .core import PointSet
 from .serialization import encode_coord, pointset_to_dict
 
 HOLDS = "Holds"
@@ -110,50 +110,26 @@ class Interval:
 
 def int_nth_root(n: int, d: int) -> tuple[int, bool]:
     """(floor(n ** (1/d)), whether n is a perfect d-th power) for n >= 0 and
-    d >= 1, in integer arithmetic.  d = 2 is ``math.isqrt``; d >= 3 is
-    :func:`_floor_root`."""
+    d >= 1, in integer arithmetic.
+
+    d = 2 is ``math.isqrt``.  For d >= 3, integer Newton starts at
+    x = 2**ceil(bitlen(n) / d), which exceeds n ** (1/d), and steps to
+    ((d-1) x + n // x**(d-1)) // d while that decreases.  Each step is at
+    least floor(n ** (1/d)) by the AM-GM inequality, and it decreases
+    whenever x ** d > n, so the last x is the floor.
+    """
     if d == 1 or n < 2:
         return n, True
-    root = math.isqrt(n) if d == 2 else _floor_root(n, d)
-    return root, root ** d == n
-
-
-# Below this many bits of the root, Newton starts from a power of two: up to
-# roots of about 200 bits (d = 3..5) that start was as fast as a seeded one.
-_SEED_BITS = 192
-
-
-def _floor_root(n: int, d: int) -> int:
-    """floor(n ** (1/d)) for n >= 1 and d >= 3 by integer Newton.
-
-    The seed is the d-th root of the top bits of n, rounded up: with
-    t = bitlen(n) // 2d and top = n >> dt, it is
-    (floor(top ** (1/d)) + 1) * 2**t, the root of top found the same way.
-    Since n < (top + 1) * 2**dt and top + 1 <= (floor(top ** (1/d)) + 1) ** d,
-    the seed exceeds n ** (1/d), and it is right in about half the root's
-    bits, so a step or two finishes.  A root of fewer than about
-    ``_SEED_BITS`` bits (2t < ``_SEED_BITS``) starts from
-    2**ceil(bitlen(n) / d) instead, which exceeds n ** (1/d) as well.  The
-    seed is checked to exceed the root before stepping.
-
-    Newton steps to ((d-1) x + n // x**(d-1)) // d while that decreases.
-    Each step is at least floor(n ** (1/d)) by the AM-GM inequality, and it
-    decreases whenever x ** d > n, so the last x is the floor.
-    """
-    t = n.bit_length() // (2 * d)
-    if 2 * t < _SEED_BITS:
-        root = 1 << -(-n.bit_length() // d)
+    if d == 2:
+        root = math.isqrt(n)
     else:
-        root = (_floor_root(n >> (d * t), d) + 1) << t
-    power = root ** (d - 1)
-    if root * power <= n:
-        raise InvariantError(f"Newton seed below the {d}-th root")
-    while True:
-        step = ((d - 1) * root + n // power) // d
-        if step >= root:
-            return root
-        root = step
-        power = root ** (d - 1)
+        root = 1 << -(-n.bit_length() // d)
+        while True:
+            step = ((d - 1) * root + n // root ** (d - 1)) // d
+            if step >= root:
+                break
+            root = step
+    return root, root ** d == n
 
 
 def int_nth_root_interval(n: int, d: int, bits: int) -> Interval:

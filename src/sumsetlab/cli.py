@@ -49,11 +49,10 @@ from .compression import (
 from .core import (
     PointSet,
     Subspace,
-    _require_same_dim,
-    _scaled_sum,
     estimated_sum_size,
     linear_image,
     project,
+    scaled_sumset,
 )
 from .generators import (
     cube,
@@ -311,10 +310,9 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         raise CliError("sumset needs --sets or --set")
     if not summands:
         raise CliError("no summands given")
-    dim = _require_same_dim(summands)
     _guard_budget(summands, args.budget)
     # the sum is written from its scaled form: a rational sum is never unscaled
-    q, points = _scaled_sum(summands)
+    dim, q, points = scaled_sumset(summands)
     _emit_set({"dim": dim, "points": encode_points(q, points)}, args)
     print(f"size {len(points)}", file=sys.stderr)
     return 0

@@ -8,7 +8,7 @@ because Python guarantees ``hash(Fraction(2, 1)) == hash(2)``.
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
-:func:`weighted_sumset`) goes through one engine, :func:`_scaled_sum`.  It
+:func:`weighted_sumset`) goes through one engine, :func:`scaled_sumset`.  It
 packs each distinct summand once into integers in the mixed radix of the
 final sum's bounding box, folds, and decodes once.  The fold is an ``int``
 bitmap (one shift and OR per summand point) when the box has at most
@@ -384,24 +384,6 @@ def _unscaled(q: int, points: frozenset) -> frozenset:
     return frozenset(tuple(map(table.__getitem__, p)) for p in points)
 
 
-def _scaled_sum(sets: Sequence[PointSet]) -> tuple[int, frozenset]:
-    """(q, q(A_1 + ... + A_k)): the one engine behind every sumset.  The
-    summands are scaled to integral points by :func:`_scaled`, added by
-    :func:`_integral_fold` and decoded; the sum is left scaled by q, so a
-    caller that only writes it out never builds a ``Fraction``."""
-    q, scaled = _scaled(sets)
-    if len(scaled) == 1:
-        return q, scaled[0]
-    return q, _decode(*_integral_fold(scaled))
-
-
-def _sum_points(sets: Sequence[PointSet]) -> frozenset:
-    """The points of A_1 + ... + A_k: :func:`_scaled_sum` divided back by q."""
-    if len(sets) == 1:
-        return sets[0].points
-    return _unscaled(*_scaled_sum(sets))
-
-
 def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], int]:
     sets = list(sets)
     if not sets:
@@ -409,9 +391,22 @@ def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], in
     return sets, _require_same_dim(sets)
 
 
+def scaled_sumset(sets: Sequence[PointSet]) -> tuple[int, int, frozenset]:
+    """(d, q, q(A_1 + ... + A_k)): the one engine behind every sumset.  The
+    summands must be non-empty and share the dimension d.  They are scaled to
+    integral points by :func:`_scaled`, added by :func:`_integral_fold` and
+    decoded; the sum is left scaled by q, so a caller that only writes it out
+    never builds a ``Fraction``."""
+    sets, dim = _summands(sets, "a sumset")
+    q, scaled = _scaled(sets)
+    if len(scaled) == 1:
+        return dim, q, scaled[0]
+    return dim, q, _decode(*_integral_fold(scaled))
+
+
 def sumset_size(sets: Sequence[PointSet]) -> int:
     """|A_1 + ... + A_k|, from the same scaling and folds as
-    :func:`minkowski_sum` but without decoding the sum: the bitmap's set bits
+    :func:`scaled_sumset` but without decoding the sum: the bitmap's set bits
     or the packed set's size are counted."""
     sets, _ = _summands(sets, "sumset_size")
     if len(sets) == 1:
@@ -420,18 +415,26 @@ def sumset_size(sets: Sequence[PointSet]) -> int:
     return folded.bit_count() if type(folded) is int else len(folded)
 
 
+def _sum(sets: list[PointSet]) -> PointSet:
+    """A_1 + ... + A_k as a ``PointSet``: :func:`scaled_sumset` divided back
+    by q."""
+    if len(sets) == 1:
+        return sets[0]
+    dim, q, points = scaled_sumset(sets)
+    # a rational sum can have only integral points: its flag is read from them
+    return PointSet._raw(dim, _unscaled(q, points), all(A.is_integral for A in sets) or None)
+
+
 def minkowski_sum(sets: Sequence[PointSet]) -> PointSet:
     """A_1 + ... + A_k = {a_1 + ... + a_k}."""
-    sets, dim = _summands(sets, "minkowski_sum")
-    # a rational sum can have only integral points: its flag is read from them
-    return PointSet._raw(dim, _sum_points(sets), all(A.is_integral for A in sets) or None)
+    return _sum(list(sets))
 
 
 def iterated_sumset(A: PointSet, k: int) -> PointSet:
     """kA = A + ... + A (k summands), k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return PointSet._raw(A.dim, _sum_points([A] * k), A.is_integral or None)
+    return _sum([A] * k)
 
 
 # ---------------------------------------------------------------------------

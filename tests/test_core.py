@@ -376,6 +376,30 @@ class TestRationalSums:
         assert seen == [fold]
 
 
+class TestScaledSumset:
+    """``core.scaled_sumset`` is the engine's public entry: it checks the
+    summands and returns (d, q, q(A_1 + ... + A_k)) with q the lcm of every
+    coordinate denominator, integral points and no ``Fraction``."""
+
+    @given(data=st.data())
+    def test_scaled_points(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
+        k = data.draw(st.integers(1, 4))
+        sets = [data.draw(point_sets(dim, max_size=5, coords=data.draw(coords))) for _ in range(k)]
+        d, q, points = core.scaled_sumset(sets)
+        assert d == dim
+        assert q == math.lcm(*(c.denominator for A in sets for p in A for c in p))
+        assert all(type(c) is int for p in points for c in p)
+        assert {tuple(Fraction(c, q) for c in p) for p in points} == naive_sumset(sets)
+
+    def test_summands_checked(self):
+        with pytest.raises(EmptySetError):
+            core.scaled_sumset([])
+        with pytest.raises(DimensionMismatchError):
+            core.scaled_sumset([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
+
+
 class TestUnscaled:
     """``core._unscaled`` converts each distinct coordinate once; it must give
     the points, and the type of every coordinate, of the per-point division."""
