@@ -22,6 +22,13 @@ scaled sum out as it is (:func:`serialization.encode_points`).
 :func:`sumset_size` runs the same scaling and folds and counts the result
 without decoding it: the bitmap's set bits, or the size of the packed set.
 
+Inside a :func:`sum_limit` block, the engine refuses with
+:class:`BudgetError`, before packing anything, every sum of two or more
+summands that could exceed the limit: the product of the summand sizes,
+capped by the cells of the scaled sum's bounding box.  The limit is a context
+variable, so it ends with its block; library calls outside any block have
+none.  The command line enters one block per command with ``--budget``.
+
 Integral inputs
 ---------------
 Outside the engine, integral inputs take integer paths as well.
@@ -51,6 +58,8 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from fractions import Fraction
@@ -71,6 +80,10 @@ class EmptySetError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A matrix that must be invertible is not."""
+
+
+class BudgetError(ValueError):
+    """A sum could have more points than the limit of :func:`sum_limit`."""
 
 
 class InvariantError(RuntimeError):
@@ -230,6 +243,24 @@ _BITMAP_DENSITY = 8
 # 4M cells always take the pair-set fold.
 _BITMAP_MAX_CELLS = 1 << 22
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# The most points a sum may have, or None for no limit; see sum_limit.
+_SUM_LIMIT: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "sum_limit", default=None
+)
+
+
+@contextlib.contextmanager
+def sum_limit(limit: int | None) -> Iterator[None]:
+    """Within the block, refuse with :class:`BudgetError` every sum of two or
+    more summands whose bound exceeds ``limit`` points: the product of the
+    summand sizes, capped by the cells of the (scaled) sum's bounding box.
+    The sum is refused before it is built.  On exit the previous limit is
+    restored; outside any block there is none."""
+    token = _SUM_LIMIT.set(limit)
+    try:
+        yield
+    finally:
+        _SUM_LIMIT.reset(token)
 
 
 def _extents(sets: Sequence[Collection[Vec]]) -> list[tuple[list[tuple], list[int], list[int]]]:
@@ -246,22 +277,6 @@ def _extents(sets: Sequence[Collection[Vec]]) -> list[tuple[list[tuple], list[in
 def _side(low: int, high: int) -> int:
     """Number of integers in [low, high]."""
     return high - low + 1
-
-
-def _sum_box(extents: Sequence[tuple]) -> tuple[list[int], list[int]]:
-    """Lower corner and side lengths of the bounding box of a sum, from the
-    :func:`_extents` of its summands."""
-    lows = [sum(col) for col in zip(*(mins for _, mins, _ in extents))]
-    highs = [sum(col) for col in zip(*(maxs for _, _, maxs in extents))]
-    return lows, list(map(_side, lows, highs))
-
-
-def estimated_sum_size(sets: Sequence[PointSet]) -> int:
-    """Upper bound for |A_1 + ... + A_k| without computing the sum: the product
-    of the sizes and the volume of the sum's bounding box, scaled by q as in
-    :func:`_scaled`."""
-    product = math.prod(len(A) for A in sets)
-    return min(product, math.prod(_sum_box(_extents(_scaled(sets)[1]))[1]))
 
 
 def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
@@ -310,8 +325,9 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     ``itertools.product`` order over the box.  Each distinct summand is packed
     once.  :func:`_bitmap_fold` runs when the box has at most
     ``_BITMAP_DENSITY`` cells per pair that :func:`_pair_fold` would add (each
-    partial sum bounded as in :func:`estimated_sum_size`) and at most
-    ``_BITMAP_MAX_CELLS`` cells.
+    partial sum bounded by the product of its sizes and its box's cells) and
+    at most ``_BITMAP_MAX_CELLS`` cells.  The same bound of the whole sum is
+    checked against :func:`sum_limit` before anything is packed.
     """
     extents = _extents(sets)
     # running sums of the minima and maxima give each prefix sum's box
@@ -322,6 +338,10 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
         product *= len(A)
         lows, highs = list(map(add, lows, mins)), list(map(add, highs, maxs))
     sides = list(map(_side, lows, highs))
+    cells = math.prod(sides)
+    bound, limit = min(product, cells), _SUM_LIMIT.get()
+    if limit is not None and bound > limit:
+        raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
         weights[i - 1] = weights[i] * sides[i]
@@ -330,7 +350,6 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
         if id(A) not in packed_by_id:
             packed_by_id[id(A)] = _pack(cols, mins, weights)
     packed = [packed_by_id[id(A)] for A in sets]
-    cells = math.prod(sides)
     if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * work:
         return _bitmap_fold(packed, cells), lows, sides
     return _pair_fold(packed), lows, sides

@@ -118,6 +118,7 @@ class CriterionReport:
 
 class _Recorder:
     def __init__(self) -> None:
+        self.started = time.perf_counter()
         self.checked = 0
         self.failed = 0
         self.failures: list[str] = []
@@ -138,7 +139,7 @@ class _Recorder:
             ok = ok and cert.slack == 0
         return self.check(ok, f"{label}: verdict={cert.verdict} slack={cert.slack}")
 
-    def report(self, name: str, details: dict, started: float) -> CriterionReport:
+    def report(self, name: str, details: dict) -> CriterionReport:
         return CriterionReport(
             name=name,
             passed=self.failed == 0,
@@ -146,7 +147,7 @@ class _Recorder:
             checked_failed=self.failed,
             failures=tuple(self.failures),
             details=details,
-            seconds=time.perf_counter() - started,
+            seconds=time.perf_counter() - self.started,
         )
 
 
@@ -159,7 +160,6 @@ def _simplex_grid(d_max: int, n_max: int, k_max: int) -> Iterable[tuple[int, int
 
 def exact_formula_grid(d_max: int = 4, n_max: int = 12, k_max: int = 6) -> CriterionReport:
     """closed-form |k A_{d,N}| equals brute force on the whole (d, N, k) grid."""
-    started = time.perf_counter()
     rec = _Recorder()
     cases = 0
     for d, N, k in _simplex_grid(d_max, n_max, k_max):
@@ -169,7 +169,6 @@ def exact_formula_grid(d_max: int = 4, n_max: int = 12, k_max: int = 6) -> Crite
     return rec.report(
         "exact_formula_grid",
         {"cases": cases, "d_max": d_max, "n_max": n_max, "k_max": k_max},
-        started,
     )
 
 
@@ -177,7 +176,6 @@ def kfold_lower_bound_equality_family(
     d_max: int = 4, n_max: int = 12, k_max: int = 6, samples: int = 500
 ) -> CriterionReport:
     """k-fold lower bound: slack 0 on every long simplex, Holds on random sets."""
-    started = time.perf_counter()
     rec = _Recorder()
     for d, N, k in _simplex_grid(d_max, n_max, k_max):
         cert = check_freiman_kfold(long_simplex(d, N), k)
@@ -194,7 +192,6 @@ def kfold_lower_bound_equality_family(
     return rec.report(
         "kfold_lower_bound_equality_family",
         {"grid_cases": sum(1 for _ in _simplex_grid(d_max, n_max, k_max)), "samples": samples},
-        started,
     )
 
 
@@ -207,7 +204,6 @@ def planar_bound_grids(side_max: int = 4, k_max: int = 4, samples: int = 1000) -
     The statement is symmetric in the summands, so the grid sweep checks one
     representative per multiset of grid shapes.
     """
-    started = time.perf_counter()
     rec = _Recorder()
     shapes = [(n, m) for n in range(1, side_max + 1) for m in range(1, side_max + 1)]
     grid_cases = 0
@@ -229,7 +225,6 @@ def planar_bound_grids(side_max: int = 4, k_max: int = 4, samples: int = 1000) -
     return rec.report(
         "planar_bound_grids",
         {"grid_cases": grid_cases, "samples": samples, "side_max": side_max},
-        started,
     )
 
 
@@ -245,7 +240,6 @@ def _random_spec(params: _Params, d: int) -> CompressionSpec:
 
 def compression_laws(samples: int = 1000) -> CriterionReport:
     """Compression preserves cardinality, never grows sumsets or projections."""
-    started = time.perf_counter()
     rec = _Recorder()
     params = _Params(0x1F6E_0003)
     for i in range(samples):
@@ -265,12 +259,11 @@ def compression_laws(samples: int = 1000) -> CriterionReport:
             coords = sorted(params.choice(list(combinations(range(1, d + 1), size))))
             cert = check_projection_monotone(sets, axis, None, coords)
             rec.certificate(cert, f"projection_monotone #{i} axis={axis} I={coords}")
-    return rec.report("compression_laws", {"samples": samples}, started)
+    return rec.report("compression_laws", {"samples": samples})
 
 
 def rotation_reproduction(n_max: int = 5) -> CriterionReport:
     """Rotation systems: exact sumset size (2dN+1)^d, irreducible, coprime."""
-    started = time.perf_counter()
     rec = _Recorder()
     for d in (2, 3):
         system = rotation_system(d)
@@ -282,25 +275,23 @@ def rotation_reproduction(n_max: int = 5) -> CriterionReport:
             got = _weighted_size(system, cube(d, N))
             want = (2 * d * N + 1) ** d
             rec.check(got == want, f"rotation d={d} N={N}: {got} != {want}")
-    return rec.report("rotation_reproduction", {"n_max": n_max}, started)
+    return rec.report("rotation_reproduction", {"n_max": n_max})
 
 
 def shear_regression(n_max: int = 50) -> CriterionReport:
     """Shear pair: |X| = 2N-1 while the weighted sumset fills (2N-1)^2."""
-    started = time.perf_counter()
     rec = _Recorder()
     for N in range(1, n_max + 1):
         system, X = shear_counterexample(N)
         rec.check(len(X) == 2 * N - 1, f"|X| N={N}")
         got = _weighted_size(system, X)
         rec.check(got == (2 * N - 1) ** 2, f"|L1X + L2X| N={N}: {got}")
-    return rec.report("shear_regression", {"n_max": n_max}, started)
+    return rec.report("shear_regression", {"n_max": n_max})
 
 
 def sumset_ratio_family(samples: int = 1000) -> CriterionReport:
     """Ruzsa triangle, Plünnecke-Ruzsa, iterated and linear variants hold on
     seeded random instances within their preconditions."""
-    started = time.perf_counter()
     rec = _Recorder()
     params = _Params(0x1F6E_0007)
     for i in range(samples):
@@ -326,13 +317,12 @@ def sumset_ratio_family(samples: int = 1000) -> CriterionReport:
         system = LinearSystem([identity, *tail.maps])
         A = random_set(2, params.range(1, size_cap), (0, box_hi), params.word())
         rec.certificate(check_linear_pr(system, A), f"linear_pr #{i} k={k}")
-    return rec.report("sumset_ratio_family", {"samples_per_family": samples}, started)
+    return rec.report("sumset_ratio_family", {"samples_per_family": samples})
 
 
 def brunn_minkowski_family(samples: int = 500) -> CriterionReport:
     """Discrete Brunn-Minkowski: never Violated, never Indeterminate at the
     default precision, and exact equality on equal 3x3 grids."""
-    started = time.perf_counter()
     rec = _Recorder()
     square = grid([(3, 3)])[0]
     cert = check_discrete_bm([square, square])
@@ -356,14 +346,12 @@ def brunn_minkowski_family(samples: int = 500) -> CriterionReport:
     return rec.report(
         "brunn_minkowski_family",
         {"samples": samples, "indeterminate": indeterminate},
-        started,
     )
 
 
 def main_term_deficit(n_max: int = 20) -> CriterionReport:
     """Planar rotation sweep: deficit exactly 8N+3, fitted exponent near 1/2,
     and the probe never reports Violated."""
-    started = time.perf_counter()
     rec = _Recorder()
     system = rotation_system(2)
     pairs = []
@@ -379,13 +367,11 @@ def main_term_deficit(n_max: int = 20) -> CriterionReport:
     return rec.report(
         "main_term_deficit",
         {"n_max": n_max, "fitted_exponent": f"{slope:.6f}"},
-        started,
     )
 
 
 def growth_polynomial_fit(k_max: int = 6) -> CriterionReport:
     """Growth of k A_{2,4} is (k+1)^2 and matches the reference polynomial."""
-    started = time.perf_counter()
     rec = _Recorder()
     report = khovanskii_probe(long_simplex(2, 4), k_max)
     rec.check(list(report.polynomial) == [1, 2, 1], f"polynomial {report.polynomial}")
@@ -396,14 +382,12 @@ def growth_polynomial_fit(k_max: int = 6) -> CriterionReport:
     return rec.report(
         "growth_polynomial_fit",
         {"k_max": k_max, "values": list(report.values)},
-        started,
     )
 
 
 def reduction_pipeline(samples: int = 200) -> CriterionReport:
     """Random planar sets reduce to the long simplex with non-increasing
     doubling along the replayed trace."""
-    started = time.perf_counter()
     rec = _Recorder()
     params = _Params(0x1F6E_000B)
     for i in range(samples):
@@ -417,7 +401,7 @@ def reduction_pipeline(samples: int = 200) -> CriterionReport:
             all(a >= b for a, b in zip(doublings, doublings[1:])),
             f"doubling not monotone #{i}: {doublings}",
         )
-    return rec.report("reduction_pipeline", {"samples": samples}, started)
+    return rec.report("reduction_pipeline", {"samples": samples})
 
 
 FULL_SUITE: dict[str, Callable[[], CriterionReport]] = {

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import sumsetlab
 from sumsetlab.cli import run
 from sumsetlab.serialization import dumps_canonical, pointset_to_dict
-from sumsetlab import PointSet, bounds, compression, long_simplex
+from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex
 
 
 @pytest.fixture
@@ -285,16 +286,20 @@ SET_FILE_EXTRA = {
 }
 
 
-def forbid_sums(monkeypatch):
-    """Make every sum a check could build fail, so a guard must refuse first."""
+def forbid_sums(monkeypatch, budget):
+    """Fail the test if the engine completes a fold whose bound, the product
+    of the summand sizes capped by the cells of the sum's box, exceeds
+    ``budget``: such a sum must be refused before it is built."""
+    fold = core._integral_fold
 
-    def no_sum(*args, **kwargs):
-        raise AssertionError("a sum was built despite the budget")
+    def spy(sets):
+        folded, lows, sides = fold(sets)
+        bound = min(math.prod(map(len, sets)), math.prod(sides))
+        if bound > budget:
+            raise AssertionError(f"a sum of up to {bound} points was built despite the budget of {budget}")
+        return folded, lows, sides
 
-    monkeypatch.setattr(bounds, "minkowski_sum", no_sum)
-    monkeypatch.setattr(bounds, "sumset_size", no_sum)
-    monkeypatch.setattr(compression, "minkowski_sum", no_sum)
-    monkeypatch.setattr(compression, "sumset_size", no_sum)
+    monkeypatch.setattr(core, "_integral_fold", spy)
 
 
 class TestVerify:
@@ -361,7 +366,7 @@ class TestVerify:
     def test_budget_guard_on_set_files(self, call, tmp_path, monkeypatch, statement, copies, budget):
         c = str(tmp_path / "c.json")
         assert call("gen", "cube", "--d", "2", "--N", "3", "-o", c)[0] == 0
-        forbid_sums(monkeypatch)
+        forbid_sums(monkeypatch, int(budget))
         argv = ("verify", statement, "--sets", *[c] * copies, *SET_FILE_EXTRA.get(statement, ()))
         code, out, err = call(*argv, "--budget", budget)
         assert code == 2 and "budget" in err and out == ""
@@ -405,7 +410,7 @@ class TestVerify:
         (tmp_path / "diagonal.json").write_text(dumps_canonical(diagonal))
         argv = ("verify", statement, "--sets", *sets, *extra)
         assert call(*argv, "--budget", str(bound))[0] == 0
-        forbid_sums(monkeypatch)
+        forbid_sums(monkeypatch, bound - 1)
         code, out, err = call(*argv, "--budget", str(bound - 1))
         assert code == 2 and "budget" in err and out == ""
 
@@ -524,6 +529,70 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e2a356fc27af6b84026282a352cb153049aba77e25d29bf904c53a60b35f1982"
         )
+
+
+class TestSumLimit:
+    """``--budget`` is one engine limit, entered by ``cli.run`` around every
+    command: C is the 7 x 7 cube, whose sums C + C and C + C + C have 169
+    and 361 points, and rot the planar rotation system."""
+
+    @pytest.fixture
+    def cube7(self, call, tmp_path, monkeypatch):
+        """Writes C and rot to the working directory and returns C."""
+        monkeypatch.chdir(tmp_path)
+        assert call("gen", "cube", "--d", "2", "--N", "3", "-o", "C")[0] == 0
+        assert call("gen", "rotation", "--d", "2", "-o", "rot")[0] == 0
+        return PointSet(2, [(i, j) for i in range(-3, 4) for j in range(-3, 4)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "linear_pr", "--system", "rot", "--set", "C"),
+            ("verify", "fiber_bound", "--system", "rot", "--set", "C", "--subspace", "1,0"),
+            ("verify", "simplex_formula", "--d", "2", "--N", "4", "--k", "2"),
+            ("probe", "main-term", "--system", "rot", "--set", "C"),
+            ("probe", "det-main-term", "--system", "rot", "--set", "C"),
+            ("probe", "khovanskii", "--set", "C"),
+            ("suite", "smoke"),
+        ],
+    )
+    def test_every_command_refuses(self, call, cube7, argv):
+        code, out, err = call(*argv, "--budget", "10")
+        assert code == 2 and "budget" in err and out == ""
+
+    def test_one_summand_is_not_a_sum(self, call, cube7):
+        code, out, _ = call("sumset", "--set", "C", "--k", "1", "--budget", "1")
+        assert code == 0 and json.loads(out)["size"] == 49
+
+    @pytest.mark.parametrize("budget, exit_code", [("169", 0), ("10", 2)])
+    def test_no_limit_after_run(self, call, cube7, budget, exit_code):
+        assert call("sumset", "--set", "C", "--k", "2", "--budget", budget)[0] == exit_code
+        assert len(iterated_sumset(cube7, 3)) == 361
+
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            (("sum_monotone", "--sets", "C", "C", "C", "--axis", "1"), {"compress": 4, "project": 0}),
+            (("projection_monotone", "--sets", "C", "C", "--axis", "1", "--coords", "1"),
+             {"compress": 2, "project": 4}),
+        ],
+    )
+    def test_sets_compressed_and_projected_once(self, call, cube7, monkeypatch, argv, counts):
+        # compress: each set once, and the sum once for sum_monotone; project:
+        # each set and each compression once
+        seen = {"compress": 0, "project": 0}
+        modules = [m for name, m in sys.modules.items() if name.startswith("sumsetlab")]
+        for function in (compression.compress, core.project):
+            def spy(*args, _function=function, **kwargs):
+                seen[_function.__name__] += 1
+                return _function(*args, **kwargs)
+
+            for module in modules:
+                for name, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, name, spy)
+        assert call("verify", *argv)[0] == 0
+        assert seen == counts
 
 
 class TestDeterminism:

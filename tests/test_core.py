@@ -26,6 +26,7 @@ from conftest import (
 from sumsetlab import core
 from sumsetlab import (
     Basis,
+    BudgetError,
     DimensionMismatchError,
     EmptySetError,
     LinearSystem,
@@ -43,6 +44,7 @@ from sumsetlab import (
     project,
     random_system,
     rotation_system,
+    sum_limit,
     sumset_size,
     weighted_sumset,
 )
@@ -534,22 +536,65 @@ class TestFoldChoice:
             assert seen == [fold] == [expected_fold(sets)]
 
 
-class TestEstimatedSumSize:
+def refused(sets, limit):
+    """Whether the engine refuses the sum of ``sets`` under ``limit``; a sum
+    it builds must be the naive one."""
+    try:
+        with sum_limit(limit):
+            got = minkowski_sum(sets)
+    except BudgetError as exc:
+        assert "budget" in str(exc)
+        return True
+    assert got.points == naive_sumset(sets)
+    return False
+
+
+class TestSumLimit:
     @given(data=st.data())
-    def test_bounds_rational_sums(self, data):
+    def test_refuses_below_true_size(self, data):
+        # the bound is at least the size of the sum; one summand is no sum
         dim = data.draw(st.integers(1, 3))
         coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
         sets = [data.draw(point_sets(dim, max_size=6, coords=data.draw(coords)))
                 for _ in range(data.draw(st.integers(1, 4)))]
-        assert core.estimated_sum_size(sets) >= len(naive_sumset(sets))
+        assert refused(sets, len(naive_sumset(sets)) - 1) == (len(sets) > 1)
 
     def test_scaled_box(self):
         # 21 halves in [0, 10]: 3H lies in the 61 multiples of 1/2 in [0, 30]
         H = PointSet(1, [(Fraction(j, 2),) for j in range(21)])
-        assert core.estimated_sum_size([H] * 3) == 61 == len(iterated_sumset(H, 3))
+        assert len(iterated_sumset(H, 3)) == 61
+        assert not refused([H] * 3, 61) and refused([H] * 3, 60)
         # the product bound is smaller for a sparse set
         S = PointSet(1, [(0,), (Fraction(100, 3),)])
-        assert core.estimated_sum_size([S, S]) == 4
+        assert not refused([S, S], 4) and refused([S, S], 3)
+
+    def test_refused_before_packing(self, monkeypatch):
+        def packed(*args):
+            raise AssertionError("a refused sum was packed")
+
+        for name in ("_pack", "_bitmap_fold", "_pair_fold"):
+            monkeypatch.setattr(core, name, packed)
+        H = PointSet(1, [(Fraction(j, 2),) for j in range(21)])
+        for build in (minkowski_sum, sumset_size):
+            with sum_limit(60), pytest.raises(BudgetError):
+                build([H] * 3)
+
+    def test_one_summand_never_refused(self):
+        A = PointSet(2, [(0, 0), (Fraction(1, 2), 7), (5, -1)])
+        with sum_limit(1):
+            assert minkowski_sum([A]) == iterated_sumset(A, 1) == A
+            assert sumset_size([A]) == 3
+
+    def test_limit_ends_with_its_block(self):
+        A = PointSet(1, [(0,), (1,), (2,)])
+        with sum_limit(10):
+            with sum_limit(4):
+                with pytest.raises(BudgetError):
+                    iterated_sumset(A, 2)
+            assert len(iterated_sumset(A, 2)) == 5
+        with pytest.raises(BudgetError), sum_limit(4):
+            iterated_sumset(A, 2)
+        assert len(iterated_sumset(A, 4)) == 9
 
 
 class TestIteratedSumset:
