@@ -332,14 +332,20 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     extents = _extents(sets)
     # running sums of the minima and maxima give each prefix sum's box
     lows, highs = extents[0][1], extents[0][2]
-    work, product = 0, len(sets[0])
-    for A, (_, mins, maxs) in zip(sets[1:], extents[1:]):
-        work += min(product, math.prod(map(_side, lows, highs))) * len(A)
-        product *= len(A)
+    prefix_cells = []
+    for _, mins, maxs in extents[1:]:
+        prefix_cells.append(math.prod(map(_side, lows, highs)))
         lows, highs = list(map(add, lows, mins)), list(map(add, highs, maxs))
     sides = list(map(_side, lows, highs))
     cells = math.prod(sides)
-    bound, limit = min(product, cells), _SUM_LIMIT.get()
+    # Every prefix box lies in the final one, so capping the running product
+    # of the sizes at ``cells`` changes no min(product, prefix cells), and it
+    # keeps the product from growing to |A|^k for a k-fold sum.
+    work, product = 0, len(sets[0])
+    for A, prefix in zip(sets[1:], prefix_cells):
+        work += min(product, prefix) * len(A)
+        product = min(product * len(A), cells)
+    bound, limit = product, _SUM_LIMIT.get()
     if limit is not None and bound > limit:
         raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")
     weights = [1] * len(sides)

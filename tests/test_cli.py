@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import sumsetlab
+from sumsetlab import cli
 from sumsetlab.cli import run
 from sumsetlab.serialization import dumps_canonical, pointset_to_dict
 from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex
@@ -622,6 +623,104 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "5bb0167664018de26bb3a0d6559a2d4dddd1468a31ad73a134624cdef34c2d71"
         )
+
+
+# the rational set of the golden `sumset --k 3` stdout pinned in CI
+RATIONAL_SET = (
+    '{"dim": 2, "points": [["1/3", "0"], ["1/2", "2/5"], ["-7/6", "3"], ["4", "-1/10"], '
+    '["0", "0"], ["5/4", "-3/8"]]}'
+)
+
+
+def fresh_interpreter(*args, cwd=None):
+    """``python args`` in a new interpreter that imports this sumsetlab."""
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=120)
+
+
+def fresh_process(*argv, cwd=None):
+    """The exit code and stdout of ``sumsetlab argv`` in a new interpreter."""
+    result = fresh_interpreter("-m", "sumsetlab.cli", *argv, cwd=cwd)
+    return result.returncode, result.stdout
+
+
+# Imports the CLI in a fresh interpreter, counting the ArgumentParsers built,
+# and prints the count after the import and after each of two runs.
+PARSER_BUILDS_SCRIPT = """
+import argparse, contextlib, io, json
+
+built = [0]
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from sumsetlab import cli
+
+counts = [built[0]]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(["gen", "simplex", "--d", "2", "--N", "3"])
+    counts.append(built[0])
+print(json.dumps(counts))
+"""
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process, on the first call, and a run
+    leaves nothing in it that changes a later run."""
+
+    SUMSET = ("sumset", "--set", "rational.json", "--k", "3")
+    VERIFY = ("verify", "simplex_formula", "--d", "1-2", "--N", "4", "--k", "2")
+
+    @pytest.fixture
+    def rational(self, tmp_path, monkeypatch):
+        (tmp_path / "rational.json").write_text(RATIONAL_SET)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_one_parser(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_built_on_first_run_not_at_import(self):
+        result = fresh_interpreter("-c", PARSER_BUILDS_SCRIPT)
+        assert result.returncode == 0, result.stderr
+        at_import, first, second = json.loads(result.stdout)
+        assert at_import == 0 and first > 0 and second == first
+
+    def test_refusal_leaves_default_budget(self, call, rational):
+        fresh = fresh_process(*self.SUMSET, cwd=rational)
+        assert fresh[0] == 0
+        code, out, err = call(*self.SUMSET, "--budget", "5")
+        assert code == 2 and out == "" and "budget of 5" in err
+        assert call(*self.SUMSET)[:2] == fresh
+        assert hashlib.sha256(fresh[1].encode()).hexdigest() == (
+            "f2780bd5e1e4ad8aad405bdac16ca0306043fb33456f14a75b3871b892939e10"
+        )
+
+    def test_out_file_then_stdout(self, call, rational):
+        fresh = fresh_process(*self.SUMSET, cwd=rational)
+        assert call(*self.SUMSET, "-o", "sum.json")[:2] == (0, "")
+        assert (rational / "sum.json").read_text() == fresh[1]
+        assert call(*self.SUMSET)[:2] == fresh
+
+    def test_csv_then_json(self, call, rational):
+        fresh = fresh_process(*self.VERIFY, cwd=rational)
+        code, out, _ = call(*self.VERIFY, "--format", "csv")
+        assert code == 0 and out.startswith("statement_id,")
+        assert call(*self.VERIFY)[:2] == fresh
+
+    def test_usage_error_and_help_then_run(self, call, rational):
+        fresh = fresh_process(*self.SUMSET, cwd=rational)
+        code, _, err = call("sumset", "--set", "rational.json", "--k", "three")
+        assert code == 2 and "invalid int value" in err
+        code, out, _ = call("sumset", "--help")
+        assert code == 0 and out.startswith("usage:")
+        assert call(*self.SUMSET)[:2] == fresh
 
 
 class TestSuite:

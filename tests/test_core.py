@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -535,6 +536,35 @@ class TestFoldChoice:
                 sumset_size(sets)
             assert seen == [fold] == [expected_fold(sets)]
 
+    LINE3 = PointSet(1, [(0,), (1,), (2,)])
+    TRI = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+    CUBE3 = PointSet(2, itertools.product(range(3), repeat=2))
+    POINT = PointSet(2, [(4, -1)])
+    SPARSE = PointSet(2, [(0, 0), (97, 3), (-40, 250), (13, -77)])
+    FAR = PointSet(2, [(0, 0), (700, 0)])
+
+    @pytest.mark.parametrize("sets, fold", [
+        ([LINE3] * 2, "bitmap"),
+        ([LINE3] * 40, "bitmap"),
+        ([TRI] * 3, "bitmap"),
+        ([TRI] * 25, "bitmap"),
+        ([CUBE3] * 12, "bitmap"),
+        ([POINT] * 30, "bitmap"),
+        ([SPARSE] * 6, "pairs"),
+        ([SPARSE] * 30, "pairs"),  # over _BITMAP_MAX_CELLS
+        ([CUBE3] * 8 + [FAR], "bitmap"),
+        ([FAR] + [CUBE3] * 8, "bitmap"),
+        ([FAR] + [POINT] * 20, "pairs"),
+        ([POINT] * 10 + [TRI] + [POINT] * 10, "bitmap"),
+    ])
+    def test_many_summands(self, sets, fold):
+        # long families: in most, the running product of the sizes reaches
+        # the box's cells and is capped there; in the last two it never does
+        with engine_folds() as seen:
+            got = sumset_size(sets)
+        assert seen == [fold] == [expected_fold(sets)]
+        assert got == len(minkowski_sum(sets))
+
 
 def refused(sets, limit):
     """Whether the engine refuses the sum of ``sets`` under ``limit``; a sum
@@ -567,6 +597,26 @@ class TestSumLimit:
         # the product bound is smaller for a sparse set
         S = PointSet(1, [(0,), (Fraction(100, 3),)])
         assert not refused([S, S], 4) and refused([S, S], 3)
+
+    @pytest.mark.parametrize("k", [2, 7, 40])
+    def test_bound_of_long_sums(self, k):
+        # the bound is min(|A|^k, cells of the box of kA), exactly
+        A = PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 2)])
+        bound = min(4**k, (5 * k + 1) * (2 * k + 1))
+        size = len(iterated_sumset(A, k))
+        with sum_limit(bound):
+            assert sumset_size([A] * k) == size
+        with sum_limit(bound - 1), pytest.raises(BudgetError, match=f"up to {bound} points"):
+            sumset_size([A] * k)
+
+    def test_million_fold_refused_quickly(self):
+        # the bound's product of sizes is capped at the box's cells; uncapped
+        # it grows to 3^k, and each of its k products costs time linear in k
+        tri = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+        start = time.perf_counter()
+        with sum_limit(10**7), pytest.raises(BudgetError, match=f"up to {(10**6 + 1) ** 2}"):
+            iterated_sumset(tri, 10**6)
+        assert time.perf_counter() - start < 20
 
     def test_refused_before_packing(self, monkeypatch):
         def packed(*args):
