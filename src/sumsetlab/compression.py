@@ -50,6 +50,7 @@ from .core import (
     vec_dot,
     vec_sub,
     _canon,
+    _integer_row,
     _scaled,
     _unscaled,
 )
@@ -164,8 +165,7 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
         raise ValueError("compression and set dimensions differ")
     c, v = spec.offset, spec.direction
     q, (points,) = _scaled([A], math.lcm(c.denominator, *(x.denominator for x in v)))
-    r = math.lcm(*(x.denominator for x in spec.normal))
-    n = [x.numerator * (r // x.denominator) for x in spec.normal]
+    r, n = _integer_row(spec.normal)
     c = c.numerator * (q * r // c.denominator)
     v = [x.numerator * (q // x.denominator) for x in v]
     nv = sum(map(mul, n, v))
@@ -357,13 +357,8 @@ def check_projection_monotone(
 
 def _primitive_integer_direction(delta: Vec) -> Vec:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    denom_lcm = 1
-    for c in delta:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    scaled = [int(c * denom_lcm) for c in delta]
-    g = 0
-    for c in scaled:
-        g = math.gcd(g, abs(c))
+    _, scaled = _integer_row(delta)
+    g = math.gcd(*scaled)
     return tuple(c // g for c in scaled)
 
 
@@ -428,6 +423,8 @@ def reduce_to_simplex(A: PointSet, max_steps: int | None = None) -> tuple[PointS
     :class:`ReductionError` if no move fires before reaching the target.
     """
     d = A.dim
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     if not A.is_integral:
         raise ValueError("reduction needs an integral set")
     if affine_dimension(A) != d:

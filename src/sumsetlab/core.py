@@ -34,12 +34,14 @@ Integral inputs
 Outside the engine, integral inputs take integer paths as well.
 :func:`linear_image` of an integral set under an integral matrix takes ``int``
 dot products and marks the image integral; other pairs keep the ``Fraction``
-code.  :func:`affine_dimension` ranks the differences of a set, scaled to
-integral points like a rational sum, by fraction-free elimination
-(:func:`_bareiss`), and :meth:`RationalMatrix.det` runs the same elimination
-on the matrix scaled by the lcm q of its denominators and divides the last
-pivot by q^d.  :func:`project` onto standard coordinates keeps the integral
-flag.
+code.  One fraction-free elimination, :func:`_eliminate`, serves all of the
+linear algebra: :func:`rref` (so :func:`kernel_basis`,
+:meth:`RationalMatrix.inverse` and :class:`Subspace`) runs it on rows scaled
+to integers and divides each pivot row once at the end;
+:meth:`RationalMatrix.det` runs it on the scaled rows and divides the last
+pivot by the product of the scales; :func:`affine_dimension` ranks the
+differences of a set, scaled to integral points like a rational sum.
+:func:`project` onto standard coordinates keeps the integral flag.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -467,31 +469,63 @@ def iterated_sumset(A: PointSet, k: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: Iterable[Sequence[Coord]], width: int) -> tuple[list[list[Coord]], list[int]]:
-    """Reduced row echelon form over Q. Returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+def _integer_row(v: Sequence[Coord]) -> tuple[int, list[int]]:
+    """(q, q v) for q the lcm of the denominators of v: the smallest positive
+    multiple of v with integral entries."""
+    q = math.lcm(*(c.denominator for c in v))
+    return q, [c.numerator * (q // c.denominator) for c in v]
+
+
+def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
+    """(pivot columns, signed last pivot) of an integer matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss), done in place on ``rows``.
+
+    The step on a pivot p in column c replaces every other row r by
+    (p r - r[c] pivot_row) / p', for p' the previous pivot (1 at the start).
+    After each step every entry is a minor of the input, so the division is
+    exact (Sylvester's identity), entries grow only polynomially and no
+    ``Fraction`` is built.  At the end the pivot rows come first, in pivot
+    order, the other rows are zero, and every pivot row holds the last pivot
+    at its pivot column and 0 at the others.  The last pivot is the leading
+    minor of the pivot rows and columns; its sign is flipped once per row
+    swap, so for a square matrix of full rank it is the determinant."""
     pivots: list[int] = []
-    row = 0
+    rank, previous, sign = 0, 1, 1
     for col in range(width):
-        pivot_row = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
+        if rank == len(rows):
+            break
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot_row is None:
             continue
-        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        inv = Fraction(1, 1) / mat[row][col]
-        mat[row] = [_canon(inv * x) for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [_canon(x - factor * y) for x, y in zip(mat[r], mat[row])]
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            sign = -sign
+        pivot_vals = rows[rank]
+        pivot = pivot_vals[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                factor = row[col]
+                rows[r] = [(pivot * x - factor * y) // previous for x, y in zip(row, pivot_vals)]
         pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return mat[:row], pivots
+        previous = pivot
+        rank += 1
+    return pivots, sign * previous
+
+
+def rref(rows: Iterable[Sequence[Coord]], width: int) -> tuple[list[list[Coord]], list[int]]:
+    """Reduced row echelon form over Q. Returns (nonzero rows, pivot columns).
+
+    Each row is scaled to integers on its own, which keeps the row space, and
+    so the RREF, which is unique; :func:`_eliminate` reduces the scaled rows,
+    and each pivot row is divided once by its own pivot entry.  Integral
+    entries come back as ``int``."""
+    mat = [_integer_row(r)[1] for r in rows]
+    pivots, _ = _eliminate(mat, width)
+    out = []
+    for row, col in zip(mat, pivots):
+        p = row[col]
+        out.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
+    return out, pivots
 
 
 def kernel_basis(rows: Iterable[Sequence[Coord]], width: int) -> list[Vec]:
@@ -542,15 +576,15 @@ class RationalMatrix:
         return RationalMatrix(list(zip(*self.rows)))
 
     def det(self) -> Coord:
-        """The determinant, by :func:`_bareiss` on qM for q the lcm of the
-        entries' denominators: det(qM) = q^d det M."""
-        d = self.dim
-        q = math.lcm(*(c.denominator for row in self.rows for c in row))
-        scaled = [[c.numerator * (q // c.denominator) for c in row] for row in self.rows]
-        rank, pivot = _bareiss(scaled, d)
-        if rank < d:
+        """The determinant, by :func:`_eliminate` on the matrix with row i
+        scaled to integers by q_i (:func:`_integer_row`): the signed last
+        pivot is q_1 ... q_d det M."""
+        qs, scaled = zip(*map(_integer_row, self.rows))
+        pivots, pivot = _eliminate(list(scaled), self.dim)
+        if len(pivots) < self.dim:
             return 0
-        return pivot if q == 1 else _canon(Fraction(pivot, q ** d))
+        q = math.prod(qs)
+        return pivot if q == 1 else _canon(Fraction(pivot, q))
 
     def inverse(self) -> "RationalMatrix":
         d = self.dim
@@ -642,7 +676,7 @@ def weighted_sumset(system: LinearSystem, A: PointSet) -> PointSet:
 class Basis:
     """An ordered basis (b_1, ..., b_d) of Q^d."""
 
-    __slots__ = ("dim", "vectors", "_inv")
+    __slots__ = ("dim", "vectors", "matrix", "_inv")
 
     def __init__(self, vectors: Iterable[Sequence]):
         vecs = tuple(tuple(as_coord(c) for c in v) for v in vectors)
@@ -652,8 +686,8 @@ class Basis:
         self.dim = d
         self.vectors = vecs
         # columns of the change-of-basis matrix are the basis vectors
-        mat = RationalMatrix(list(zip(*vecs)))
-        if mat.det() == 0:
+        self.matrix = RationalMatrix(list(zip(*vecs)))
+        if self.matrix.det() == 0:
             raise SingularMatrixError("basis vectors are dependent")
         self._inv = None
 
@@ -662,21 +696,13 @@ class Basis:
         return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
     @property
-    def matrix(self) -> RationalMatrix:
-        return RationalMatrix(list(zip(*self.vectors)))
-
-    @property
     def inverse_matrix(self) -> RationalMatrix:
         if self._inv is None:
             self._inv = self.matrix.inverse()
         return self._inv
 
     def is_standard(self) -> bool:
-        return all(
-            self.vectors[i][j] == (1 if i == j else 0)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return self.matrix.is_identity()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Basis):
@@ -696,7 +722,7 @@ class Subspace:
         rows = [as_vec(r, ambient_dim) for r in rows]
         red, _ = rref(rows, ambient_dim)
         self.ambient_dim = ambient_dim
-        self.rows = tuple(tuple(_canon(x) for x in r) for r in red)
+        self.rows = tuple(map(tuple, red))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -746,44 +772,15 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss(rows: list[list[int]], width: int) -> tuple[int, int]:
-    """(rank, signed last pivot) of an integer matrix by fraction-free
-    (Bareiss) elimination.
-
-    After the step on pivot column c, each entry right of the pivots is a
-    minor of the matrix, so dividing by the previous pivot is exact
-    (Sylvester's identity) and entries grow only polynomially.  No
-    ``Fraction`` is built.  The last pivot is the leading minor of the
-    pivot rows and columns; its sign is flipped once per row swap, so for a
-    square matrix of full rank it is the determinant.  ``rows`` is
-    overwritten."""
-    rank, previous, sign = 0, 1, 1
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            sign = -sign
-        pivot_vals = rows[rank]
-        pivot = pivot_vals[col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            rows[r] = [(pivot * x - factor * y) // previous for x, y in zip(rows[r], pivot_vals)]
-        previous = pivot
-        rank += 1
-    return rank, sign * previous
-
-
 def affine_dimension(A: PointSet) -> int:
     """Dimension of the affine hull of A (0 for a single point): the rank of
-    the differences to one point, by :func:`_bareiss`.  A rational set
+    the differences to one point, by :func:`_eliminate`.  A rational set
     is first scaled to integral points by :func:`_scaled`, which is one-to-one
     and linear and so keeps the affine dimension."""
     _, (points,) = _scaled([A])
     pts = iter(points)
     anchor = next(pts)
-    return _bareiss([list(map(sub, p, anchor)) for p in pts], A.dim)[0]
+    return len(_eliminate([list(map(sub, p, anchor)) for p in pts], A.dim)[0])
 
 
 def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet:

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from typing import Iterator
 
 from .core import (
     DimensionMismatchError,
@@ -195,31 +196,28 @@ def _candidate_vectors(mats: list[RationalMatrix], d: int) -> list[Vec]:
     return cands
 
 
-def _element_schedule(mats: list[RationalMatrix], d: int) -> list[RationalMatrix]:
-    """Algebra elements tried by the Norton test, deterministic order."""
-    schedule: list[RationalMatrix] = list(mats)
-    for i, A in enumerate(mats):
-        for j, B in enumerate(mats):
-            if i != j:
-                schedule.append(A @ B)
-    for i, A in enumerate(mats):
-        for B in mats[i + 1 :]:
-            schedule.append(_mat_add(A, B))
+def _random_element(mats: list[RationalMatrix], draws: Iterator[int], d: int) -> RationalMatrix:
+    """c_0 I + c_1 M_1 + ... + c_k M_k with each c_i drawn from -2..2."""
+    acc = _scaled_identity(next(draws) - 2, d)
+    for M in mats:
+        c = next(draws) - 2
+        if c:
+            acc = _mat_add(acc, RationalMatrix([[c * x for x in row] for row in M.rows]))
+    return acc
+
+
+def _element_schedule(mats: list[RationalMatrix], d: int) -> Iterator[RationalMatrix]:
+    """Algebra elements tried by the Norton test, in a deterministic order and
+    without repeats.  Each is built only when the next one is asked for."""
+    products = (A @ B for i, A in enumerate(mats) for j, B in enumerate(mats) if i != j)
+    sums = (_mat_add(A, B) for i, A in enumerate(mats) for B in mats[i + 1 :])
     draws = _uniform_draws(splitmix64_stream(0xA16EB8A), 5)
-    for _ in range(24):
-        acc = _scaled_identity(next(draws) - 2, d)
-        for M in mats:
-            c = next(draws) - 2
-            if c:
-                acc = _mat_add(acc, _scaled_identity(c, d) @ M)
-        schedule.append(acc)
+    combinations = (_random_element(mats, draws, d) for _ in range(24))
     seen = set()
-    unique = []
-    for T in schedule:
+    for T in chain(mats, products, sums, combinations):
         if T.rows not in seen:
             seen.add(T.rows)
-            unique.append(T)
-    return unique
+            yield T
 
 
 def _norton_attempt(

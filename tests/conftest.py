@@ -7,6 +7,8 @@ scaling by the lcm of the denominators that sends rational sums to them), so
 each of them is cross-checked against it.  ``naive_compress`` recomputes a
 compression from its definition in ``sumsetlab.compression`` with
 ``Fraction`` arithmetic, sharing no code with the library's integral path.
+``naive_rref`` is textbook Gauss-Jordan elimination in ``Fraction``
+arithmetic, the reference for the library's fraction-free elimination.
 
 ``point_sets`` draws distinct points by construction: each point is an index
 into the finite grid ``coords^dim``, drawn without replacement, so no draw
@@ -71,6 +73,32 @@ def naive_compress(points, normal, offset, direction):
             point = (x + j * y for x, y in zip(u, v))
             out.add(tuple(x.numerator if x.denominator == 1 else x for x in point))
     return out
+
+
+def naive_rref(rows, width):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination in
+    ``Fraction`` arithmetic: (nonzero rows, pivot columns), integral entries
+    as ``int``."""
+    canon = lambda x: x.numerator if type(x) is Fraction and x.denominator == 1 else x
+    mat = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(width):
+        pivot_row = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
+        inv = Fraction(1, 1) / mat[row][col]
+        mat[row] = [canon(inv * x) for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [canon(x - factor * y) for x, y in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return mat[:row], pivots
 
 
 def values(low, high, max_denominator=1):

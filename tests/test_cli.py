@@ -270,6 +270,7 @@ class TestLibraryErrors:
             (("verify", "sum_monotone", "--sets", "square", "--axis", "9"), "error: --axis must be in 1..2"),
             (("gen", "random", "--d", "4", "--size", "3", "--box=-100000,100000", "--seed", "1"),
              "error: cannot draw uniformly from 1600032000240000800001 values: the limit is 2**64"),
+            (("reduce", "--set", "square", "--max-steps", "-3"), "error: max_steps must be >= 0"),
         ],
     )
     def test_exit_2_with_one_error_line(self, call, tmp_path, monkeypatch, argv, line):

@@ -298,6 +298,13 @@ class TestReduceToSimplex:
         with pytest.raises(ReductionError):
             reduce_to_simplex(A, max_steps=0)
 
+    def test_negative_step_budget_rejected(self):
+        # a usage error, not a failed reduction; 0 steps still fit the simplex
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            reduce_to_simplex(PointSet(2, [(0, 0), (2, 1), (1, 3), (3, 3)]), max_steps=-3)
+        final, trace = reduce_to_simplex(long_simplex(2, 4), max_steps=0)
+        assert final == long_simplex(2, 4) and trace.steps == ()
+
     def test_tampered_trace_fails_replay(self):
         A = PointSet(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         final, trace = reduce_to_simplex(A)

@@ -18,6 +18,7 @@ from conftest import (
     MIXED_VALUES,
     RATIONAL_VALUES,
     int_coords,
+    naive_rref,
     naive_sumset,
     point_sets,
     set_families,
@@ -790,6 +791,72 @@ class TestRationalMatrix:
             LinearSystem([RationalMatrix([[0, 0], [0, 0]])])
 
 
+@st.composite
+def low_rank_matrices(draw, square=False):
+    """(rows, width): 1..6 rows of width 1..7 (n x n when ``square``), each a
+    rational combination of the same ``rank`` rational rows, so the rank is at
+    most ``rank`` and most matrices are rank-deficient."""
+    width = draw(st.integers(1, 7 if not square else 5))
+    n = width if square else draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(n, width)))
+    entries = st.sampled_from(RATIONAL_VALUES)
+    gens = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=rank, max_size=rank))
+    coeffs = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=n, max_size=n))
+    rows = [[core.as_coord(Fraction(sum(c * g[j] for c, g in zip(cs, gens)))) for j in range(width)] for cs in coeffs]
+    return rows, width
+
+
+def typed_rows(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+class TestElimination:
+    """The fraction-free elimination against Gauss-Jordan in ``Fraction``
+    arithmetic (``naive_rref``), on rank-deficient rational matrices."""
+
+    @given(low_rank_matrices())
+    def test_rref_matches_fraction_elimination(self, matrix):
+        rows, width = matrix
+        red, pivots = core.rref(rows, width)
+        want_red, want_pivots = naive_rref(rows, width)
+        assert pivots == want_pivots
+        assert typed_rows(red) == typed_rows(want_red)
+
+    @given(low_rank_matrices())
+    def test_kernel_basis_is_killed_by_rows(self, matrix):
+        rows, width = matrix
+        rank = len(naive_rref(rows, width)[1])
+        basis = core.kernel_basis(rows, width)
+        assert len(basis) == width - rank
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in basis for row in rows)
+        assert len(naive_rref(basis, width)[1]) == len(basis)
+
+    @given(low_rank_matrices(square=True))
+    def test_inverse_round_trips(self, matrix):
+        rows, _ = matrix
+        M = RationalMatrix(rows)
+        if M.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                M.inverse()
+        else:
+            assert (M @ M.inverse()).is_identity() and (M.inverse() @ M).is_identity()
+            assert M.inverse().inverse() == M
+
+    @given(low_rank_matrices())
+    def test_pivot_entries_equal_the_last_pivot(self, matrix):
+        rows, width = matrix
+        mat = [core._integer_row(r)[1] for r in rows]
+        pivots, last = core._eliminate(mat, width)
+        assert pivots == naive_rref(rows, width)[1]
+        rank = len(pivots)
+        # the last pivot up to the sign of the row swaps
+        p = mat[0][pivots[0]] if pivots else 1
+        assert last in (p, -p)
+        for i, row in enumerate(mat[:rank]):
+            assert [row[c] for c in pivots] == [p if j == i else 0 for j in range(rank)]
+        assert all(x == 0 for row in mat[rank:] for x in row)
+
+
 class TestSubspace:
     def test_span_membership(self):
         U = Subspace.span([(1, 0)], 2)
@@ -834,7 +901,7 @@ def rref_rank(A):
     """Affine dimension by the Fraction rref of the differences to one point."""
     anchor, *rest = A.points
     rows = [[Fraction(x - y) for x, y in zip(p, anchor)] for p in rest]
-    return len(core.rref(rows, A.dim)[1]) if rows else 0
+    return len(naive_rref(rows, A.dim)[1]) if rows else 0
 
 
 class TestAffineDimension:

@@ -160,6 +160,45 @@ class TestDecideIrreducible:
         assert decide_irreducible(system).status == decide_irreducible(normalized).status
 
 
+def eager_schedule(mats, d):
+    """The Norton schedule built in full and then deduplicated: the maps, the
+    products A B (A != B), the sums A + B, and 24 seeded combinations
+    c_0 I + c_1 M_1 + ... with each term c_i M_i built as (c_i I) M_i."""
+    schedule = list(mats)
+    schedule += [A @ B for i, A in enumerate(mats) for j, B in enumerate(mats) if i != j]
+    schedule += [structure._mat_add(A, B) for i, A in enumerate(mats) for B in mats[i + 1 :]]
+    draws = structure._uniform_draws(structure.splitmix64_stream(0xA16EB8A), 5)
+    for _ in range(24):
+        acc = structure._scaled_identity(next(draws) - 2, d)
+        for M in mats:
+            c = next(draws) - 2
+            if c:
+                acc = structure._mat_add(acc, structure._scaled_identity(c, d) @ M)
+        schedule.append(acc)
+    unique = {}
+    for T in schedule:
+        unique.setdefault(T.rows, T)
+    return list(unique.values())
+
+
+class TestElementSchedule:
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_eager_reference(self, d, k):
+        for seed in range(4):
+            mats = random_system(d, k, 2, seed).normalized_tail()
+            got = list(structure._element_schedule(mats, d))
+            assert got == eager_schedule(mats, d)
+
+    def test_builds_nothing_before_it_is_asked(self, monkeypatch):
+        mats = random_system(4, 3, 2, 0).normalized_tail()
+        products = []
+        matmul = RationalMatrix.__matmul__
+        monkeypatch.setattr(RationalMatrix, "__matmul__", lambda A, B: products.append(1) or matmul(A, B))
+        schedule = structure._element_schedule(mats, 4)
+        assert next(schedule) is mats[0] and products == []
+
+
 class TestCoprimeSufficient:
     def test_rotation_pair(self):
         assert coprime_sufficient(rotation_system(2)) == "Coprime"
