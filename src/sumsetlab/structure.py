@@ -43,16 +43,24 @@ decision procedure, in order:
 
 Every Reducible verdict is re-validated through :func:`is_reducible_witness`
 before it is returned.
+
+Characteristic polynomials and their factors over Q come from
+:mod:`sumsetlab.polynomials`: Berkowitz's division-free algorithm on the
+integer matrix qM, then Zassenhaus factoring (a squarefree decomposition,
+Cantor-Zassenhaus modulo a small prime, Hensel lifting and recombination by
+exact division).  Rational eigenvalues are the roots of the linear factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from typing import Iterator
 
 from .core import (
+    Coord,
     DimensionMismatchError,
     LinearSystem,
     RationalMatrix,
@@ -62,8 +70,10 @@ from .core import (
     is_zero_vec,
     kernel_basis,
     _canon,
+    _integer_row,
 )
 from .generators import splitmix64_stream, _uniform_draws
+from .polynomials import charpoly, factor
 from .serialization import encode_point
 
 IRREDUCIBLE = "Irreducible"
@@ -110,48 +120,41 @@ def is_reducible_witness(system: LinearSystem, U: Subspace) -> bool:
 
 
 def _spin(seeds: list[Vec], mats: list[RationalMatrix], d: int) -> Subspace:
-    """Smallest subspace containing the seeds and invariant under the maps."""
-    space = Subspace.zero(d)
+    """Smallest subspace containing the seeds and invariant under the maps.
+
+    The rows found so far are kept as primitive integer rows, each with its
+    pivot column, where every row is zero at the pivots of the rows before
+    it.  A new vector is reduced against them in one pass, in that order, and
+    the :class:`Subspace` (one rref) is built once, at the end; the subspace
+    is unique, so its rref is the same as when it was rebuilt per vector."""
+    rows: list[tuple[int, list[int]]] = []
     pending = list(seeds)
     while pending:
-        v = pending.pop()
-        r = space.reduce(v)
-        if is_zero_vec(r):
+        _, w = _integer_row(pending.pop())
+        for c, row in rows:
+            if w[c]:
+                p, f = row[c], w[c]
+                w = [p * x - f * y for x, y in zip(w, row)]
+        pivot = next((c for c, x in enumerate(w) if x), None)
+        if pivot is None:
             continue
-        space = Subspace(d, [*space.rows, r])
-        for M in mats:
-            pending.append(M.mat_vec(r))
-    return space
+        g = math.gcd(*w)
+        w = [x // g for x in w]
+        rows.append((pivot, w))
+        pending.extend(M.mat_vec(w) for M in mats)
+    return Subspace(d, [row for _, row in rows])
 
 
-def _charpoly_factors(M: RationalMatrix) -> list[tuple[list[Fraction], int]]:
+def _charpoly_factors(M: RationalMatrix) -> list[tuple[list[int], int]]:
     """Irreducible factors of charpoly(M) over Q as (coefficients, degree),
-    coefficients highest-first and monic up to a rational scalar.
-
-    This is the only function of the package that needs sympy, so it imports
-    it here: a process that factors no characteristic polynomial never loads
-    it."""
-    from sympy import Matrix, Poly, Rational, Symbol
-
-    x = Symbol("x")
-    poly = Matrix(
-        M.dim,
-        M.dim,
-        lambda i, j: Rational(M.rows[i][j].numerator, M.rows[i][j].denominator),
-    ).charpoly(x)
-    _, factors = Poly(poly.as_expr(), x).factor_list()
-    out = []
-    for fac, _mult in factors:
-        coeffs = [
-            Fraction(int(c.p), int(c.q)) for c in Poly(fac, x).all_coeffs()
-        ]
-        out.append((coeffs, len(coeffs) - 1))
-    return out
+    coefficients primitive integers, highest-first, in the order of
+    :func:`polynomials.factor`."""
+    return [(coeffs, len(coeffs) - 1) for coeffs, _ in factor(charpoly(M.rows))]
 
 
-def _rational_eigenvalues(M: RationalMatrix) -> list[Fraction]:
+def _rational_eigenvalues(M: RationalMatrix) -> list[Coord]:
     return [
-        _canon(-coeffs[1] / coeffs[0])
+        _canon(Fraction(-coeffs[1], coeffs[0]))
         for coeffs, deg in _charpoly_factors(M)
         if deg == 1
     ]
@@ -167,7 +170,7 @@ def _mat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     )
 
 
-def _mat_poly(coeffs: list[Fraction], T: RationalMatrix) -> RationalMatrix:
+def _mat_poly(coeffs: list[int], T: RationalMatrix) -> RationalMatrix:
     """Evaluate the polynomial (coefficients highest-first) at T by Horner."""
     d = T.dim
     acc = _scaled_identity(0, d)

@@ -9,6 +9,10 @@ compression from its definition in ``sumsetlab.compression`` with
 ``Fraction`` arithmetic, sharing no code with the library's integral path.
 ``naive_rref`` is textbook Gauss-Jordan elimination in ``Fraction``
 arithmetic, the reference for the library's fraction-free elimination.
+``naive_spin`` grows an invariant subspace one ``Subspace`` (one full
+``rref``) per vector, the reference for ``structure._spin``.
+``naive_charpoly_factors`` factors a characteristic polynomial with sympy,
+the reference for ``sumsetlab.polynomials``.
 
 ``point_sets`` draws distinct points by construction: each point is an index
 into the finite grid ``coords^dim``, drawn without replacement, so no draw
@@ -26,6 +30,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from sumsetlab import PointSet, bounds, compression, core
+from sumsetlab.core import Subspace, is_zero_vec
 
 settings.register_profile(
     "default",
@@ -99,6 +104,39 @@ def naive_rref(rows, width):
         if row == len(mat):
             break
     return mat[:row], pivots
+
+
+def naive_spin(seeds, mats, d):
+    """Smallest subspace containing the seeds and invariant under the maps:
+    each vector is reduced modulo the subspace found so far, and a nonzero
+    remainder makes a new ``Subspace`` with one more row."""
+    space = Subspace.zero(d)
+    pending = list(seeds)
+    while pending:
+        r = space.reduce(pending.pop())
+        if is_zero_vec(r):
+            continue
+        space = Subspace(d, [*space.rows, r])
+        for M in mats:
+            pending.append(M.mat_vec(r))
+    return space
+
+
+def naive_charpoly_factors(M):
+    """The irreducible factors of charpoly(M) over Q, as (coefficients,
+    degree) in the order of sympy's ``factor_list``, computed by sympy."""
+    from sympy import Matrix, Poly, Rational, Symbol
+
+    x = Symbol("x")
+    poly = Matrix(
+        M.dim, M.dim, lambda i, j: Rational(M.rows[i][j].numerator, M.rows[i][j].denominator)
+    ).charpoly(x)
+    _, factors = Poly(poly.as_expr(), x).factor_list()
+    out = []
+    for fac, _mult in factors:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in Poly(fac, x).all_coeffs()]
+        out.append((coeffs, len(coeffs) - 1))
+    return out
 
 
 def values(low, high, max_denominator=1):

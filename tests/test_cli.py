@@ -737,63 +737,122 @@ class TestSuite:
 
 
 # Runs CLI commands in one fresh interpreter and prints, as JSON, each
-# command's exit code and stdout and whether sympy was loaded after it.
+# command's exit code, stdout and stderr and whether sympy was loaded after
+# it.  With the argument "block", sympy is blocked first: importing it raises
+# ImportError, which no command catches.  The last step imports sympy itself,
+# so that an unblocked run can see a load.
 START_PATH_SCRIPT = """
 import contextlib, io, json, sys
+if sys.argv[1:] == ["block"]:
+    sys.modules["sympy"] = None
 from sumsetlab import cli
 
-steps = [("import", 0, "", "sympy" in sys.modules)]
+def loaded():
+    return sys.modules.get("sympy") is not None
+
+steps = [("import", 0, "", "", loaded())]
 for line in sys.stdin.read().splitlines():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(line.split())
-    steps.append((line, code, out.getvalue(), "sympy" in sys.modules))
+    steps.append((line, code, out.getvalue(), err.getvalue(), loaded()))
+try:
+    import sympy
+except ImportError:
+    pass
+steps.append(("import sympy", 0, "", "", loaded()))
 print(json.dumps(steps))
 """
 
+IDENTITY_4 = [[int(i == j) for j in range(4)] for i in range(4)]
+START_PATH_SYSTEMS = {
+    # companion matrices of the Eisenstein polynomials x^4 + 2x^3 + 2x + 2
+    # and x^5 + 2x + 6: irreducible characteristic polynomials
+    "eis4.json": [IDENTITY_4, [[0, 0, 0, -2], [1, 0, 0, -2], [0, 1, 0, 0], [0, 0, 1, -2]]],
+    "eis5.json": [
+        [[int(i == j) for j in range(5)] for i in range(5)],
+        [[0, 0, 0, 0, -6], [1, 0, 0, 0, -2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+        [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    ],
+    # P diag(R_1, R_2) P^-1 with R_i of characteristic polynomial x^2 + i and
+    # P unimodular: Norton finds the invariant plane P(span(e_1, e_2))
+    "red4.json": [IDENTITY_4, [[1, -2, 2, -2], [1, -1, 1, -3], [0, 0, 1, -3], [0, 0, 1, -1]]],
+}
+
 
 class TestStartPath:
-    """Only factoring a characteristic polynomial loads sympy.  pytest has
-    sympy loaded already, so the commands run in a fresh interpreter."""
+    """No command loads sympy, and every command runs with sympy blocked.
+    pytest has sympy loaded already, so the commands run in a fresh
+    interpreter."""
 
+    # (command, exit code)
     COMMANDS = [
-        "gen random --d 2 --size 6 --box 0,4 --seed 1 -o a.json",
-        "gen random --d 2 --size 6 --box 0,4 --seed 2 -o b.json",
-        "gen random --d 2 --size 2 --box 0,4 --seed 3 -o c.json",
-        "gen random --d 2 --size 3 --box 0,4 --seed 4 -o e.json",
-        "gen random-full-dim --d 3 --size 6 --box 0,6 --seed 34 -o f.json",
-        "gen rotation --d 2 -o rot.json",
-        "gen cube --d 2 --N 1 -o cube.json",
-        "sumset --sets a.json b.json",
-        "compress --set a.json --axis 1",
-        "project --set a.json --coords 1",
-        "reduce --set f.json",
-        "verify discrete_bm --sets a.json b.json",
-        "verify discrete_bm --sets c.json e.json",
-        "verify freiman_kfold --set a.json --k 2-3",
+        ("gen random --d 2 --size 6 --box 0,4 --seed 1 -o a.json", 0),
+        ("gen random --d 2 --size 6 --box 0,4 --seed 2 -o b.json", 0),
+        ("gen random --d 2 --size 2 --box 0,4 --seed 3 -o c.json", 0),
+        ("gen random --d 2 --size 3 --box 0,4 --seed 4 -o e.json", 0),
+        ("gen random-full-dim --d 3 --size 6 --box 0,6 --seed 34 -o f.json", 0),
+        ("gen random-full-dim --d 4 --size 6 --box=-3,3 --seed 5 -o s4.json", 0),
+        ("gen random-full-dim --d 5 --size 6 --box=-3,3 --seed 6 -o s5.json", 0),
+        ("gen rotation --d 2 -o rot.json", 0),
+        ("gen cube --d 2 --N 1 -o cube.json", 0),
+        ("sumset --sets a.json b.json", 0),
+        ("compress --set a.json --axis 1", 0),
+        ("project --set a.json --coords 1", 0),
+        ("reduce --set f.json", 0),
+        ("verify discrete_bm --sets a.json b.json", 0),
+        ("verify discrete_bm --sets c.json e.json", 0),
+        ("verify freiman_kfold --set a.json --k 2-3", 0),
+        ("verify fiber_bound --system rot.json --set a.json --subspace 1,0", 0),
+        ("suite smoke", 0),
+        ("probe khovanskii --set a.json --k-max 4", 0),
+        ("probe det-main-term --system rot.json --set cube.json", 3),
+        ("probe main-term --system rot.json --set cube.json", 3),
+        ("probe main-term --system eis4.json --set s4.json", 3),
+        ("probe main-term --system eis5.json --set s5.json", 3),
+        ("probe main-term --system red4.json --set s4.json", 2),
     ]
-    PROBE = "probe main-term --system rot.json --set cube.json"
 
-    @pytest.mark.parametrize("flags", [(), ("-O",)])
-    def test_sympy_loaded_only_by_the_probe(self, tmp_path, flags):
+    def run_commands(self, tmp_path, flags, block):
+        for name, maps in START_PATH_SYSTEMS.items():
+            (tmp_path / name).write_text(json.dumps({"dim": len(maps[0]), "maps": maps}))
         src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
-            [sys.executable, *flags, "-c", START_PATH_SCRIPT],
-            input="\n".join([*self.COMMANDS, self.PROBE]),
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            [sys.executable, *flags, "-c", START_PATH_SCRIPT, *(["block"] if block else [])],
+            input="\n".join(line for line, _ in self.COMMANDS),
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         steps = json.loads(result.stdout)
-        assert [line for line, *_ in steps] == ["import", *self.COMMANDS, self.PROBE]
-        assert [code for _, code, _, _ in steps[:-1]] == [0] * (len(steps) - 1)
+        lines = [line for line, _ in self.COMMANDS]
+        assert [line for line, *_ in steps] == ["import", *lines, "import sympy"]
+        assert [code for _, code, *_ in steps[1:-1]] == [code for _, code in self.COMMANDS]
+        return steps
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_no_command_loads_sympy(self, tmp_path, flags):
+        steps = self.run_commands(tmp_path, flags, block=False)
         assert [loaded for *_, loaded in steps[:-1]] == [False] * (len(steps) - 1)
-        # the probe decides irreducibility, which factors a characteristic
-        # polynomial, so the check above could see a load
-        assert steps[-1][1] == 3 and steps[-1][3] is True
+        # the positive control: importing sympy is seen as a load
+        assert steps[-1][-1] is True
         # equal sizes take the exact root-sum path, sizes 2 and 3 the interval one
-        by_line = {line: out for line, _, out, _ in steps}
+        by_line = {line: out for line, _, out, *_ in steps}
         exact = json.loads(by_line["verify discrete_bm --sets a.json b.json"])
         interval = json.loads(by_line["verify discrete_bm --sets c.json e.json"])
         assert exact["params"]["sizes"] == ["6", "6"] and "precision_bits" not in exact
         assert interval["params"]["sizes"] == ["2", "3"] and interval["precision_bits"] == 128
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_every_command_runs_with_sympy_blocked(self, tmp_path, flags):
+        steps = self.run_commands(tmp_path, flags, block=True)
+        # blocked throughout: not even the final import loaded it
+        assert [loaded for *_, loaded in steps] == [False] * len(steps)
+        by_line = {line: (out, err) for line, _, out, err, _ in steps}
+        # the Eisenstein systems are certified irreducible in d = 4 and 5,
+        # and the reducible system is refused
+        for d in (4, 5):
+            out, _ = by_line[f"probe main-term --system eis{d}.json --set s{d}.json"]
+            assert json.loads(out.splitlines()[0])["params"]["d"] == str(d)
+        _, err = by_line["probe main-term --system red4.json --set s4.json"]
+        assert "requires a certified irreducible system" in err

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from sumsetlab import (
     shear_system,
 )
 from sumsetlab import structure
+from conftest import naive_spin
 
 DIAG_23 = LinearSystem([RationalMatrix.identity(2), RationalMatrix([[2, 0], [0, 3]])])
 
@@ -120,6 +122,18 @@ class TestDecideIrreducible:
         monkeypatch.setattr(structure, "_candidate_vectors", no_scan)
         assert decide_irreducible(rotation_system(d)).status == "Irreducible"
 
+    def test_reducible_d4_decided_by_norton(self, monkeypatch):
+        # B = P diag(R_1, R_2) P^-1, R_i of characteristic polynomial x^2 + i:
+        # the factor x^2 + 1 has nullity 2, and its kernel spins to a plane
+        def no_scan(*args):
+            raise AssertionError("the cyclic scan ran")
+
+        monkeypatch.setattr(structure, "_candidate_vectors", no_scan)
+        B = RationalMatrix([[1, -2, 2, -2], [1, -1, 1, -3], [0, 0, 1, -3], [0, 0, 1, -1]])
+        system = LinearSystem([RationalMatrix.identity(4), B])
+        verdict = decide_irreducible(system)
+        assert verdict.status == "Reducible" and verdict.witness == Subspace.span([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+
     def test_to_dict_includes_witness(self):
         doc = decide_irreducible(shear_system()).to_dict()
         assert doc["status"] == "Reducible" and "witness" in doc
@@ -199,6 +213,24 @@ class TestElementSchedule:
         assert next(schedule) is mats[0] and products == []
 
 
+class TestSpin:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_naive_spin(self, d, k):
+        draws = structure._uniform_draws(structure.splitmix64_stream(d * 10 + k), 7)
+        for seed in range(6):
+            mats = random_system(d, k + 1, 2, seed).normalized_tail()
+            units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            vectors = [tuple(next(draws) - 3 for _ in range(d)) for _ in range(3)]
+            for seeds in [[u] for u in units] + [[v] for v in vectors] + [vectors[:2], [(0,) * d]]:
+                assert structure._spin(seeds, mats, d) == naive_spin(seeds, mats, d)
+
+    def test_rational_maps(self):
+        half = RationalMatrix([[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(-2, 3)]])
+        for seeds in ([(1, 0, 0)], [(0, 1, 0)], [(Fraction(1, 3), 1, 5)]):
+            assert structure._spin(seeds, [half], 3) == naive_spin(seeds, [half], 3)
+
+
 class TestCoprimeSufficient:
     def test_rotation_pair(self):
         assert coprime_sufficient(rotation_system(2)) == "Coprime"
@@ -212,8 +244,6 @@ class TestCoprimeSufficient:
         assert coprime_sufficient(system) == "Coprime"
 
     def test_non_integral_rejected(self):
-        from fractions import Fraction
-
         system = LinearSystem([RationalMatrix([[Fraction(1, 2)]])])
         with pytest.raises(ValueError):
             coprime_sufficient(system)
