@@ -40,6 +40,7 @@ from .core import (
     PointSet,
     Vec,
     affine_dimension,
+    as_coord,
     as_vec,
     ensure,
     is_zero_vec,
@@ -85,7 +86,7 @@ class CompressionSpec:
     def __post_init__(self):
         d = len(self.normal)
         object.__setattr__(self, "normal", as_vec(self.normal, d))
-        object.__setattr__(self, "offset", _canon(self.offset if isinstance(self.offset, (int, Fraction)) else Fraction(self.offset)))
+        object.__setattr__(self, "offset", as_coord(self.offset))
         object.__setattr__(self, "direction", as_vec(self.direction, d))
         if is_zero_vec(self.normal):
             raise ValueError("normal must be nonzero")

@@ -572,6 +572,25 @@ class RationalMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self.dim != other.dim:
+            raise DimensionMismatchError("matrix dimensions differ")
+        return RationalMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def __rmul__(self, c) -> "RationalMatrix":
+        """The scalar multiple c M, for an int or Fraction c."""
+        c = as_coord(c)
+        return RationalMatrix([[c * x for x in row] for row in self.rows])
+
+    def poly(self, coeffs: Sequence) -> "RationalMatrix":
+        """p(M) by Horner's rule, for p with ``coeffs`` highest-first (no
+        coefficients: the zero polynomial)."""
+        identity = RationalMatrix.identity(self.dim)
+        acc = 0 * identity
+        for c in coeffs:
+            acc = acc @ self + c * identity
+        return acc
+
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.rows)))
 

@@ -6,22 +6,21 @@ A system (L_1, ..., L_k) of invertible maps is reducible when there are
 nontrivial subspaces U, V of equal dimension with L_i(U) <= V for all i.
 Since the L_i are invertible this forces V = L_1(U) and reduces to: U is a
 common invariant subspace of the normalized family M_j = L_1^{-1} L_j.  The
-decision procedure, in order:
+decision runs the same stages for every d >= 2, in order:
 
-1. *Dimensions <= 3 are decided completely.*  Proper nontrivial rational
-   subspaces are lines and hyperplanes.  A line span(u) is invariant iff u is
-   a common eigenvector, and the eigenvalue of a rational eigenvector is
-   rational, so enumerating tuples of rational eigenvalues and intersecting
-   the stacked kernels ker(M_j - t_j I) finds every invariant line.
-   Hyperplanes are dual: U is invariant under the M_j iff its annihilator is
-   invariant under the transposes, so the same line search on transposes
-   decides them.  For d <= 3 this covers all dimensions, hence never Unknown.
-2. *Norton's criterion for d >= 4,* over a fixed schedule of algebra
-   elements T.  Shortcut: if T has irreducible characteristic polynomial,
-   the module is irreducible, since an invariant U would give
-   charpoly(T|_U) | charpoly(T) of degree dim U, impossible.  Otherwise, for
-   an irreducible factor p of charpoly(T) with
-   nullity(p(T)) = deg(p):  pick any 0 != v in ker p(T) and
+1. *Invariant line.*  span(u) is invariant iff u is a common eigenvector,
+   whose eigenvalues are then rational, so enumerating tuples of rational
+   eigenvalues and intersecting the stacked kernels ker(M_j - t_j I) finds
+   every invariant line.  A map without a rational eigenvalue ends it.
+2. *Invariant hyperplane* (d >= 3).  U is invariant under the M_j iff its
+   annihilator is invariant under the transposes: the line search on the
+   transposes, with the maps' eigenvalues (M^tr has M's charpoly).
+3. *Irreducible if d <= 3:* every proper subspace is a line or hyperplane.
+4. *Norton's criterion,* over a fixed schedule of algebra elements T.
+   Shortcut: if T has irreducible characteristic polynomial, the module is
+   irreducible, since an invariant U would give charpoly(T|_U) | charpoly(T)
+   of degree dim U, impossible.  Otherwise, for an irreducible factor p of
+   charpoly(T) with nullity(p(T)) = deg(p):  pick any 0 != v in ker p(T) and
    0 != w in ker p(T^tr).  Let Z(u) be the smallest invariant subspace
    containing u.  If Z(v) is proper, reducible.  Else if the
    transpose-spin Z*(w) is proper, its annihilator is a proper invariant
@@ -35,11 +34,11 @@ decision procedure, in order:
    dually p(T^tr) kills a nonzero vector of the invariant subspace
    U^perp, forcing w in U^perp and Z*(w) <= U^perp proper.  Either way one
    of the two spins detects U.
-3. *Cyclic scan, when no schedule element admits a factor with nullity =
+5. *Cyclic scan, when no schedule element admits a factor with nullity =
    degree.*  Spin candidate vectors u (standard basis, rational
    eigenvectors of each M_j, seeded pseudorandom vectors) to Z(u); any
-   proper Z(u) is a witness.  If none is proper, the verdict is Unknown
-   (reported, never silent).
+   proper Z(u) is a witness.
+6. *Unknown* when the scan finds none (reported, never silent).
 
 Every Reducible verdict is re-validated through :func:`is_reducible_witness`
 before it is returned.
@@ -48,16 +47,18 @@ Characteristic polynomials and their factors over Q come from
 :mod:`sumsetlab.polynomials`: Berkowitz's division-free algorithm on the
 integer matrix qM, then Zassenhaus factoring (a squarefree decomposition,
 Cantor-Zassenhaus modulo a small prime, Hensel lifting and recombination by
-exact division).  Rational eigenvalues are the roots of the linear factors.
+exact division), at most once per matrix and decision.  Rational
+eigenvalues are the roots of the linear factors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     Coord,
@@ -152,45 +153,13 @@ def _charpoly_factors(M: RationalMatrix) -> list[tuple[list[int], int]]:
     return [(coeffs, len(coeffs) - 1) for coeffs, _ in factor(charpoly(M.rows))]
 
 
-def _rational_eigenvalues(M: RationalMatrix) -> list[Coord]:
-    return [
-        _canon(Fraction(-coeffs[1], coeffs[0]))
-        for coeffs, deg in _charpoly_factors(M)
-        if deg == 1
-    ]
-
-
-def _scaled_identity(c, d: int) -> RationalMatrix:
-    return RationalMatrix([[c if i == j else 0 for j in range(d)] for i in range(d)])
-
-
-def _mat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix(
-        [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)]
-    )
-
-
-def _mat_poly(coeffs: list[int], T: RationalMatrix) -> RationalMatrix:
-    """Evaluate the polynomial (coefficients highest-first) at T by Horner."""
-    d = T.dim
-    acc = _scaled_identity(0, d)
-    for c in coeffs:
-        acc = _mat_add(acc @ T, _scaled_identity(c, d))
-    return acc
-
-
-def _eigenvector_basis(M: RationalMatrix, lam: Fraction) -> list[Vec]:
-    shifted = _mat_add(M, _scaled_identity(-lam, M.dim))
-    return kernel_basis(shifted.rows, M.dim)
-
-
-def _candidate_vectors(mats: list[RationalMatrix], d: int) -> list[Vec]:
+def _candidate_vectors(maps: Iterable[tuple[RationalMatrix, list[Coord]]], d: int) -> list[Vec]:
     cands: list[Vec] = [
         tuple(1 if j == i else 0 for j in range(d)) for i in range(d)
     ]
-    for M in mats:
-        for lam in _rational_eigenvalues(M):
-            cands.extend(_eigenvector_basis(M, lam))
+    for M, evs in maps:
+        for lam in evs:
+            cands.extend(kernel_basis(M.poly([1, -lam]).rows, d))
     draws = _uniform_draws(splitmix64_stream(0x5EED5E7), 7)
     for _ in range(64):
         v = tuple(next(draws) - 3 for _ in range(d))
@@ -201,11 +170,11 @@ def _candidate_vectors(mats: list[RationalMatrix], d: int) -> list[Vec]:
 
 def _random_element(mats: list[RationalMatrix], draws: Iterator[int], d: int) -> RationalMatrix:
     """c_0 I + c_1 M_1 + ... + c_k M_k with each c_i drawn from -2..2."""
-    acc = _scaled_identity(next(draws) - 2, d)
+    acc = (next(draws) - 2) * RationalMatrix.identity(d)
     for M in mats:
         c = next(draws) - 2
         if c:
-            acc = _mat_add(acc, RationalMatrix([[c * x for x in row] for row in M.rows]))
+            acc = acc + c * M
     return acc
 
 
@@ -213,7 +182,7 @@ def _element_schedule(mats: list[RationalMatrix], d: int) -> Iterator[RationalMa
     """Algebra elements tried by the Norton test, in a deterministic order and
     without repeats.  Each is built only when the next one is asked for."""
     products = (A @ B for i, A in enumerate(mats) for j, B in enumerate(mats) if i != j)
-    sums = (_mat_add(A, B) for i, A in enumerate(mats) for B in mats[i + 1 :])
+    sums = (A + B for i, A in enumerate(mats) for B in mats[i + 1 :])
     draws = _uniform_draws(splitmix64_stream(0xA16EB8A), 5)
     combinations = (_random_element(mats, draws, d) for _ in range(24))
     seen = set()
@@ -224,15 +193,16 @@ def _element_schedule(mats: list[RationalMatrix], d: int) -> Iterator[RationalMa
 
 
 def _norton_attempt(
-    T: RationalMatrix, mats: list[RationalMatrix], tmats: list[RationalMatrix], d: int
+    T: RationalMatrix, factors: list, mats: list[RationalMatrix], tmats: list[RationalMatrix], d: int
 ) -> IrreducibilityVerdict | None:
-    """Run Norton's criterion with algebra element T; None if T is unusable."""
-    for coeffs, deg in _charpoly_factors(T):
+    """Run Norton's criterion with algebra element T, whose characteristic
+    polynomial has the irreducible ``factors``; None if T is unusable."""
+    for coeffs, deg in factors:
         if deg == d:
             # irreducible characteristic polynomial: no invariant subspace
             # can exist (its restricted charpoly would be a proper factor)
             return IrreducibilityVerdict(IRREDUCIBLE)
-        pT = _mat_poly(coeffs, T)
+        pT = T.poly(coeffs)
         ker = kernel_basis(pT.rows, d)
         if len(ker) != deg:
             continue
@@ -247,20 +217,20 @@ def _norton_attempt(
     return None
 
 
-def _invariant_line_witness(mats: list[RationalMatrix], d: int) -> Subspace | None:
+def _invariant_line(maps: Iterable[tuple[RationalMatrix, list[Coord]]], d: int) -> Subspace | None:
     """A line invariant under every map, or None; complete over Q.
 
-    Enumerates tuples of rational eigenvalues (a rational common eigenvector
-    forces every eigenvalue rational) and intersects the stacked kernels.
+    ``maps`` yields each map with its rational eigenvalues, and is read only
+    up to the first map that has none.  Enumerates tuples of eigenvalues and
+    intersects the stacked kernels of the M - lam I.
     """
-    per_map = [_rational_eigenvalues(M) for M in mats]
-    if any(not evs for evs in per_map):
-        return None
-    for combo in product(*per_map):
-        stacked: list[Vec] = []
-        for M, lam in zip(mats, combo):
-            stacked.extend(_mat_add(M, _scaled_identity(-lam, d)).rows)
-        ker = kernel_basis(stacked, d)
+    shifted = []
+    for M, evs in maps:
+        if not evs:
+            return None
+        shifted.append([M.poly([1, -lam]).rows for lam in evs])
+    for combo in product(*shifted):
+        ker = kernel_basis([row for rows in combo for row in rows], d)
         if ker:
             return Subspace(d, [ker[0]])
     return None
@@ -274,9 +244,8 @@ def _reducible(system: LinearSystem, witness: Subspace) -> IrreducibilityVerdict
 
 def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
     """Decide whether the system has a common nontrivial invariant rational
-    subspace (after the L_1^{-1} normalization).  Complete for d <= 3; for
-    d >= 4 a Norton-style test, then a cyclic scan, that can report Unknown on
-    instances neither can certify."""
+    subspace (after the L_1^{-1} normalization), by the stages of the module
+    docstring.  Complete for d <= 3; for d >= 4 it can report Unknown."""
     d = system.dim
     if d == 1:
         return IrreducibilityVerdict(IRREDUCIBLE)
@@ -285,23 +254,28 @@ def decide_irreducible(system: LinearSystem) -> IrreducibilityVerdict:
         # a single invertible map: every line is invariant under the empty
         # normalized family, so (L_1) alone is always reducible for d >= 2
         return _reducible(system, Subspace(d, [tuple(1 if j == 0 else 0 for j in range(d))]))
+    factors = functools.cache(_charpoly_factors)
+
+    def eigenvalues(M: RationalMatrix) -> list[Coord]:
+        return [_canon(Fraction(-c[1], c[0])) for c, deg in factors(M) if deg == 1]
+
+    line = _invariant_line(zip(mats, map(eigenvalues, mats)), d)
+    if line is not None:
+        return _reducible(system, line)
     tmats = [M.transpose() for M in mats]
+    if d > 2:
+        dual_line = _invariant_line(zip(tmats, map(eigenvalues, mats)), d)
+        if dual_line is not None:
+            return _reducible(system, dual_line.annihilator())
     if d <= 3:
-        line = _invariant_line_witness(mats, d)
-        if line is not None:
-            return _reducible(system, line)
-        if d == 3:
-            dual_line = _invariant_line_witness(tmats, d)
-            if dual_line is not None:
-                return _reducible(system, dual_line.annihilator())
         return IrreducibilityVerdict(IRREDUCIBLE)
     for T in _element_schedule(mats, d):
-        verdict = _norton_attempt(T, mats, tmats, d)
+        verdict = _norton_attempt(T, factors(T), mats, tmats, d)
         if verdict is not None:
             if verdict.status == REDUCIBLE:
                 return _reducible(system, verdict.witness)
             return verdict
-    for u in _candidate_vectors(mats, d):
+    for u in _candidate_vectors(zip(mats, map(eigenvalues, mats)), d):
         Z = _spin([u], mats, d)
         if 0 < Z.dim < d:
             return _reducible(system, Z)

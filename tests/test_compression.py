@@ -102,6 +102,14 @@ class TestCompress:
         with pytest.raises(ValueError):
             CompressionSpec(normal=(0, 1), offset=0, direction=(1, 0))
 
+    @pytest.mark.parametrize("offset", [0.5, 1.0, True, "1/2", None])
+    def test_offset_must_be_int_or_fraction(self, offset):
+        # the offset is validated like the normal and the direction
+        with pytest.raises(TypeError):
+            CompressionSpec(normal=(1, 0), offset=offset, direction=(1, 0))
+        with pytest.raises(TypeError):
+            CompressionSpec(normal=(1, 0), offset=0, direction=(offset, 1))
+
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             CompressionSpec(normal=(0, 0), offset=0, direction=(1, 0))

@@ -790,6 +790,51 @@ class TestRationalMatrix:
         with pytest.raises(SingularMatrixError):
             LinearSystem([RationalMatrix([[0, 0], [0, 0]])])
 
+    @staticmethod
+    def naive_poly(coeffs, rows):
+        """sum_i c_i M^(n-i) for coefficients c_0, ..., c_n highest-first, with
+        each power built by repeated list products and summed entrywise."""
+        d = len(rows)
+        total = [[Fraction(0)] * d for _ in range(d)]
+        power = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        for c in reversed(coeffs):
+            total = [[t + c * p for t, p in zip(rt, rp)] for rt, rp in zip(total, power)]
+            power = [[sum(power[i][m] * rows[m][j] for m in range(d)) for j in range(d)] for i in range(d)]
+        return total
+
+    @given(data=st.data())
+    def test_sum_scalar_multiple_and_poly_match_naive(self, data):
+        d = data.draw(st.integers(1, 4))
+        entries = st.lists(st.sampled_from(RATIONAL_VALUES), min_size=d * d, max_size=d * d)
+        A_rows, B_rows = ([e[i * d : (i + 1) * d] for i in range(d)] for e in (data.draw(entries), data.draw(entries)))
+        A, B = RationalMatrix(A_rows), RationalMatrix(B_rows)
+        c = data.draw(st.sampled_from(RATIONAL_VALUES))
+        coeffs = data.draw(st.lists(st.sampled_from(RATIONAL_VALUES), max_size=5))
+        assert (A + B).rows == tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A_rows, B_rows))
+        assert (c * A).rows == tuple(tuple(c * x for x in row) for row in A_rows)
+        assert A.poly(coeffs) == RationalMatrix(self.naive_poly(coeffs, A_rows))
+
+    def test_scalar_multiple_by_int_and_fraction(self):
+        M = RationalMatrix([[1, Fraction(1, 2)], [0, -3]])
+        assert 2 * M == RationalMatrix([[2, 1], [0, -6]])
+        assert Fraction(2, 3) * M == RationalMatrix([[Fraction(2, 3), Fraction(1, 3)], [0, -2]])
+        assert all(type(x) is int for row in (2 * M).rows for x in row)
+        with pytest.raises(TypeError):
+            0.5 * M
+        with pytest.raises(TypeError):
+            True * M
+
+    def test_poly_of_no_coefficients_is_zero(self):
+        M = RationalMatrix([[1, 2], [3, 4]])
+        assert M.poly([]) == RationalMatrix([[0, 0], [0, 0]])
+        assert M.poly([1, -5]) == RationalMatrix([[-4, 2], [3, -1]])
+        # Cayley-Hamilton: x^2 - 5x - 2 is the characteristic polynomial of M
+        assert M.poly([1, -5, -2]) == RationalMatrix([[0, 0], [0, 0]])
+
+    def test_sum_of_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            RationalMatrix.identity(2) + RationalMatrix.identity(3)
+
 
 @st.composite
 def low_rank_matrices(draw, square=False):

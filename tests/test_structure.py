@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,31 @@ from sumsetlab import (
 )
 from sumsetlab import structure
 from conftest import naive_spin
+
+
+def no_stage(name):
+    def fail(*args):
+        raise AssertionError(f"{name} ran")
+
+    return fail
+
+
+def spy(monkeypatch, name):
+    """The arguments of each call of ``structure.<name>``, which still runs."""
+    calls = []
+    real = getattr(structure, name)
+    monkeypatch.setattr(structure, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def factored_rows(system):
+    """The matrices, as rows, whose characteristic polynomials one decision
+    on the system factors."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy(monkeypatch, "_charpoly_factors")
+        decide_irreducible(system)
+    return [M.rows for M, in calls]
+
 
 DIAG_23 = LinearSystem([RationalMatrix.identity(2), RationalMatrix([[2, 0], [0, 3]])])
 
@@ -105,30 +131,40 @@ class TestDecideIrreducible:
         assert verdict.status == "Reducible" and verdict.witness.dim == 2
         assert is_reducible_witness(system, verdict.witness)
 
-    def test_scalar_family_decided_by_cyclic_scan(self):
-        # every algebra element of (I, 2I) is scalar, so no Norton attempt is
-        # usable and only the cyclic scan can find an invariant subspace
-        two = RationalMatrix([[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    def test_scalar_family_decided_by_line_stage(self, monkeypatch):
+        # every vector of Q^4 is a common eigenvector of (I, 2I), so the first
+        # stage finds an invariant line before the Norton test runs
+        monkeypatch.setattr(structure, "_element_schedule", no_stage("the Norton test"))
+        two = 2 * RationalMatrix.identity(4)
         system = LinearSystem([RationalMatrix.identity(4), two])
         verdict = decide_irreducible(system)
-        assert verdict.status == "Reducible"
+        assert verdict.status == "Reducible" and verdict.witness.dim == 1
         assert is_reducible_witness(system, verdict.witness)
+
+    def test_scalar_family_decided_by_cyclic_scan(self, monkeypatch):
+        # (I, R (+) R) with R the quarter turn: R has no rational eigenvalue,
+        # so no line or hyperplane is invariant.  Every algebra element
+        # T = a I + b (R (+) R) has one irreducible factor p, and p(T) = 0, so
+        # the nullity 4 never equals deg p and no Norton attempt is usable;
+        # only the cyclic scan finds the plane span(e_1, e_2)
+        spied = spy(monkeypatch, "_candidate_vectors")
+        R = [[0, -1], [1, 0]]
+        rr = RationalMatrix([row + [0, 0] for row in R] + [[0, 0] + row for row in R])
+        system = LinearSystem([RationalMatrix.identity(4), rr])
+        verdict = decide_irreducible(system)
+        assert len(spied) == 1
+        assert verdict.status == "Reducible"
+        assert verdict.witness == Subspace.span([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rotation_decided_without_cyclic_scan(self, d, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("the cyclic scan ran")
-
-        monkeypatch.setattr(structure, "_candidate_vectors", no_scan)
+        monkeypatch.setattr(structure, "_candidate_vectors", no_stage("the cyclic scan"))
         assert decide_irreducible(rotation_system(d)).status == "Irreducible"
 
     def test_reducible_d4_decided_by_norton(self, monkeypatch):
         # B = P diag(R_1, R_2) P^-1, R_i of characteristic polynomial x^2 + i:
         # the factor x^2 + 1 has nullity 2, and its kernel spins to a plane
-        def no_scan(*args):
-            raise AssertionError("the cyclic scan ran")
-
-        monkeypatch.setattr(structure, "_candidate_vectors", no_scan)
+        monkeypatch.setattr(structure, "_candidate_vectors", no_stage("the cyclic scan"))
         B = RationalMatrix([[1, -2, 2, -2], [1, -1, 1, -3], [0, 0, 1, -3], [0, 0, 1, -1]])
         system = LinearSystem([RationalMatrix.identity(4), B])
         verdict = decide_irreducible(system)
@@ -174,20 +210,86 @@ class TestDecideIrreducible:
         assert decide_irreducible(system).status == decide_irreducible(normalized).status
 
 
+def quaternion_system(a, b):
+    """(I, L_i, L_j): left multiplication by i and j on the quaternion
+    algebra (a, b) over Q, in the basis 1, i, j, ij."""
+    Li = RationalMatrix([[0, a, 0, 0], [1, 0, 0, 0], [0, 0, 0, a], [0, 0, 1, 0]])
+    Lj = RationalMatrix([[0, 0, b, 0], [0, 0, 0, -b], [1, 0, 0, 0], [0, -1, 0, 0]])
+    return LinearSystem([RationalMatrix.identity(4), Li, Lj])
+
+
+def census_draws():
+    """The 300 ``random_system(d, k, 2, seed)`` draws of the census: d = 2..6,
+    k = 2, 3, seeds 0-39 for d <= 4 and 0-14 for d >= 5."""
+    return [
+        random_system(d, k, 2, seed)
+        for d in range(2, 7)
+        for k in (2, 3)
+        for seed in range(40 if d <= 4 else 15)
+    ]
+
+
+class TestFactoringOncePerDecision:
+    def test_census_status_counts(self):
+        counts = Counter(decide_irreducible(s).status for s in census_draws())
+        assert counts == {"Irreducible": 262, "Reducible": 38}
+
+    def test_no_matrix_factored_twice(self):
+        systems = census_draws()[::7] + [quaternion_system(-1, -1), quaternion_system(-1, 5)]
+        for system in systems + [rotation_system(d) for d in range(2, 6)]:
+            factored = factored_rows(system)
+            assert len(factored) == len(set(factored))
+
+    def test_no_transpose_factored(self):
+        # for d <= 3 the line and hyperplane stages decide; the hyperplane
+        # stage searches the transposes with the maps' eigenvalues.  (For
+        # d >= 4 a Norton element may equal a transpose, e.g. -L_i = L_i^tr
+        # for the quaternions, and is then factored as an element.)
+        systems = [s for s in census_draws() if s.dim <= 3] + [rotation_system(3)]
+        for system in systems:
+            factored = factored_rows(system)
+            mats = system.normalized_tail()
+            transposes = {M.transpose().rows for M in mats} - {M.rows for M in mats}
+            assert factored and not transposes & set(factored)
+
+    def test_d3_census_factors_each_map_once(self):
+        # the hyperplane stage reuses the maps' eigenvalues: 40 factorings
+        # for the 40 draws, not 64 with the transposes factored again
+        assert sum(len(factored_rows(random_system(3, 2, 2, seed))) for seed in range(40)) == 40
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_first_map_without_eigenvalue_stops_the_line_stages(self, d):
+        # L_1^{-1} L_2 is the companion matrix of x^d - 2, irreducible by
+        # Eisenstein: no line or hyperplane, and the Norton test decides on
+        # that same matrix, so only it is factored
+        C = RationalMatrix([[2 if (i, j) == (0, d - 1) else int(i == j + 1) for j in range(d)] for i in range(d)])
+        system = LinearSystem([RationalMatrix.identity(d), C, 3 * RationalMatrix.identity(d) + C])
+        assert decide_irreducible(system).status == "Irreducible"
+        assert factored_rows(system) == [C.rows]
+
+
 def eager_schedule(mats, d):
     """The Norton schedule built in full and then deduplicated: the maps, the
     products A B (A != B), the sums A + B, and 24 seeded combinations
-    c_0 I + c_1 M_1 + ... with each term c_i M_i built as (c_i I) M_i."""
+    c_0 I + c_1 M_1 + ... with each term c_i M_i built as (c_i I) M_i.  Sums
+    and scalar matrices are built entrywise on lists of rows."""
+
+    def add(A, B):
+        return RationalMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+    def scalar(c):
+        return RationalMatrix([[c if i == j else 0 for j in range(d)] for i in range(d)])
+
     schedule = list(mats)
     schedule += [A @ B for i, A in enumerate(mats) for j, B in enumerate(mats) if i != j]
-    schedule += [structure._mat_add(A, B) for i, A in enumerate(mats) for B in mats[i + 1 :]]
+    schedule += [add(A, B) for i, A in enumerate(mats) for B in mats[i + 1 :]]
     draws = structure._uniform_draws(structure.splitmix64_stream(0xA16EB8A), 5)
     for _ in range(24):
-        acc = structure._scaled_identity(next(draws) - 2, d)
+        acc = scalar(next(draws) - 2)
         for M in mats:
             c = next(draws) - 2
             if c:
-                acc = structure._mat_add(acc, structure._scaled_identity(c, d) @ M)
+                acc = add(acc, scalar(c) @ M)
         schedule.append(acc)
     unique = {}
     for T in schedule:
