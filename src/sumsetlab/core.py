@@ -34,14 +34,18 @@ Integral inputs
 Outside the engine, integral inputs take integer paths as well.
 :func:`linear_image` of an integral set under an integral matrix takes ``int``
 dot products and marks the image integral; other pairs keep the ``Fraction``
-code.  One fraction-free elimination, :func:`_eliminate`, serves all of the
-linear algebra: :func:`rref` (so :func:`kernel_basis`,
-:meth:`RationalMatrix.inverse` and :class:`Subspace`) runs it on rows scaled
-to integers and divides each pivot row once at the end;
-:meth:`RationalMatrix.det` runs it on the scaled rows and divides the last
-pivot by the product of the scales; :func:`affine_dimension` ranks the
-differences of a set, scaled to integral points like a rational sum.
-:func:`project` onto standard coordinates keeps the integral flag.
+code.  Two fraction-free routines do the linear algebra.  For reduced forms
+and determinants, one Gauss-Jordan elimination, :func:`_eliminate`:
+:func:`rref` (so :func:`kernel_basis`, :meth:`RationalMatrix.inverse` and
+:class:`Subspace`) runs it on rows scaled to integers and divides each pivot
+row once at the end; :meth:`RationalMatrix.det` runs it on the scaled rows
+and divides the last pivot by the product of the scales.  For ranks and
+spins, one incremental echelon reduction, :func:`_echelon_extend`, which
+adds integer vectors one at a time to primitive pivot rows and stops at rank
+d: :func:`affine_dimension` feeds it the differences of a set, scaled to
+integral points like a rational sum, and ``structure`` spins subspaces under
+a system's maps with it.  :func:`project` onto standard coordinates keeps
+the integral flag.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -476,6 +480,39 @@ def _integer_row(v: Sequence[Coord]) -> tuple[int, list[int]]:
     return q, [c.numerator * (q // c.denominator) for c in v]
 
 
+def _echelon_extend(
+    rows: list[tuple[int, list[int]]], vectors: Iterable[list[int]], cap: int
+) -> Iterator[list[int]]:
+    """Add integer vectors to the echelon basis ``rows``, one at a time, and
+    yield each row kept; stop once ``rows`` holds ``cap`` rows, without
+    reading another vector.
+
+    ``rows`` holds (pivot column, primitive integer row) pairs in echelon
+    order: every row is zero at the pivots of the rows before it.  Each
+    vector w is reduced against them in one pass, in that order, by
+    p w - w[c] row for the pivot p = row[c], so it ends zero at every kept
+    pivot and no ``Fraction`` is built.  A nonzero remainder is divided by
+    the gcd of its entries and kept, with its first nonzero column as pivot.
+    ``vectors`` is read lazily, so a caller may append to the list it
+    iterates while the rows are yielded."""
+    if len(rows) == cap:
+        return
+    for w in vectors:
+        for c, row in rows:
+            f = w[c]
+            if f:
+                p = row[c]
+                w = [p * x - f * y for x, y in zip(w, row)]
+        if any(w):
+            g = math.gcd(*w)
+            if g != 1:
+                w = [x // g for x in w]
+            rows.append((next(itertools.compress(itertools.count(), w)), w))
+            yield w
+            if len(rows) == cap:
+                return
+
+
 def _eliminate(rows: list[list[int]], width: int) -> tuple[list[int], int]:
     """(pivot columns, signed last pivot) of an integer matrix by fraction-free
     Gauss-Jordan elimination (Bareiss), done in place on ``rows``.
@@ -793,13 +830,17 @@ class Subspace:
 
 def affine_dimension(A: PointSet) -> int:
     """Dimension of the affine hull of A (0 for a single point): the rank of
-    the differences to one point, by :func:`_eliminate`.  A rational set
-    is first scaled to integral points by :func:`_scaled`, which is one-to-one
-    and linear and so keeps the affine dimension."""
+    the differences to one point.  Each difference is added to an echelon
+    basis by :func:`_echelon_extend`, which stops as soon as the
+    rank reaches d, so a full-dimensional set is usually decided by its first
+    d + 1 points.  A rational set is first scaled to integral points by
+    :func:`_scaled`, which is one-to-one and linear and so keeps the affine
+    dimension."""
     _, (points,) = _scaled([A])
     pts = iter(points)
     anchor = next(pts)
-    return len(_eliminate([list(map(sub, p, anchor)) for p in pts], A.dim)[0])
+    differences = (list(map(sub, p, anchor)) for p in pts)
+    return sum(1 for _ in _echelon_extend([], differences, A.dim))
 
 
 def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet:

@@ -34,6 +34,7 @@ from typing import Collection
 from .core import (
     Basis,
     Coord,
+    EmptySetError,
     LinearSystem,
     PointSet,
     RationalMatrix,
@@ -56,15 +57,28 @@ def encode_coord(c: Coord) -> str:
 
 
 def decode_coord(raw) -> Coord:
-    if isinstance(raw, bool):
-        raise ValueError("coordinates must be integers or fraction strings")
-    if isinstance(raw, int):
-        return raw
+    """A coordinate read from JSON: an ``int``, or a string that
+    ``Fraction`` accepts, returned canonical (``int`` when integral).  A
+    string is first tried with ``int``, which parses an integer without
+    ``Fraction``'s regular expression, and otherwise with ``Fraction``.
+    ``int`` accepts a subset of the strings ``Fraction`` accepts, with the
+    same values, except that ``Fraction`` takes underscores only from
+    Python 3.11 on: a string with one always goes to ``Fraction``, so every
+    version accepts what its ``Fraction`` accepts."""
     if isinstance(raw, str):
+        if "_" not in raw:
+            try:
+                return int(raw)
+            except ValueError:
+                pass
         try:
             return as_coord(Fraction(raw))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad coordinate {raw!r}") from exc
+    if isinstance(raw, bool):
+        raise ValueError("coordinates must be integers or fraction strings")
+    if isinstance(raw, int):
+        return int(raw)
     raise ValueError(f"bad coordinate {raw!r} (floats are not accepted)")
 
 
@@ -75,7 +89,14 @@ def encode_point(p: Vec) -> list[str]:
 def decode_point(raw, dim: int) -> Vec:
     if not isinstance(raw, (list, tuple)) or len(raw) != dim:
         raise ValueError(f"point {raw!r} does not have {dim} coordinates")
-    return tuple(decode_coord(c) for c in raw)
+    return tuple(map(decode_coord, raw))
+
+
+def _dimension(dim) -> int:
+    """``dim`` if it is a positive ``int``; a bool is no dimension."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError("'dim' must be a positive integer")
+    return dim
 
 
 def encode_points(q: int, points: Collection[tuple[int, ...]]) -> list[list[str]]:
@@ -110,10 +131,12 @@ def pointset_to_dict(A: PointSet) -> dict:
 def pointset_from_dict(data: dict) -> PointSet:
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise ValueError("point set JSON needs keys 'dim' and 'points'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError("'dim' must be a positive integer")
-    return PointSet(dim, [decode_point(p, dim) for p in data["points"]])
+    dim = _dimension(data["dim"])
+    # decoded coordinates are canonical already: PointSet's checks are skipped
+    points = frozenset([decode_point(p, dim) for p in data["points"]])
+    if not points:
+        raise EmptySetError("point set must be non-empty")
+    return PointSet._raw(dim, points)
 
 
 def matrix_to_rows(M: RationalMatrix) -> list[list[str]]:
@@ -121,9 +144,13 @@ def matrix_to_rows(M: RationalMatrix) -> list[list[str]]:
 
 
 def matrix_from_rows(raw, dim: int) -> RationalMatrix:
+    dim = _dimension(dim)
     if not isinstance(raw, (list, tuple)) or len(raw) != dim:
         raise ValueError(f"matrix must have {dim} rows")
-    return RationalMatrix([[decode_coord(c) for c in row] for row in raw])
+    for row in raw:
+        if not isinstance(row, (list, tuple)) or len(row) != dim:
+            raise ValueError(f"matrix row {row!r} does not have {dim} entries")
+    return RationalMatrix([map(decode_coord, row) for row in raw])
 
 
 def matrix_to_dict(M: RationalMatrix) -> dict:
@@ -157,7 +184,7 @@ def basis_to_dict(basis: Basis) -> dict:
 def basis_from_dict(data: dict) -> Basis:
     if not isinstance(data, dict) or "dim" not in data or "vectors" not in data:
         raise ValueError("basis JSON needs keys 'dim' and 'vectors'")
-    dim = data["dim"]
+    dim = _dimension(data["dim"])
     return Basis([decode_point(v, dim) for v in data["vectors"]])
 
 

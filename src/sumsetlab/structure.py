@@ -54,7 +54,6 @@ eigenvalues are the roots of the linear factors.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -71,6 +70,7 @@ from .core import (
     is_zero_vec,
     kernel_basis,
     _canon,
+    _echelon_extend,
     _integer_row,
 )
 from .generators import splitmix64_stream, _uniform_draws
@@ -123,26 +123,16 @@ def is_reducible_witness(system: LinearSystem, U: Subspace) -> bool:
 def _spin(seeds: list[Vec], mats: list[RationalMatrix], d: int) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the maps.
 
-    The rows found so far are kept as primitive integer rows, each with its
-    pivot column, where every row is zero at the pivots of the rows before
-    it.  A new vector is reduced against them in one pass, in that order, and
-    the :class:`Subspace` (one rref) is built once, at the end; the subspace
-    is unique, so its rref is the same as when it was rebuilt per vector."""
+    The seeds, scaled to integers, go through :func:`core._echelon_extend`,
+    the reduction that :func:`core.affine_dimension` runs, and the images of
+    each row it keeps are queued behind them; the scan ends when the queue
+    does or the rank reaches d.  The :class:`Subspace` (one rref) is built
+    once, at the end; the subspace is unique, so its rref does not depend on
+    the order in which the vectors were reduced."""
     rows: list[tuple[int, list[int]]] = []
-    pending = list(seeds)
-    while pending:
-        _, w = _integer_row(pending.pop())
-        for c, row in rows:
-            if w[c]:
-                p, f = row[c], w[c]
-                w = [p * x - f * y for x, y in zip(w, row)]
-        pivot = next((c for c, x in enumerate(w) if x), None)
-        if pivot is None:
-            continue
-        g = math.gcd(*w)
-        w = [x // g for x in w]
-        rows.append((pivot, w))
-        pending.extend(M.mat_vec(w) for M in mats)
+    pending = [_integer_row(v)[1] for v in seeds]
+    for w in _echelon_extend(rows, pending, d):
+        pending.extend(_integer_row(M.mat_vec(w))[1] for M in mats)
     return Subspace(d, [row for _, row in rows])
 
 

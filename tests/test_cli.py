@@ -271,10 +271,14 @@ class TestLibraryErrors:
             (("gen", "random", "--d", "4", "--size", "3", "--box=-100000,100000", "--seed", "1"),
              "error: cannot draw uniformly from 1600032000240000800001 values: the limit is 2**64"),
             (("reduce", "--set", "square", "--max-steps", "-3"), "error: max_steps must be >= 0"),
+            (("sumset", "--set", "square", "--system", "digits"),
+             "error: digits: matrix row '12' does not have 2 entries"),
         ],
     )
     def test_exit_2_with_one_error_line(self, call, tmp_path, monkeypatch, argv, line):
         monkeypatch.chdir(tmp_path)
+        # matrix rows written as strings of digits, not lists of coordinates
+        (tmp_path / "digits").write_text('{"dim": 2, "maps": [["12", "34"], ["10", "01"]]}')
         (tmp_path / "line").write_text(dumps_canonical(pointset_to_dict(PointSet(2, [(0, 0), (1, 1), (2, 2)]))))
         (tmp_path / "square").write_text(dumps_canonical(pointset_to_dict(SQUARE)))
         (tmp_path / "shear").write_text(dumps_canonical(SHEAR))

@@ -949,6 +949,42 @@ def rref_rank(A):
     return len(naive_rref(rows, A.dim)[1]) if rows else 0
 
 
+@st.composite
+def affine_subspace_sets(draw):
+    """Sets in Q^1..Q^5 inside an affine subspace of every dimension 0..d: a
+    base point plus integer combinations of ``rank`` directions, one of them
+    sometimes a combination of the others.  Coordinates are integral,
+    rational, or a mix of both."""
+    dim = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, dim))
+    integral = st.integers(-4, 4)
+    rational = st.builds(Fraction, st.integers(-20, 20), st.integers(2, 7))
+    coord = draw(st.sampled_from([integral, rational, integral | rational]))
+    vec = st.tuples(*[coord] * dim)
+    base = draw(vec)
+    dirs = draw(st.lists(vec, min_size=rank, max_size=rank))
+    if len(dirs) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        dirs[-1] = tuple(a * x + b * y for x, y in zip(dirs[0], dirs[1]))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=12))
+    return rank, PointSet(dim, [
+        tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in coeffs
+    ])
+
+
+class CountedPoints(frozenset):
+    """A frozenset of points that counts the points its iterators yield."""
+
+    def __init__(self, points):
+        self.taken = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            self.taken += 1
+            yield p
+
+
 class TestAffineDimension:
     def test_singleton(self):
         assert affine_dimension(PointSet(3, [(1, 2, 3)])) == 0
@@ -987,6 +1023,62 @@ class TestAffineDimension:
     )
     def test_fixed_integral_cases(self, points, dim):
         assert affine_dimension(PointSet(len(points[0]), points)) == dim
+
+    @given(affine_subspace_sets())
+    def test_matches_rref_in_affine_subspaces(self, case):
+        rank, A = case
+        with fractions_built() as built:
+            got = affine_dimension(A)
+        assert got == rref_rank(A) <= rank
+        assert built == [0]
+
+    def test_scan_stops_at_full_rank(self, monkeypatch):
+        # 10,648 points of a cube: the rank reaches 3 within the first few
+        # differences, and no elimination over all of them runs
+        def no_elimination(*args):
+            raise AssertionError("affine_dimension ran a full elimination")
+
+        monkeypatch.setattr(core, "_eliminate", no_elimination)
+        points = CountedPoints(itertools.product(range(22), repeat=3))
+        assert affine_dimension(PointSet._raw(3, points, True)) == 3
+        assert 4 <= points.taken <= 10
+
+    def test_deficient_set_is_scanned_to_the_end(self):
+        points = CountedPoints((i, 2 * i, j, 0) for i in range(30) for j in range(30))
+        assert affine_dimension(PointSet._raw(4, points, True)) == 2
+        assert points.taken == 900
+
+
+class TestEchelonExtend:
+    """``_echelon_extend`` keeps primitive integer rows in echelon order and
+    stops at its rank cap."""
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d), max_size=8)
+        ),
+        st.integers(0, 5),
+    )
+    def test_rows_span_the_vectors_read(self, vectors, cap):
+        width = len(vectors[0]) if vectors else 1
+        rows, read = [], []
+
+        def reading():
+            for v in vectors:
+                read.append(v)
+                yield list(v)
+
+        kept = list(core._echelon_extend(rows, reading(), cap))
+        assert kept == [row for _, row in rows]
+        assert len(rows) == min(cap, len(naive_rref(vectors, width)[1]))
+        assert naive_rref(read, width)[0] == naive_rref(kept, width)[0]
+        # reading stops right after the vector that brought the rank to the cap
+        if len(read) < len(vectors):
+            assert len(rows) == cap
+            assert not read or len(naive_rref(read[:-1], width)[1]) == cap - 1
+        for i, (pivot, row) in enumerate(rows):
+            assert math.gcd(*row) == 1 and row[pivot] and not any(row[:pivot])
+            assert all(row[c] == 0 for c, _ in rows[:i])
 
 
 class TestProject:

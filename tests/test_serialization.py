@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import INT_VALUES, MIXED_VALUES, RATIONAL_VALUES, point_sets, rational_coords, values
-from sumsetlab import Basis, CompressionSpec, LinearSystem, PointSet, RationalMatrix
-from sumsetlab.core import _scaled, point_sort_key
+from sumsetlab import Basis, CompressionSpec, EmptySetError, LinearSystem, PointSet, RationalMatrix
+from sumsetlab import serialization
+from sumsetlab.core import _scaled, as_coord, point_sort_key
 from sumsetlab.serialization import (
     basis_from_dict,
     basis_to_dict,
@@ -65,6 +67,83 @@ class TestCoordCodec:
         assert decode_coord(encode_coord(c)) == c
 
 
+def fraction_reference(raw):
+    """What earlier versions decoded a string to: ``as_coord(Fraction(raw))``,
+    or None where ``Fraction`` rejects it."""
+    try:
+        return as_coord(Fraction(raw))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestDecodeCoordStrings:
+    """A string is tried with ``int`` before ``Fraction``; both paths together
+    accept the strings ``Fraction`` accepts, with the same values, types and
+    error messages."""
+
+    @given(st.text(alphabet="0123456789+- _/.e", max_size=12))
+    @example("1_0")
+    @example(" -3/4 ")
+    @example("-0/5")
+    def test_matches_fraction(self, raw):
+        expected = fraction_reference(raw)
+        if expected is None:
+            with pytest.raises(ValueError) as err:
+                decode_coord(raw)
+            assert str(err.value) == f"bad coordinate {raw!r}"
+        else:
+            got = decode_coord(raw)
+            assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("raw, value", [
+        (" 5 ", 5),
+        ("+5", 5),
+        ("-0", 0),
+        ("007", 7),
+        pytest.param("1_000", 1000, marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="Fraction takes underscores from Python 3.11")),
+        ("\u0663", 3),  # ARABIC-INDIC DIGIT THREE
+    ])
+    def test_integer_strings(self, raw, value):
+        got = decode_coord(raw)
+        assert got == value == fraction_reference(raw) and type(got) is int
+
+    @pytest.mark.parametrize("raw, value", [
+        ("3/4", Fraction(3, 4)),
+        ("6/8", Fraction(3, 4)),
+        ("1.5", Fraction(3, 2)),
+        ("1e3", 1000),
+    ])
+    def test_fraction_only_strings(self, raw, value):
+        got = decode_coord(raw)
+        assert got == value == fraction_reference(raw) and type(got) is type(value)
+
+    @pytest.mark.parametrize("raw", [
+        "",
+        "abc",
+        "1/0",
+        "0x10",
+        "-3/-4",
+        pytest.param(" -3 / 4 ", marks=pytest.mark.skipif(
+            sys.version_info >= (3, 12), reason="Fraction takes spaces around '/' from Python 3.12")),
+        "nan",
+        pytest.param("7" * 5000, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer string digits")),
+    ])
+    def test_rejected_strings(self, raw):
+        with pytest.raises(ValueError) as err:
+            decode_coord(raw)
+        assert str(err.value) == f"bad coordinate {raw!r}"
+
+    def test_integer_strings_skip_the_fraction_parser(self, monkeypatch):
+        def no_fraction(raw):
+            raise AssertionError(f"Fraction parsed {raw!r}")
+
+        monkeypatch.setattr(serialization, "Fraction", no_fraction)
+        doc = {"dim": 3, "points": [["-5", " 7", "0"], ["12", "-40", "+3"]]}
+        assert pointset_from_dict(doc) == PointSet(3, [(-5, 7, 0), (12, -40, 3)])
+
+
 class TestPointSetCodec:
     def test_points_emitted_sorted(self):
         A = PointSet(2, [(1, 0), (0, 1), (0, 0)])
@@ -85,6 +164,17 @@ class TestPointSetCodec:
     @given(point_sets(2, coords=RATIONAL_VALUES))
     def test_round_trip(self, A):
         assert pointset_from_dict(pointset_to_dict(A)) == A
+
+    def test_decoded_coordinates_are_canonical(self):
+        A = pointset_from_dict({"dim": 2, "points": [["4/2", "1/3"], [5, "-6/4"], ["2", "2/6"]]})
+        assert A == PointSet(2, [(2, Fraction(1, 3)), (5, Fraction(-3, 2))])
+        assert {type(c) for p in A for c in p} == {int, Fraction}
+        assert {p[0] for p in A} == {2, 5} and all(type(p[0]) is int for p in A)
+        assert not A.is_integral and pointset_from_dict({"dim": 1, "points": [["3/3"]]}).is_integral
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySetError, match="point set must be non-empty"):
+            pointset_from_dict({"dim": 2, "points": []})
 
 
 def old_recipe(A):
@@ -166,6 +256,41 @@ class TestSystemAndBasisCodec:
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
             basis_from_dict({"dim": 2, "vectors": [["1", "0"], ["2", "0"]]})
+
+
+class TestMalformedInput:
+    """A matrix row or basis vector must be a list of ``dim`` coordinates, and
+    ``dim`` a positive ``int``, not a bool.  Earlier versions read a string
+    row one character at a time and took ``true`` for dimension 1."""
+
+    def test_string_rows_rejected(self):
+        with pytest.raises(ValueError, match="matrix row '12' does not have 2 entries"):
+            matrix_from_rows(["12", "34"], 2)
+        with pytest.raises(ValueError, match="matrix row '12' does not have 2 entries"):
+            system_from_dict({"dim": 2, "maps": [["12", "34"], ["10", "01"]]})
+        with pytest.raises(ValueError, match="matrix row '10' does not have 2 entries"):
+            matrix_from_dict({"dim": 2, "entries": ["10", "01"]})
+
+    def test_string_basis_vectors_rejected(self):
+        with pytest.raises(ValueError, match="does not have 2 coordinates"):
+            basis_from_dict({"dim": 2, "vectors": ["10", "01"]})
+
+    @pytest.mark.parametrize("decode, doc", [
+        (pointset_from_dict, {"dim": True, "points": [["1"]]}),
+        (matrix_from_dict, {"dim": True, "entries": [["1"]]}),
+        (system_from_dict, {"dim": True, "maps": [[["1"]]]}),
+        (basis_from_dict, {"dim": True, "vectors": [["1"]]}),
+        (pointset_from_dict, {"dim": 0, "points": [[]]}),
+        (system_from_dict, {"dim": "2", "maps": [[["1", "0"], ["0", "1"]]]}),
+        (basis_from_dict, {"dim": 1.0, "vectors": [["1"]]}),
+    ])
+    def test_non_integer_dims_rejected(self, decode, doc):
+        with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+            decode(doc)
+
+    def test_bool_dim_rejected_by_matrix_rows(self):
+        with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+            matrix_from_rows([["1"]], True)
 
 
 class TestCompressionSpecCodec:
