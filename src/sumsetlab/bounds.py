@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .certificates import (
-    DEFAULT_PRECISION_CAP,
     HOLDS,
     INDETERMINATE,
     VIOLATED,
@@ -25,7 +24,6 @@ from .certificates import (
     exact_certificate,
     int_nth_root_interval,
     interval_certificate,
-    validate_precision_cap,
 )
 from .core import (
     Basis,
@@ -226,12 +224,19 @@ def _root_sum_power_exact(sizes: list[int], d: int) -> int | None:
     return None
 
 
-def check_discrete_bm(
-    sets: list[PointSet],
-    basis: Basis | None = None,
-    *,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-) -> Certificate:
+def _root_sum_power(values, d: int, bits: int) -> Interval:
+    """Certified enclosure of (sum x^{1/d})^d over non-negative rationals x.
+    Each x = n/q is enclosed as (n q^{d-1})^{1/d} / q, each root to within
+    2**-bits / q."""
+    root_sum = Interval.point(0)
+    for x in values:
+        n, q = x.numerator, x.denominator
+        root = int_nth_root_interval(n * q ** (d - 1), d, bits)
+        root_sum = root_sum + Interval(root.lo / q, root.hi / q)
+    return root_sum.power(d)
+
+
+def check_discrete_bm(sets: list[PointSet], basis: Basis | None = None) -> Certificate:
     """Discrete Brunn-Minkowski:
     |sum A_i| >= (sum |A_i|^{1/d})^d - sum_{I proper subset of [d]}
     (k-1)^{d-|I|} |pi_I(sum A_i)|.
@@ -243,9 +248,9 @@ def check_discrete_bm(
 
     The root-power term is computed exactly whenever it is rational
     (perfect powers, equal sizes, common radical); otherwise by certified
-    interval arithmetic with precision escalating up to ``precision_cap``.
+    interval arithmetic with precision escalating up to the cap of
+    :func:`~sumsetlab.certificates.precision_limit`.
     """
-    validate_precision_cap(precision_cap)
     if not sets:
         raise ValueError("need at least one set")
     d = sets[0].dim
@@ -280,16 +285,10 @@ def check_discrete_bm(
         )
 
     def make_sides(bits: int) -> tuple[Interval, Interval]:
-        root_sum = Interval.point(0)
-        for n in sizes:
-            root_sum = root_sum + int_nth_root_interval(n, d, bits)
-        lhs = root_sum.power(d) - Interval.point(correction)
+        lhs = _root_sum_power(sizes, d, bits) - Interval.point(correction)
         return lhs, Interval.point(rhs)
 
-    return interval_certificate(
-        "discrete_bm", make_sides, params=params, inputs=inputs,
-        precision_cap=precision_cap,
-    )
+    return interval_certificate("discrete_bm", make_sides, params=params, inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +445,7 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     )
 
 
-def _fraction_root_interval(x: Fraction, d: int, bits: int) -> Interval:
-    """Certified enclosure of x^{1/d} for non-negative rational x."""
-    x = Fraction(x)
-    scaled = int_nth_root_interval(x.numerator * x.denominator ** (d - 1), d, bits)
-    return Interval(scaled.lo / x.denominator, scaled.hi / x.denominator)
-
-
-def det_main_term_probe(
-    system: LinearSystem, A: PointSet, *, precision_cap: int = DEFAULT_PRECISION_CAP
-) -> Certificate:
+def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     """Like :func:`main_term_probe` but against the determinant main term
     Lambda = (sum |det L_i|^{1/d})^d, interval-certified.  Holds when
     |sum L_i(A)| provably reaches Lambda |A|; otherwise Indeterminate."""
@@ -466,10 +456,7 @@ def det_main_term_probe(
     dets = [abs(Fraction(M.det())) for M in system.maps]
 
     def make_sides(bits: int) -> tuple[Interval, Interval]:
-        root_sum = Interval.point(0)
-        for value in dets:
-            root_sum = root_sum + _fraction_root_interval(value, d, bits)
-        lam = root_sum.power(d)
+        lam = _root_sum_power(dets, d, bits)
         return Interval(lam.lo * len(A), lam.hi * len(A)), Interval.point(rhs)
 
     cert = interval_certificate(
@@ -477,7 +464,6 @@ def det_main_term_probe(
         make_sides,
         params={"k": system.k, "d": d, "size": len(A)},
         inputs=[A, system_to_dict(system)],
-        precision_cap=precision_cap,
     )
     # provably above the main term at finite size is informational only
     verdict = INDETERMINATE if cert.verdict == VIOLATED else cert.verdict

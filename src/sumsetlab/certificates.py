@@ -9,8 +9,12 @@ guaranteed to contain the true value.  The verdict is
 * ``Holds``          -- slack is provably >= 0,
 * ``Violated``       -- slack is provably  < 0,
 * ``Indeterminate``  -- the enclosing intervals still overlap zero at the
-  configured precision cap (or the check declines to decide, e.g. an
-  asymptotic probe at a single instance size).
+  precision cap (or the check declines to decide, e.g. an asymptotic probe
+  at a single instance size).
+
+The cap is the scoped limit :func:`precision_limit`, shaped like
+:func:`~sumsetlab.core.sum_limit`; the command line enters one block per
+command with ``--precision-cap``.
 
 Interval endpoints are Fractions with power-of-two denominators produced by
 the integer d-th root :func:`int_nth_root` (``math.isqrt`` and integer
@@ -26,12 +30,15 @@ per certificate.  A suite that only reads verdicts never hashes.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Iterator
 
 from .core import PointSet
 from .serialization import encode_coord, pointset_to_dict
@@ -42,18 +49,30 @@ INDETERMINATE = "Indeterminate"
 
 DEFAULT_PRECISION_CAP = 4096
 MIN_PRECISION_CAP = 128
+# The precision cap of interval escalation, in bits; see precision_limit.
+_PRECISION_CAP: contextvars.ContextVar[int] = contextvars.ContextVar(
+    "precision_limit", default=DEFAULT_PRECISION_CAP
+)
 
 
-def validate_precision_cap(cap: int) -> None:
-    """Reject an interval precision cap below the first escalation step."""
-    if cap < MIN_PRECISION_CAP:
-        raise ValueError(f"precision cap must be at least {MIN_PRECISION_CAP} bits, got {cap}")
+@contextlib.contextmanager
+def precision_limit(bits: int) -> Iterator[None]:
+    """Within the block, interval escalation stops at ``bits`` bits.  A cap
+    below 128 raises ValueError on entry.  On exit the previous cap is
+    restored; outside any block it is ``DEFAULT_PRECISION_CAP``."""
+    if bits < MIN_PRECISION_CAP:
+        raise ValueError(f"precision cap must be at least {MIN_PRECISION_CAP} bits, got {bits}")
+    token = _PRECISION_CAP.set(bits)
+    try:
+        yield
+    finally:
+        _PRECISION_CAP.reset(token)
 
 
-def precision_schedule(cap: int = DEFAULT_PRECISION_CAP):
-    """Yield 128, 256, 512, ... up to and including ``cap`` bits; a cap
-    below 128 raises ValueError at the first step."""
-    validate_precision_cap(cap)
+def precision_schedule() -> Iterator[int]:
+    """Yield 128, 256, 512, ... up to and including the cap of the enclosing
+    :func:`precision_limit` block."""
+    cap = _PRECISION_CAP.get()
     bits = MIN_PRECISION_CAP
     while True:
         yield bits
@@ -280,41 +299,28 @@ def interval_certificate(
     params: dict | None = None,
     witnesses: dict | None = None,
     inputs: object = None,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> Certificate:
     """Certificate for sides needing root enclosures, with escalation.
 
     ``make_sides(bits)`` must return ``(lhs, rhs)`` as Intervals computed at
     the given precision.  Precision doubles from 128 bits until the comparison
-    is decided or ``precision_cap`` is reached; an undecided comparison at the
-    cap is reported as ``Indeterminate`` (never guessed).
+    is decided or the cap of :func:`precision_limit` is reached; an undecided
+    comparison at the cap is reported as ``Indeterminate`` (never guessed).
     """
-    last = None
-    for bits in precision_schedule(precision_cap):
+    for bits in precision_schedule():
         lhs, rhs = make_sides(bits)
-        last = (lhs, rhs, bits)
         decided = lhs.le(rhs)
         if decided is not None:
-            slack = rhs - lhs
-            return Certificate(
-                statement_id=statement_id,
-                lhs=lhs,
-                rhs=rhs,
-                slack=slack,
-                verdict=HOLDS if decided else VIOLATED,
-                params=params,
-                witnesses=None if decided else witnesses,
-                precision_bits=bits,
-                inputs=inputs,
-            )
-    lhs, rhs, bits = last
+            break
+    verdict = INDETERMINATE if decided is None else HOLDS if decided else VIOLATED
     return Certificate(
         statement_id=statement_id,
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
-        verdict=INDETERMINATE,
+        verdict=verdict,
         params=params,
+        witnesses=witnesses if verdict == VIOLATED else None,
         precision_bits=bits,
         inputs=inputs,
     )

@@ -38,7 +38,7 @@ from .certificates import (
     VIOLATED,
     Certificate,
     canonical_json,
-    validate_precision_cap,
+    precision_limit,
 )
 from .compression import (
     CompressionSpec,
@@ -404,7 +404,7 @@ def _v_simplex_formula(args) -> list[Certificate]:
 def _v_discrete_bm(args) -> list[Certificate]:
     sets = _sets_arg(args, 1, "discrete_bm")
     basis = _load(basis_from_dict, args.basis) if args.basis else None
-    return [check_discrete_bm(sets, basis, precision_cap=args.precision_cap)]
+    return [check_discrete_bm(sets, basis)]
 
 
 def _v_ruzsa_triangle(args) -> list[Certificate]:
@@ -511,7 +511,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         if args.kind == "main-term":
             cert = main_term_probe(system, A)
         else:
-            cert = det_main_term_probe(system, A, precision_cap=args.precision_cap)
+            cert = det_main_term_probe(system, A)
         return _emit_certificates([cert], args)
     if args.kind == "khovanskii":
         if not args.set:
@@ -661,8 +661,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.budget < 1:
             raise CliError("--budget must be >= 1")
-        validate_precision_cap(args.precision_cap)
-        with sum_limit(args.budget):
+        with sum_limit(args.budget), precision_limit(args.precision_cap):
             return _COMMANDS[args.command](args)
     except (CliError, ValueError, KeyError, ZeroDivisionError) as exc:
         # the one place where an input error of the library becomes exit 2

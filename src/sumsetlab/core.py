@@ -27,7 +27,8 @@ Inside a :func:`sum_limit` block, the engine refuses with
 summands that could exceed the limit: the product of the summand sizes,
 capped by the cells of the scaled sum's bounding box.  The limit is a context
 variable, so it ends with its block; library calls outside any block have
-none.  The command line enters one block per command with ``--budget``.
+none.  The command line enters one block per command with ``--budget``, in
+the same ``with`` as :func:`~sumsetlab.certificates.precision_limit`.
 
 Integral inputs
 ---------------

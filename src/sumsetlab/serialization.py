@@ -43,6 +43,8 @@ from .core import (
     as_coord,
 )
 
+MAX_EXPONENT = 4300  # Python's default limit on the digits of an integer string
+
 
 def _ratio_text(numerator: int, denominator: int) -> str:
     """The one text form of an exact number in lowest terms: "7" or "-3/7".
@@ -57,21 +59,24 @@ def encode_coord(c: Coord) -> str:
 
 
 def decode_coord(raw) -> Coord:
-    """A coordinate read from JSON: an ``int``, or a string that
-    ``Fraction`` accepts, returned canonical (``int`` when integral).  A
-    string is first tried with ``int``, which parses an integer without
-    ``Fraction``'s regular expression, and otherwise with ``Fraction``.
-    ``int`` accepts a subset of the strings ``Fraction`` accepts, with the
-    same values, except that ``Fraction`` takes underscores only from
-    Python 3.11 on: a string with one always goes to ``Fraction``, so every
-    version accepts what its ``Fraction`` accepts."""
+    """A coordinate read from JSON: an ``int``, or a string that ``Fraction``
+    accepts with an exponent of at most ``MAX_EXPONENT``, returned canonical
+    (``int`` when integral).  A string is first tried with ``int``, which
+    parses an integer without ``Fraction``'s regular expression, and otherwise
+    with ``Fraction``.  ``int`` accepts a subset of the strings ``Fraction``
+    accepts, with the same values, except that ``Fraction`` takes underscores
+    only from Python 3.11 on: a string with one always goes to ``Fraction``,
+    so every version accepts what its ``Fraction`` accepts."""
     if isinstance(raw, str):
         if "_" not in raw:
             try:
                 return int(raw)
             except ValueError:
                 pass
+        _, e, exponent = raw.lower().partition("e")
         try:
+            if e and abs(int(exponent.replace("_", ""))) > MAX_EXPONENT:
+                raise ValueError("exponent too large")
             return as_coord(Fraction(raw))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad coordinate {raw!r}") from exc

@@ -47,9 +47,10 @@ from sumsetlab.certificates import (
     int_nth_root,
     int_nth_root_interval,
     interval_certificate,
+    precision_limit,
     precision_schedule,
 )
-from sumsetlab import certificates
+from sumsetlab import bounds, certificates
 from sumsetlab.serialization import pointset_to_dict
 from sumsetlab.suites import compression_laws, planar_bound_grids
 
@@ -234,11 +235,15 @@ class TestIntervalCertificate:
             Interval(Fraction(0), Fraction(2)),
             Interval(Fraction(1), Fraction(3)),
         )
-        cert = interval_certificate("demo", wobble, precision_cap=256)
+        with precision_limit(256):
+            cert = interval_certificate("demo", wobble)
         assert cert.verdict == INDETERMINATE and cert.precision_bits == 256
 
     def test_precision_schedule_doubles_to_cap(self):
-        assert list(precision_schedule(512)) == [128, 256, 512]
+        with precision_limit(512):
+            assert list(precision_schedule()) == [128, 256, 512]
+        with precision_limit(300):
+            assert list(precision_schedule()) == [128, 256, 300]
 
     def test_default_cap(self):
         assert DEFAULT_PRECISION_CAP == 4096
@@ -248,13 +253,43 @@ class TestIntervalCertificate:
 
     @pytest.mark.parametrize("cap", [8, 127])
     def test_cap_below_128_rejected(self, cap):
-        sides = lambda bits: (Interval.point(2), Interval.point(3))
+        # The cap is refused on entry, so no check in the block runs.
+        checks = [
+            lambda: interval_certificate("demo", lambda bits: (Interval.point(2), Interval.point(3))),
+            lambda: check_discrete_bm([PointSet(1, [(0,), (1,)])]),
+            lambda: det_main_term_probe(rotation_system(2), cube(2, 1)),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="at least 128"):
+                with precision_limit(cap):
+                    check()
+                    pytest.fail("the block ran under a cap below 128")
+        assert list(precision_schedule())[-1] == DEFAULT_PRECISION_CAP
+
+    def test_nested_limits_restore_the_outer_cap(self):
+        def cap():
+            return list(precision_schedule())[-1]
+
+        with precision_limit(1024):
+            with precision_limit(256):
+                assert cap() == 256
+            assert cap() == 1024
+            with pytest.raises(RuntimeError):
+                with precision_limit(512):
+                    assert cap() == 512
+                    raise RuntimeError
+            assert cap() == 1024
+        assert cap() == DEFAULT_PRECISION_CAP
+
+    def test_cap_below_128_rejected_before_any_sum(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bounds, "sumset_size", lambda sets: built.append(sets))
+        monkeypatch.setattr(bounds, "project", lambda *args: built.append(args))
+        sets = [PointSet(2, [(0, 0), (1, 0)]), PointSet(2, [(0, 0), (0, 1), (1, 1)])]
         with pytest.raises(ValueError, match="at least 128"):
-            interval_certificate("demo", sides, precision_cap=cap)
-        with pytest.raises(ValueError, match="at least 128"):
-            check_discrete_bm([PointSet(1, [(0,), (1,)])], precision_cap=cap)
-        with pytest.raises(ValueError, match="at least 128"):
-            det_main_term_probe(rotation_system(2), cube(2, 1), precision_cap=cap)
+            with precision_limit(127):
+                check_discrete_bm(sets)
+        assert built == []
 
 
 F = Fraction

@@ -13,6 +13,7 @@ import pytest
 
 import sumsetlab
 from sumsetlab import cli
+from sumsetlab.certificates import precision_schedule
 from sumsetlab.cli import run
 from sumsetlab.serialization import dumps_canonical, pointset_to_dict
 from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex
@@ -292,6 +293,20 @@ SET_FILE_EXTRA = {
 }
 
 
+def spy_interval_caps(monkeypatch):
+    """A list that receives, for every interval certificate the bounds build,
+    the precision cap in effect when it is built."""
+    seen = []
+    original = bounds.interval_certificate
+
+    def spy(statement_id, make_sides, **kwargs):
+        seen.append(list(precision_schedule())[-1])
+        return original(statement_id, make_sides, **kwargs)
+
+    monkeypatch.setattr(bounds, "interval_certificate", spy)
+    return seen
+
+
 def forbid_sums(monkeypatch, budget):
     """Fail the test if the engine completes a fold whose bound, the product
     of the summand sizes capped by the cells of the sum's box, exceeds
@@ -491,14 +506,7 @@ class TestVerify:
             call("gen", "rotation", "--d", "2", "-o", rot)
             call("gen", "cube", "--d", "2", "--N", "1", "-o", cube)
             argv = ("probe", "det-main-term", "--system", rot, "--set", cube)
-        seen = []
-        original = bounds.interval_certificate
-
-        def spy(statement_id, make_sides, **kwargs):
-            seen.append(kwargs["precision_cap"])
-            return original(statement_id, make_sides, **kwargs)
-
-        monkeypatch.setattr(bounds, "interval_certificate", spy)
+        seen = spy_interval_caps(monkeypatch)
         call(*argv)
         call(*argv, "--precision-cap", "256")
         assert seen == [4096, 256]
@@ -735,6 +743,12 @@ class TestSuite:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert [line.split()[0] for line in err.splitlines()] == ["PASS"] * len(doc["criteria"])
+
+    def test_precision_cap_reaches_every_interval_certificate(self, call, monkeypatch):
+        seen = spy_interval_caps(monkeypatch)
+        code, out, _ = call("suite", "smoke", "--precision-cap", "256")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert seen and set(seen) == {256}
 
     def test_unknown_suite_is_usage_error(self, call):
         assert call("suite", "nightly")[0] == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -67,9 +68,17 @@ class TestCoordCodec:
         assert decode_coord(encode_coord(c)) == c
 
 
+# the decimal exponent at the end of a string, as Fraction reads it
+TRAILING_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def fraction_reference(raw):
     """What earlier versions decoded a string to: ``as_coord(Fraction(raw))``,
-    or None where ``Fraction`` rejects it."""
+    or None where ``Fraction`` rejects it or, without calling it, where the
+    decimal exponent exceeds ``MAX_EXPONENT`` in magnitude."""
+    exponent = TRAILING_EXPONENT.search(raw)
+    if exponent and abs(int(exponent[1].replace("_", ""))) > serialization.MAX_EXPONENT:
+        return None
     try:
         return as_coord(Fraction(raw))
     except (ValueError, ZeroDivisionError):
@@ -79,12 +88,15 @@ def fraction_reference(raw):
 class TestDecodeCoordStrings:
     """A string is tried with ``int`` before ``Fraction``; both paths together
     accept the strings ``Fraction`` accepts, with the same values, types and
-    error messages."""
+    error messages, except a decimal exponent beyond ``MAX_EXPONENT``, which
+    is refused before ``Fraction`` expands it."""
 
     @given(st.text(alphabet="0123456789+- _/.e", max_size=12))
     @example("1_0")
     @example(" -3/4 ")
     @example("-0/5")
+    @example("1e4300")
+    @example("501e65046295")
     def test_matches_fraction(self, raw):
         expected = fraction_reference(raw)
         if expected is None:
@@ -127,6 +139,9 @@ class TestDecodeCoordStrings:
         pytest.param(" -3 / 4 ", marks=pytest.mark.skipif(
             sys.version_info >= (3, 12), reason="Fraction takes spaces around '/' from Python 3.12")),
         "nan",
+        "1e4301",
+        "2.5E-99999999",
+        "74e26_085785",
         pytest.param("7" * 5000, marks=pytest.mark.skipif(
             not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer string digits")),
     ])
@@ -142,6 +157,16 @@ class TestDecodeCoordStrings:
         monkeypatch.setattr(serialization, "Fraction", no_fraction)
         doc = {"dim": 3, "points": [["-5", " 7", "0"], ["12", "-40", "+3"]]}
         assert pointset_from_dict(doc) == PointSet(3, [(-5, 7, 0), (12, -40, 3)])
+
+    def test_large_exponents_skip_the_fraction_parser(self, monkeypatch):
+        def no_fraction(raw):
+            raise AssertionError(f"Fraction parsed {raw!r}")
+
+        monkeypatch.setattr(serialization, "Fraction", no_fraction)
+        for raw in ("1e99999999", " -3.5e+4301 ", "1E-1_000_000"):
+            with pytest.raises(ValueError) as err:
+                decode_coord(raw)
+            assert str(err.value) == f"bad coordinate {raw!r}"
 
 
 class TestPointSetCodec:
