@@ -109,8 +109,9 @@ def check_gs_kfold(sets: list[PointSet], direction) -> Certificate:
 def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
     """|kA| >= C(k+d-1, d)|A| - (k-1) C(k+d-1, d-1) for full-dimensional A.
 
-    The bound is also evaluated in the rewritten form
-    C(k+d-1, d-1) (k(|A|-d)/d + 1); the two agree identically because
+    The long simplex of |A| points attains the bound, so the bound is
+    ``simplex_cardinality(d, |A|, k)``.  It is also evaluated in the rewritten
+    form C(k+d-1, d-1) (k(|A|-d)/d + 1); the two agree identically because
     C(k+d-1, d) = (k/d) C(k+d-1, d-1).
     """
     d = A.dim
@@ -119,7 +120,7 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
     if affine_dimension(A) != d:
         raise ValueError("the k-fold lower bound needs a full-dimensional set")
     n = len(A)
-    bound = math.comb(k + d - 1, d) * n - (k - 1) * math.comb(k + d - 1, d - 1)
+    bound = simplex_cardinality(d, n, k)
     rewritten = _canon(
         Fraction(math.comb(k + d - 1, d - 1)) * (Fraction(k * (n - d), d) + 1)
     )
@@ -141,7 +142,7 @@ def check_freiman_lemma(A: PointSet) -> Certificate:
         raise ValueError("the doubling lower bound needs a full-dimensional set")
     n = len(A)
     lhs = (d + 1) * n - d * (d + 1) // 2
-    kfold = math.comb(d + 1, d) * n - math.comb(d + 1, d - 1)
+    kfold = simplex_cardinality(d, n, 2)
     ensure(lhs == kfold, "k=2 specialization must match the k-fold bound")
     rhs = sumset_size([A, A])
     return exact_certificate(
@@ -579,7 +580,7 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
             break
     # the reference Q(k) has degree d, so its values at the d + 1 fit nodes
     # determine it
-    bound = [math.comb(k + d - 1, d) * len(A) - (k - 1) * math.comb(k + d - 1, d - 1) for k in nodes]
+    bound = [simplex_cardinality(d, len(A), k) for k in nodes]
     reference = _interpolate(nodes, bound)
     dominates = all(
         values[k - 1] >= _poly_eval(reference, k) for k in range(1, k_max + 1)

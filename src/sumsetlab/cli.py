@@ -3,7 +3,8 @@ certificate verification, suites, and probes.
 
 Exit codes: 0 when every emitted certificate Holds, 1 when any is Violated,
 2 on usage or input errors, 3 when some are Indeterminate and none Violated.
-All stdout output is canonical JSON (or CSV with ``--format csv``) and is a
+All stdout output is canonical JSON, or CSV with ``--format csv`` where
+certificates are written (``verify`` and the certificate probes), and is a
 deterministic function of the run configuration; human-oriented progress
 lines go to stderr.
 """
@@ -280,6 +281,8 @@ def _require(args: argparse.Namespace, name: str, context: str):
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
+    if args.k != 1 and (args.sets or args.system):
+        raise CliError("--k folds --set alone; it excludes --sets and --system")
     if args.sets:
         if args.set or args.system:
             raise CliError("--sets excludes --set/--system")
@@ -459,7 +462,7 @@ def _v_projection_monotone(args) -> list[Certificate]:
     if args.axis is None or not args.coords:
         raise CliError("verify projection_monotone needs --axis and --coords")
     coords = _parse_ints(args.coords, "--coords")
-    return [check_projection_monotone(sets, args.axis, None, coords)]
+    return [check_projection_monotone(sets, args.axis, coords)]
 
 
 _VERIFY_BUILDERS: dict[str, Callable[[argparse.Namespace], list[Certificate]]] = {
@@ -516,6 +519,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     if args.kind == "khovanskii":
         if not args.set:
             raise CliError("probe khovanskii needs --set")
+        if args.fmt == "csv":
+            raise CliError("probe khovanskii writes JSON only")
         A = _load(pointset_from_dict, args.set)
         _emit_doc(khovanskii_probe(A, args.k_max).to_dict(), args)
         return 0
@@ -534,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     make many runs.  Reuse is safe because ``parse_args`` returns a fresh
     namespace and no option has a mutable default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     common.add_argument(
         "--budget",
         type=int,
@@ -640,6 +644,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--system", default=None)
     p_probe.add_argument("--set", default=None)
     p_probe.add_argument("--k-max", type=int, default=6)
+
+    for p_certs in (p_ver, p_probe):  # only certificates have a CSV form
+        p_certs.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     return parser
 

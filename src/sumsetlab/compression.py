@@ -36,7 +36,6 @@ from .certificates import (
     exact_certificate,
 )
 from .core import (
-    Basis,
     PointSet,
     Vec,
     affine_dimension,
@@ -315,12 +314,7 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
     return cert
 
 
-def check_projection_monotone(
-    sets: list[PointSet],
-    axis: int,
-    basis: Basis | None,
-    coords: list[int],
-) -> Certificate:
+def check_projection_monotone(sets: list[PointSet], axis: int, coords: list[int]) -> Certificate:
     """Coordinate projections of sums never grow under a shared axis
     compression: |pi_I(C_i(A_1) + ... + C_i(A_k))| <= |pi_I(A_1 + ... + A_k)|.
 
@@ -334,8 +328,6 @@ def check_projection_monotone(
     """
     if len(sets) < 1:
         raise ValueError("need at least one set")
-    if basis is not None and not basis.is_standard():
-        raise ValueError("projection monotonicity is certified in the standard basis only")
     dim = sets[0].dim
     spec = CompressionSpec.axis(axis, dim)
     lhs = sumset_size([project(compress(A, spec), None, coords) for A in sets])

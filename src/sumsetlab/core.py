@@ -10,25 +10,28 @@ Sumsets
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
 :func:`weighted_sumset`) goes through one engine, :func:`scaled_sumset`.  It
 packs each distinct summand once into integers in the mixed radix of the
-final sum's bounding box, folds, and decodes once.  The fold is an ``int``
-bitmap (one shift and OR per summand point) when the box has at most
-``_BITMAP_DENSITY`` cells per pair a pair-set fold would add, and at most
+final sum's bounding box, folds, and decodes once.  The box is the sums of
+the summands' minima and maxima, and the sum has at most
+min(|A_1| ... |A_k|, cells of the box) points.  The fold is an ``int`` bitmap
+(one shift and OR per summand point) when the box has at most
+``_BITMAP_DENSITY`` cells per point of that bound, and at most
 ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of packed integers that
 adds every pair.  The choice depends only on the summands' sizes and
-bounding boxes, and both folds return the same set.  A rational sum is
-scaled by q, the lcm of its coordinate denominators, and divided back by q
-only when a ``PointSet`` is asked for: the ``sumset`` command writes the
-scaled sum out as it is (:func:`serialization.encode_points`).
-:func:`sumset_size` runs the same scaling and folds and counts the result
-without decoding it: the bitmap's set bits, or the size of the packed set.
+bounding boxes, not on their order, and both folds return the same set.  A
+rational sum is scaled by q, the lcm of its coordinate denominators, and
+divided back by q only when a ``PointSet`` is asked for: the ``sumset``
+command writes the scaled sum out as it is
+(:func:`serialization.encode_points`).  :func:`sumset_size` runs the same
+scaling and folds and counts the result without decoding it: the bitmap's set
+bits, or the size of the packed set.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
-summands that could exceed the limit: the product of the summand sizes,
-capped by the cells of the scaled sum's bounding box.  The limit is a context
-variable, so it ends with its block; library calls outside any block have
-none.  The command line enters one block per command with ``--budget``, in
-the same ``with`` as :func:`~sumsetlab.certificates.precision_limit`.
+summands whose bound exceeds the limit: the same bound, taken after a
+rational sum is scaled.  The limit is a context variable, so it ends with its
+block; library calls outside any block have none.  The command line enters
+one block per command with ``--budget``, in the same ``with`` as
+:func:`~sumsetlab.certificates.precision_limit`.
 
 Integral inputs
 ---------------
@@ -69,6 +72,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -241,10 +245,14 @@ def _require_same_dim(sets: Sequence[PointSet]) -> int:
 # The integral engine picks one of two folds over the same packed integers.
 # The bitmap fold costs about one box cell per shift of a summand point, plus
 # the decode of every cell; the pair-set fold costs one set insertion per pair,
-# plus a divmod decode of every output point.  On 321 random integral inputs
-# (d = 1..4, k = 2..4, 2 to 300 points, box sides 2 to 1000), both folds timed
-# on each: a limit of 8 cells per pair took a fold at most 1.5x slower than the
-# faster one, 4.2 ms lost in all; limits of 2 and 32 lost 152 ms and 32 ms.
+# plus a divmod decode of every output point.  The bitmap runs when the box has
+# at most this many cells per point of the bound min(|A_1| ... |A_k|, cells);
+# for k = 2 that is the choice per pair added.  Both folds timed on random
+# integral inputs (d = 1..4, 2 to 300 points, box sides 2 to 1000), a limit of
+# 8 lost against the faster fold of each: 4.2 ms on 321 inputs with k = 2..4
+# counted per pair (no fold over 1.5x slower; limits 2 and 32 lost 152 and
+# 32 ms), and 441 ms of 5.36 s on 600 inputs with k = 3, 4 counted per point
+# of the bound (none over 2.7x slower; limits 2 and 32 lost 5.03 s and 36 ms).
 _BITMAP_DENSITY = 8
 # The bitmap's decode buffers take about 4 bytes per cell, so boxes above
 # 4M cells always take the pair-set fold.
@@ -268,22 +276,6 @@ def sum_limit(limit: int | None) -> Iterator[None]:
         yield
     finally:
         _SUM_LIMIT.reset(token)
-
-
-def _extents(sets: Sequence[Collection[Vec]]) -> list[tuple[list[tuple], list[int], list[int]]]:
-    """(coordinate columns, minima, maxima) of each set of integral points.  A
-    set that occurs several times in ``sets`` is transposed and scanned once."""
-    seen: dict[int, tuple] = {}
-    for A in sets:
-        if id(A) not in seen:
-            cols = list(zip(*A))
-            seen[id(A)] = (cols, [min(c) for c in cols], [max(c) for c in cols])
-    return [seen[id(A)] for A in sets]
-
-
-def _side(low: int, high: int) -> int:
-    """Number of integers in [low, high]."""
-    return high - low + 1
 
 
 def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
@@ -330,40 +322,42 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     bounding box, first coordinate most significant, so a sum of points is a
     sum of integers with no carry between coordinates, and packed order is
     ``itertools.product`` order over the box.  Each distinct summand is packed
-    once.  :func:`_bitmap_fold` runs when the box has at most
-    ``_BITMAP_DENSITY`` cells per pair that :func:`_pair_fold` would add (each
-    partial sum bounded by the product of its sizes and its box's cells) and
-    at most ``_BITMAP_MAX_CELLS`` cells.  The same bound of the whole sum is
-    checked against :func:`sum_limit` before anything is packed.
+    once.  The box is the sums of the summands' minima and maxima, and the
+    sum has at most ``bound`` = min(|A_1| ... |A_k|, cells of the box)
+    points.  That one bound is checked against :func:`sum_limit` before
+    anything is packed, and it picks the fold: :func:`_bitmap_fold` runs when
+    the box has at most ``_BITMAP_DENSITY`` cells per point of the bound and
+    at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
+    summands.
     """
-    extents = _extents(sets)
-    # running sums of the minima and maxima give each prefix sum's box
-    lows, highs = extents[0][1], extents[0][2]
-    prefix_cells = []
-    for _, mins, maxs in extents[1:]:
-        prefix_cells.append(math.prod(map(_side, lows, highs)))
-        lows, highs = list(map(add, lows, mins)), list(map(add, highs, maxs))
-    sides = list(map(_side, lows, highs))
+    ids = list(map(id, sets))
+    # each distinct summand once, by id: its columns and minima, then its
+    # packed points; the box adds its minima and maxima once per occurrence
+    distinct = dict(zip(ids, sets))
+    lows, highs = [], []
+    for key, count in Counter(ids).items():
+        cols = list(zip(*distinct[key]))
+        mins = [min(c) for c in cols]
+        distinct[key] = cols, mins
+        lows.append([count * low for low in mins])
+        highs.append([count * max(c) for c in cols])
+    lows, highs = list(map(sum, zip(*lows))), list(map(sum, zip(*highs)))
+    sides = [high - low + 1 for low, high in zip(lows, highs)]
     cells = math.prod(sides)
-    # Every prefix box lies in the final one, so capping the running product
-    # of the sizes at ``cells`` changes no min(product, prefix cells), and it
-    # keeps the product from growing to |A|^k for a k-fold sum.
-    work, product = 0, len(sets[0])
-    for A, prefix in zip(sets[1:], prefix_cells):
-        work += min(product, prefix) * len(A)
-        product = min(product * len(A), cells)
-    bound, limit = product, _SUM_LIMIT.get()
+    # capped at the cells, the product of the sizes never grows to |A|^k
+    bound = 1
+    for size in map(len, sets):
+        bound = min(bound * size, cells)
+    limit = _SUM_LIMIT.get()
     if limit is not None and bound > limit:
         raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
         weights[i - 1] = weights[i] * sides[i]
-    packed_by_id: dict[int, list[int]] = {}
-    for A, (cols, mins, _) in zip(sets, extents):
-        if id(A) not in packed_by_id:
-            packed_by_id[id(A)] = _pack(cols, mins, weights)
-    packed = [packed_by_id[id(A)] for A in sets]
-    if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * work:
+    for key, (cols, mins) in distinct.items():
+        distinct[key] = _pack(cols, mins, weights)
+    packed = list(map(distinct.__getitem__, ids))
+    if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * bound:
         return _bitmap_fold(packed, cells), lows, sides
     return _pair_fold(packed), lows, sides
 

@@ -257,7 +257,7 @@ def compression_laws(samples: int = 1000) -> CriterionReport:
             axis = params.range(1, d)
             size = params.range(1, d - 1)
             coords = sorted(params.choice(list(combinations(range(1, d + 1), size))))
-            cert = check_projection_monotone(sets, axis, None, coords)
+            cert = check_projection_monotone(sets, axis, coords)
             rec.certificate(cert, f"projection_monotone #{i} axis={axis} I={coords}")
     return rec.report("compression_laws", {"samples": samples})
 

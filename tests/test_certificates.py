@@ -366,7 +366,7 @@ PINNED_CERTIFICATES = {
         "9234b379098420c9db2fa8e31a9fee1494e5c8adbb30e56b88274900290838fc",
     ),
     "projection_monotone": (
-        lambda: check_projection_monotone([_SPARSE, _RATIONAL], 2, None, [1]),
+        lambda: check_projection_monotone([_SPARSE, _RATIONAL], 2, [1]),
         "ca4b6a6ea6f1ef25b807073b0bd1258daaa48a6a0c488bf71fe73bcd0b3a1038",
     ),
 }
@@ -410,7 +410,7 @@ class TestDigestWhenRead:
     def test_inputs_taken_at_construction(self):
         sets = [_SPARSE, _RATIONAL]
         sum_cert = check_sum_monotone(sets, CompressionSpec.axis(1, 2))
-        projection_cert = check_projection_monotone(sets, 2, None, [1])
+        projection_cert = check_projection_monotone(sets, 2, [1])
         sum_cert.params["spec"]["axis"] = 2
         projection_cert.params["coords"].append(2)
         projection_cert.params["k"] = 5

@@ -274,6 +274,10 @@ class TestLibraryErrors:
             (("reduce", "--set", "square", "--max-steps", "-3"), "error: max_steps must be >= 0"),
             (("sumset", "--set", "square", "--system", "digits"),
              "error: digits: matrix row '12' does not have 2 entries"),
+            (("sumset", "--set", "square", "--system", "shear", "--k", "3"),
+             "error: --k folds --set alone; it excludes --sets and --system"),
+            (("sumset", "--sets", "square", "square", "--k", "5"),
+             "error: --k folds --set alone; it excludes --sets and --system"),
         ],
     )
     def test_exit_2_with_one_error_line(self, call, tmp_path, monkeypatch, argv, line):
@@ -530,6 +534,38 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bbc7401fad278da1be5fcf98905cf24f462f665ca869d5d36fbc3ed5abb2b8a9"
         )
+
+    def test_probe_csv_bytes(self, call, workset):
+        tmp, _ = workset
+        rot, cube = str(tmp / "rot.json"), str(tmp / "cube.json")
+        call("gen", "rotation", "--d", "2", "-o", rot)
+        call("gen", "cube", "--d", "2", "--N", "1", "-o", cube)
+        code, out, _ = call("probe", "main-term", "--system", rot, "--set", cube, "--format", "csv")
+        assert code == 3 and out.startswith("statement_id,")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2c1bfd44df3c098512fb5fd4107d5a26983353fe2997ab25141195b95a7aff24"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "cube", "--d", "1", "--N", "1"),
+            ("sumset", "--set", "square", "--k", "2"),
+            ("compress", "--set", "square", "--axis", "1"),
+            ("reduce", "--set", "square"),
+            ("project", "--set", "square", "--coords", "1"),
+            ("suite", "smoke"),
+            ("probe", "khovanskii", "--set", "square", "--k-max", "4"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_csv_refused_without_certificates(self, call, tmp_path, monkeypatch, argv):
+        # only certificates have a CSV form; every other report is JSON only
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "square").write_text(dumps_canonical(pointset_to_dict(SQUARE)))
+        assert call(*argv)[0] == 0
+        code, out, err = call(*argv, "--format", "csv")
+        assert code == 2 and out == "" and "error" in err
 
     def test_out_file_matches_stdout(self, call, workset):
         tmp, write = workset

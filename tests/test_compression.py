@@ -220,12 +220,12 @@ class TestSumMonotone:
 class TestProjectionMonotone:
     def test_untouched_coordinates_have_zero_slack(self):
         A = PointSet(2, [(0, 0), (0, 3), (1, 7)])
-        cert = check_projection_monotone([A, A], axis=2, basis=None, coords=[1])
+        cert = check_projection_monotone([A, A], axis=2, coords=[1])
         assert cert.holds() and cert.slack == 0
 
     def test_full_coordinate_list(self):
         A = PointSet(2, [(0, 0), (1, 2)])
-        cert = check_projection_monotone([A], axis=1, basis=None, coords=[1, 2])
+        cert = check_projection_monotone([A], axis=1, coords=[1, 2])
         assert cert.holds()
 
     @given(st.lists(point_sets(3, max_size=4), min_size=1, max_size=2), st.data())
@@ -233,7 +233,7 @@ class TestProjectionMonotone:
     def test_never_violated(self, sets, data):
         axis = data.draw(st.integers(1, 3))
         coords = sorted(data.draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)))
-        cert = check_projection_monotone(sets, axis=axis, basis=None, coords=coords)
+        cert = check_projection_monotone(sets, axis=axis, coords=coords)
         assert cert.holds()
         projected = [project(compress(A, axis_spec(axis, 3)), None, coords) for A in sets]
         assert cert.lhs == len(minkowski_sum(projected))
@@ -253,14 +253,14 @@ class TestProjectionMonotone:
         squashed = PointSet(d, naive_sumset(compressed))
         for size in range(d + 1):
             for coords in itertools.combinations(range(1, d + 1), size):
-                cert = check_projection_monotone(sets, axis, None, list(coords))
+                cert = check_projection_monotone(sets, axis, list(coords))
                 assert cert.lhs == len(project(squashed, None, coords))
                 assert cert.rhs == len(project(full, None, coords))
 
     def test_builds_no_sum(self, built_sums):
         sets = [random_set(3, n, (0, 4), seed) for n, seed in [(11, 1), (14, 2), (17, 3)]]
-        check_projection_monotone(sets, 1, None, [1, 2])
-        check_projection_monotone(sets[:1], 3, None, [])
+        check_projection_monotone(sets, 1, [1, 2])
+        check_projection_monotone(sets[:1], 3, [])
         assert built_sums == []
         # the containment witness needs the points, so the spy sees this one
         check_sum_monotone(sets, axis_spec(1, 3))

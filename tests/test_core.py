@@ -181,8 +181,8 @@ def fractions_built():
 @st.composite
 def dense_sets(draw, dim):
     """At least half of a box with sides 1..3 and its low corner in [-3, 3]^d.
-    A sum of up to three such sets has at most 2^3 = 8 box cells per pair of
-    the pair-set fold, so it takes the bitmap fold."""
+    A sum of up to three such sets has at most 2^3 = 8 box cells per point of
+    the bound min(|A_1| ... |A_k|, cells), so it takes the bitmap fold."""
     low = draw(st.tuples(*[st.integers(-3, 3)] * dim))
     sides = draw(st.tuples(*[st.integers(1, 3)] * dim))
     cells = list(itertools.product(*(range(a, a + s) for a, s in zip(low, sides))))
@@ -195,8 +195,8 @@ WIDE = 10**5
 @st.composite
 def wide_sets(draw, dim):
     """1 to 8 small points plus one at distance 10^5 along the first axis: a
-    sum of up to three such sets has hundreds of box cells per pair of the
-    pair-set fold, so it takes that fold."""
+    sum of up to three such sets has over a hundred box cells per point of
+    the bound min(|A_1| ... |A_k|, cells), so it takes the pair-set fold."""
     far = (draw(st.sampled_from((-WIDE, WIDE))),) + (0,) * (dim - 1)
     near = draw(st.lists(st.tuples(*[int_coords] * dim), min_size=1, max_size=8))
     return PointSet(dim, near + [far])
@@ -472,30 +472,22 @@ class TestSumsetSize:
 
 def expected_fold(sets):
     """The fold the engine must choose for integral ``sets``, recomputed from
-    the points: the pair-set fold adds min(|A_1| ... |A_{j-1}|, cells of the
-    box of A_1 + ... + A_{j-1}) pairs per point of A_j, and the bitmap runs
-    when the final box has at most ``_BITMAP_DENSITY`` cells per such pair
-    and at most ``_BITMAP_MAX_CELLS`` cells."""
-
-    def cells(prefix):
-        return math.prod(
-            sum(max(p[i] for p in A) - min(p[i] for p in A) for A in prefix) + 1
-            for i in range(sets[0].dim)
-        )
-
-    work = sum(
-        min(math.prod(len(A) for A in sets[:j]), cells(sets[:j])) * len(sets[j])
-        for j in range(1, len(sets))
+    the points: the bitmap runs when the box of the sum has at most
+    ``_BITMAP_DENSITY`` cells per point of min(|A_1| ... |A_k|, cells) and
+    at most ``_BITMAP_MAX_CELLS`` cells."""
+    cells = math.prod(
+        sum(max(p[i] for p in A) - min(p[i] for p in A) for A in sets) + 1
+        for i in range(sets[0].dim)
     )
-    total = cells(sets)
-    if total <= core._BITMAP_MAX_CELLS and total <= core._BITMAP_DENSITY * work:
+    bound = min(math.prod(len(A) for A in sets), cells)
+    if cells <= core._BITMAP_MAX_CELLS and cells <= core._BITMAP_DENSITY * bound:
         return "bitmap"
     return "pairs"
 
 
 class TestFoldChoice:
-    """The engine's fold choice against :func:`expected_fold`, whose prefix
-    boxes are rebuilt from the points of every prefix."""
+    """The engine's fold choice against :func:`expected_fold`, whose box and
+    bound are rebuilt from the points."""
 
     @given(data=st.data())
     def test_random_families(self, data):
@@ -511,26 +503,31 @@ class TestFoldChoice:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("far_first", [False, True])
     def test_threshold_with_prefix_boxes(self, dim, far_first):
-        # {0, m e_1} with two 3 x ... x 3 cubes: the cubes' prefix box (5 cells
-        # a side after two of them) is below their product of sizes, so the
-        # estimate depends on the boxes of the prefixes, not of the whole sum
+        # {0, m e_1} with two 3 x ... x 3 cubes, the far summand first or last
+        # and then in the middle: the cubes' prefix box (5 cells a side after
+        # two of them) is below their product of sizes, so a choice that read
+        # the boxes of the partial sums would tell these orders apart
         cube3 = PointSet(dim, itertools.product(range(3), repeat=dim))
         crossed = set()
         for m in range(600):
             far = PointSet(dim, [(0,) * dim, (m,) + (0,) * (dim - 1)])
-            sets = [far, cube3, cube3] if far_first else [cube3, cube3, far]
-            with engine_folds() as seen:
-                got = minkowski_sum(sets)
-            assert seen == [expected_fold(sets)], m
-            assert set(got.points) == naive_sumset(sets)
-            crossed.add(seen[0])
+            end = [far, cube3, cube3] if far_first else [cube3, cube3, far]
+            folds = set()
+            for sets in (end, [cube3, far, cube3]):
+                with engine_folds() as seen:
+                    got = minkowski_sum(sets)
+                assert seen == [expected_fold(sets)], m
+                assert set(got.points) == naive_sumset(sets)
+                folds.update(seen)
+            assert len(folds) == 1, m
+            crossed |= folds
         assert crossed == {"bitmap", "pairs"}
 
     def test_exact_threshold(self):
-        # cube3 + cube3 + {0, m}: 3 * 3 pairs, then min(9, 5) * 2 = 10, so
-        # work = 19 and the box has 5 + m cells
+        # cube3 + cube3 + {0, m}: the bound is min(3 * 3 * 2, m + 5) = 18 for
+        # m >= 13, and the box has m + 5 cells
         cube3 = PointSet(1, [(0,), (1,), (2,)])
-        limit = core._BITMAP_DENSITY * 19
+        limit = core._BITMAP_DENSITY * 18
         for m, fold in [(limit - 5, "bitmap"), (limit - 4, "pairs")]:
             sets = [cube3, cube3, PointSet(1, [(0,), (m,)])]
             with engine_folds() as seen:
