@@ -51,9 +51,10 @@ from .compression import (
 from .core import (
     PointSet,
     Subspace,
+    _size,
     linear_image,
+    packed_sumset,
     project,
-    scaled_sumset,
     sum_limit,
 )
 from .generators import (
@@ -73,7 +74,7 @@ from .generators import (
 from .serialization import (
     basis_from_dict,
     dumps_canonical,
-    encode_points,
+    dumps_packed,
     pointset_from_dict,
     pointset_to_dict,
     system_from_dict,
@@ -165,8 +166,11 @@ def _parse_vectors(text: str, label: str) -> list[list[int]]:
 
 def _write(text: str, args: argparse.Namespace) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -175,10 +179,13 @@ def _emit_doc(doc, args: argparse.Namespace) -> None:
     _write(dumps_canonical(doc), args)
 
 
-def _emit_set(doc: dict, args: argparse.Namespace) -> None:
-    """A computed point set, encoded as by ``pointset_to_dict``, with its size."""
-    doc["size"] = len(doc["points"])
-    _emit_doc(doc, args)
+def _emit_set(sets: Sequence[PointSet], args: argparse.Namespace) -> int:
+    """The sum of ``sets`` (one set: the set itself) as the document
+    {"dim", "points", "size"}, written from the engine's packed form by
+    ``dumps_packed``; returns the size."""
+    packed = packed_sumset(sets)
+    _write(dumps_packed(*packed), args)
+    return _size(packed[2])
 
 
 def _csv_cell(value) -> str:
@@ -281,6 +288,8 @@ def _require(args: argparse.Namespace, name: str, context: str):
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise CliError("--k must be >= 1")
     if args.k != 1 and (args.sets or args.system):
         raise CliError("--k folds --set alone; it excludes --sets and --system")
     if args.sets:
@@ -298,12 +307,9 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             summands = [A] * args.k
     else:
         raise CliError("sumset needs --sets or --set")
-    if not summands:
-        raise CliError("no summands given")
-    # the sum is written from its scaled form: a rational sum is never unscaled
-    dim, q, points = scaled_sumset(summands)
-    _emit_set({"dim": dim, "points": encode_points(q, points)}, args)
-    print(f"size {len(points)}", file=sys.stderr)
+    # the sum is written from its packed, scaled form: no point is decoded
+    size = _emit_set(summands, args)
+    print(f"size {size}", file=sys.stderr)
     return 0
 
 
@@ -320,7 +326,7 @@ def _spec_arg(args: argparse.Namespace, dim: int, context: str) -> CompressionSp
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
-    _emit_set(pointset_to_dict(compress(A, _spec_arg(args, A.dim, "compress"))), args)
+    _emit_set([compress(A, _spec_arg(args, A.dim, "compress"))], args)
     return 0
 
 
@@ -338,7 +344,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
     coords = _parse_ints(args.coords, "--coords")
     basis = _load(basis_from_dict, args.basis) if args.basis else None
-    _emit_set(pointset_to_dict(project(A, basis, coords)), args)
+    _emit_set([project(A, basis, coords)], args)
     return 0
 
 

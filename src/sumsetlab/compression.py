@@ -23,6 +23,7 @@ only after checking the image is still full-dimensional.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -377,22 +378,27 @@ def _shear_spec(j: int, w: int, d: int) -> CompressionSpec:
     return CompressionSpec(normal=normal, offset=0, direction=direction)
 
 
-def _moves(state: PointSet, d: int) -> Iterator[CompressionSpec]:
-    """The candidate moves of :func:`reduce_to_simplex` at ``state``, in
-    schedule order: the axis compressions, then the shears if ``state`` is a
-    down set and the pair alignments otherwise.  Each is built only when the
-    previous one did not fire."""
+def _moves(state: PointSet, d: int) -> Iterator[tuple[CompressionSpec, PointSet]]:
+    """The candidate moves of :func:`reduce_to_simplex` at ``state`` with
+    their images, in schedule order: the axis compressions, then the shears
+    if ``state`` is a down set and the pair alignments otherwise.  Each is
+    built only when the previous one did not fire.  The down-set test of
+    :func:`is_down_set` reads the axis images already computed: a down set
+    is an integral, non-negative state fixed by every axis compression."""
+    fixed = True
     for i in range(1, d + 1):
-        yield CompressionSpec.axis(i, d)
-    if is_down_set(state):
+        spec = CompressionSpec.axis(i, d)
+        image = compress(state, spec)
+        fixed = fixed and image == state
+        yield spec, image
+    if fixed and state.is_integral and all(c >= 0 for p in state.points for c in p):
         w = max(p[0] for p in state.points)
-        for j in range(2, d + 1):
-            yield _shear_spec(j, w, d)
+        specs = (_shear_spec(j, w, d) for j in range(2, d + 1))
     else:
         pts = state.sorted_points()
-        for a_idx in range(len(pts)):
-            for b_idx in range(a_idx + 1, len(pts)):
-                yield _alignment_spec(vec_sub(pts[b_idx], pts[a_idx]), d)
+        specs = (_alignment_spec(vec_sub(b, a), d) for a, b in itertools.combinations(pts, 2))
+    for spec in specs:
+        yield spec, compress(state, spec)
 
 
 def reduce_to_simplex(A: PointSet, max_steps: int | None = None) -> tuple[PointSet, CompressionTrace]:
@@ -436,8 +442,7 @@ def reduce_to_simplex(A: PointSet, max_steps: int | None = None) -> tuple[PointS
             raise ReductionError(
                 f"no convergence after {len(steps)} moves (|A|={len(A)}, d={d})"
             )
-        for spec in _moves(current, d):
-            nxt = compress(current, spec)
+        for spec, nxt in _moves(current, d):
             if nxt != current and affine_dimension(nxt) == d:
                 steps.append(spec)
                 current = nxt

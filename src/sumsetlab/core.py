@@ -8,9 +8,10 @@ because Python guarantees ``hash(Fraction(2, 1)) == hash(2)``.
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
-:func:`weighted_sumset`) goes through one engine, :func:`scaled_sumset`.  It
+:func:`weighted_sumset`) goes through one engine, :func:`packed_sumset`.  It
 packs each distinct summand once into integers in the mixed radix of the
-final sum's bounding box, folds, and decodes once.  The box is the sums of
+final sum's bounding box and folds; :func:`scaled_sumset` decodes the fold
+once.  The box is the sums of
 the summands' minima and maxima, and the sum has at most
 min(|A_1| ... |A_k|, cells of the box) points.  The fold is an ``int`` bitmap
 (one shift and OR per summand point) when the box has at most
@@ -19,11 +20,11 @@ min(|A_1| ... |A_k|, cells of the box) points.  The fold is an ``int`` bitmap
 adds every pair.  The choice depends only on the summands' sizes and
 bounding boxes, not on their order, and both folds return the same set.  A
 rational sum is scaled by q, the lcm of its coordinate denominators, and
-divided back by q only when a ``PointSet`` is asked for: the ``sumset``
-command writes the scaled sum out as it is
-(:func:`serialization.encode_points`).  :func:`sumset_size` runs the same
-scaling and folds and counts the result without decoding it: the bitmap's set
-bits, or the size of the packed set.
+divided back by q only when a ``PointSet`` is asked for.  The ``sumset``,
+``compress`` and ``project`` commands write the fold itself, still packed
+and scaled, in box order (:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the
+same scaling and folds and counts the result without decoding it: the
+bitmap's set bits, or the size of the packed set.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
@@ -74,7 +75,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 Coord = int | Fraction
@@ -324,10 +325,10 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     ``itertools.product`` order over the box.  Each distinct summand is packed
     once.  The box is the sums of the summands' minima and maxima, and the
     sum has at most ``bound`` = min(|A_1| ... |A_k|, cells of the box)
-    points.  That one bound is checked against :func:`sum_limit` before
-    anything is packed, and it picks the fold: :func:`_bitmap_fold` runs when
-    the box has at most ``_BITMAP_DENSITY`` cells per point of the bound and
-    at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
+    points.  For two or more summands that one bound is checked against
+    :func:`sum_limit` before anything is packed, and it picks the fold:
+    :func:`_bitmap_fold` runs when the box has at most ``_BITMAP_DENSITY``
+    cells per point of the bound and at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
     summands.
     """
     ids = list(map(id, sets))
@@ -349,7 +350,7 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     for size in map(len, sets):
         bound = min(bound * size, cells)
     limit = _SUM_LIMIT.get()
-    if limit is not None and bound > limit:
+    if limit is not None and bound > limit and len(sets) > 1:
         raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
@@ -362,26 +363,37 @@ def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], lis
     return _pair_fold(packed), lows, sides
 
 
+def _size(folded: int | set[int]) -> int:
+    """The number of points of an :func:`_integral_fold` result."""
+    return folded.bit_count() if type(folded) is int else len(folded)
+
+
+def _selectors(bitmap: int, cells: int) -> bytes:
+    """The box cells of a bitmap, one byte each in packed order: 1 where the
+    bit is set, 0 elsewhere."""
+    return format(bitmap, f"0{cells}b")[::-1].encode().translate(_BIT_BYTES)
+
+
+def _columns(packed: list[int], lows: list[int], sides: list[int]) -> list[list[int]]:
+    """The coordinate columns of packed points, first coordinate first: one
+    pass of ``map`` per coordinate, least significant first."""
+    columns = []
+    for low, side in zip(lows[:0:-1], sides[:0:-1]):
+        columns.append(list(map(add, map(mod, packed, itertools.repeat(side)), itertools.repeat(low))))
+        packed = list(map(floordiv, packed, itertools.repeat(side)))
+    columns.append(list(map(add, packed, itertools.repeat(lows[0]))))
+    return columns[::-1]
+
+
 def _decode(folded: int | set[int], lows: list[int], sides: list[int]) -> frozenset:
     """The points of an :func:`_integral_fold` result.  A bitmap selects the box
     cells of its set bits from ``itertools.product`` with
-    ``itertools.compress``; a set of packed integers is decoded with one divmod
-    per coordinate."""
+    ``itertools.compress``; a set of packed integers is split into its
+    coordinate columns by :func:`_columns`."""
     if type(folded) is int:
-        selectors = format(folded, f"0{math.prod(sides)}b")[::-1].encode().translate(_BIT_BYTES)
         box = itertools.product(*map(range, lows, map(add, lows, sides)))
-        return frozenset(itertools.compress(box, selectors))
-    digits = list(zip(lows, sides))[:0:-1]  # least significant first
-    first_low = lows[0]
-    out = []
-    for v in folded:
-        coords = []
-        for low, side in digits:
-            v, r = divmod(v, side)
-            coords.append(r + low)
-        coords.append(v + first_low)
-        out.append(tuple(reversed(coords)))
-    return frozenset(out)
+        return frozenset(itertools.compress(box, _selectors(folded, math.prod(sides))))
+    return frozenset(zip(*_columns(list(folded), lows, sides)))
 
 
 def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[Collection[Vec]]]:
@@ -417,17 +429,24 @@ def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], in
     return sets, _require_same_dim(sets)
 
 
-def scaled_sumset(sets: Sequence[PointSet]) -> tuple[int, int, frozenset]:
-    """(d, q, q(A_1 + ... + A_k)): the one engine behind every sumset.  The
-    summands must be non-empty and share the dimension d.  They are scaled to
-    integral points by :func:`_scaled`, added by :func:`_integral_fold` and
-    decoded; the sum is left scaled by q, so a caller that only writes it out
-    never builds a ``Fraction``."""
+def packed_sumset(sets: Sequence[PointSet]) -> tuple[int, int, int | set[int], list[int], list[int]]:
+    """(d, q, fold, lows, sides): the one engine behind every sumset, with
+    q(A_1 + ... + A_k) as :func:`_integral_fold` leaves it, packed in the
+    sum's box and not decoded.  The summands must be non-empty and share the
+    dimension d; they are scaled to integral points by :func:`_scaled`.  One
+    summand is packed alone, as a bitmap when it is dense in its box, and no
+    :func:`sum_limit` applies to it.  A writer reads the points in box order
+    from this form (:func:`serialization.dumps_packed`)."""
     sets, dim = _summands(sets, "a sumset")
     q, scaled = _scaled(sets)
-    if len(scaled) == 1:
-        return dim, q, scaled[0]
-    return dim, q, _decode(*_integral_fold(scaled))
+    return (dim, q, *_integral_fold(scaled))
+
+
+def scaled_sumset(sets: Sequence[PointSet]) -> tuple[int, int, frozenset]:
+    """(d, q, q(A_1 + ... + A_k)): :func:`packed_sumset` decoded.  The sum is
+    left scaled by q, so no ``Fraction`` is built."""
+    dim, q, *fold = packed_sumset(sets)
+    return dim, q, _decode(*fold)
 
 
 def sumset_size(sets: Sequence[PointSet]) -> int:
@@ -438,7 +457,7 @@ def sumset_size(sets: Sequence[PointSet]) -> int:
     if len(sets) == 1:
         return len(sets[0])
     folded, _, _ = _integral_fold(_scaled(sets)[1])
-    return folded.bit_count() if type(folded) is int else len(folded)
+    return _size(folded)
 
 
 def _sum(sets: list[PointSet]) -> PointSet:

@@ -5,12 +5,16 @@ round-tripping must be exact.  All emitters sort keys and order points
 canonically so identical mathematical objects serialize to identical bytes.
 
 A point set is encoded from its scaled integer form (q, integral points), the
-form the sumset engine computes (:func:`core._scaled`): :func:`encode_points`
-reduces each distinct coordinate c to (c/g, q/g) with g = gcd(c, q) once, and
-writes it with the same formatter as :func:`encode_coord`, so no ``Fraction``
-is built to print a point.  Canonical order is lexicographic on (numerator,
-denominator) per coordinate, which is not numeric order: 1/2 comes before
-1/3.  For q = 1 every key is (c, 1), so integral points sort as they are.
+form the sumset engine computes (:func:`core._scaled`), so no ``Fraction`` is
+built to print a point.  :func:`_canonical_order` reduces each distinct
+coordinate c to (c/g, q/g) with g = gcd(c, q) once, and writes it with the
+same formatter as :func:`encode_coord`.  Canonical order is lexicographic on
+(numerator, denominator) per coordinate, which is not numeric order: 1/2
+comes before 1/3.  For q = 1 every key is (c, 1), so integral points sort as
+they are.  :func:`encode_points` writes a point set nested in a larger
+document; :func:`dumps_packed` writes the whole {"dim", "points", "size"}
+document of the ``sumset``, ``compress`` and ``project`` commands from the
+engine's packed form (:func:`core.packed_sumset`), without decoding it.
 
 :func:`dumps_canonical` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` without calling it: on Python 3.10-3.12, ``json`` uses its C
@@ -29,7 +33,8 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Collection
+from operator import add, itemgetter
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
     Basis,
@@ -39,7 +44,10 @@ from .core import (
     PointSet,
     RationalMatrix,
     Vec,
+    _columns,
     _scaled,
+    _selectors,
+    _size,
     as_coord,
 )
 
@@ -104,28 +112,88 @@ def _dimension(dim) -> int:
     return dim
 
 
-def encode_points(q: int, points: Collection[tuple[int, ...]]) -> list[list[str]]:
-    """The points p / q, for integral points p, as coordinate strings in
-    canonical order.  For q = 1 every key is (c, 1), so the points sort as
-    they are.  Otherwise each distinct coordinate c is reduced once to its key
-    (c/g, q/g), g = gcd(c, q), and to its text, and the points sort as tuples
-    of the ranks of their coordinates' keys."""
+def _canonical_order(q: int, values: Iterable[int]) -> tuple[list[int], list[str]]:
+    """The distinct integers c of ``values`` in the canonical order of the
+    numbers c / q, and the text of each.  Each c is reduced once to its key
+    (c/g, q/g), g = gcd(c, q): the order is lexicographic on (numerator,
+    denominator), which is not numeric order (1/2 comes before 1/3).  For
+    q = 1 every key is (c, 1), so the integers sort as they are."""
     if q == 1:
-        return [list(map(str, p)) for p in sorted(points)]
+        order = sorted(set(values))
+        return order, list(map(str, order))
     keys = {}
-    for c in set(itertools.chain.from_iterable(points)):
+    for c in set(values):
         g = math.gcd(c, q)
         keys[c] = (c // g, q // g)
     order = sorted(keys, key=keys.__getitem__)
+    return order, [_ratio_text(*keys[c]) for c in order]
+
+
+def _canonical_rows(q: int, columns: Sequence[Sequence[int]]) -> Iterator[tuple[str, ...]]:
+    """The points p / q, for integral points p given by their coordinate
+    columns, as tuples of coordinate texts in canonical order: the distinct
+    coordinates are ranked once by :func:`_canonical_order`, and the points
+    sort as tuples of ranks."""
+    order, texts = _canonical_order(q, itertools.chain.from_iterable(columns))
     rank = {c: i for i, c in enumerate(order)}
-    texts = [_ratio_text(*keys[c]) for c in order]
     # Rank, sort and write column by column, so that every lookup runs inside
     # map and zip.  On the 16 rational sums of one certify_sweep pass (32,432
     # points; 2 cores, Python 3.11.7) this took 48-54 ms, where sorting on a
     # per-point tuple of keys took 87-93 ms and on a tuple of ranks 70 ms.
-    ranked = sorted(zip(*[map(rank.__getitem__, column) for column in zip(*points)]))
-    written = [map(texts.__getitem__, column) for column in zip(*ranked)]
-    return [list(p) for p in zip(*written)]
+    ranked = sorted(zip(*[map(rank.__getitem__, column) for column in columns]))
+    return zip(*[map(texts.__getitem__, column) for column in zip(*ranked)])
+
+
+def encode_points(q: int, points: Collection[tuple[int, ...]]) -> list[list[str]]:
+    """The points p / q, for integral points p, as coordinate strings in
+    canonical order (:func:`_canonical_rows`), for a point set nested in a
+    larger document."""
+    if q == 1:
+        return [list(map(str, p)) for p in sorted(points)]
+    return list(map(list, _canonical_rows(q, list(zip(*points)))))
+
+
+def dumps_packed(dim: int, q: int, folded: int | set[int], lows: list[int], sides: list[int]) -> str:
+    """``dumps_canonical({"dim": dim, "points": ..., "size": ...})`` for the
+    point set q^-1 S, with S as :func:`core.packed_sumset` returns it: a
+    bitmap or a set of packed integers over the box with lower corner
+    ``lows`` and side lengths ``sides``.  The text is written here, not by
+    :func:`dumps_canonical`, and no point is decoded to a tuple.
+
+    For a bitmap, each coordinate's box values are sorted once by
+    :func:`_canonical_order`, and the bitmap's cells are permuted into that
+    order: the rows along the last coordinate are taken in the order of the
+    others, and each row is permuted by one ``itemgetter``.  Then
+    ``itertools.compress`` picks the points' texts from the product of the
+    coordinates' texts, already in canonical order.  For q = 1 the box order
+    is the canonical order.  A set of packed integers is sorted, which is
+    box order, and split into its coordinate columns; for q > 1 they are
+    sorted again by :func:`_canonical_rows`."""
+    size = _size(folded)
+    if type(folded) is int:
+        orders = [_canonical_order(q, range(low, low + side)) for low, side in zip(lows, sides)]
+        cells = _selectors(folded, math.prod(sides))
+        if q != 1:
+            # the first cell of each row, in the canonical order of the rows
+            starts, stride = [0], math.prod(sides)
+            for (order, _), low, side in zip(orders[:-1], lows, sides):
+                stride //= side
+                starts = [start + (c - low) * stride for start in starts for c in order]
+            width = sides[-1]
+            rows = map(cells.__getitem__, map(slice, starts, map(add, starts, itertools.repeat(width))))
+            if width > 1:  # an itemgetter of one index returns the item itself
+                order, _ = orders[-1]
+                rows = map(itemgetter(*[c - lows[-1] for c in order]), rows)
+            cells = itertools.chain.from_iterable(rows)
+        points = itertools.compress(itertools.product(*[texts for _, texts in orders]), cells)
+    else:
+        # packed order is box order, which is the canonical order for q = 1
+        columns = _columns(sorted(folded), lows, sides)
+        points = zip(*[map(str, column) for column in columns]) if q == 1 else _canonical_rows(q, columns)
+    # every coordinate text is digits, "-" and "/", so its JSON string is
+    # the text in quotes
+    body = '"\n    ],\n    [\n      "'.join(map('",\n      "'.join, points))
+    return f'{{\n  "dim": {dim},\n  "points": [\n    [\n      "{body}"\n    ]\n  ],\n  "size": {size}\n}}\n'
 
 
 def pointset_to_dict(A: PointSet) -> dict:

@@ -1,21 +1,28 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumsetlab
 from sumsetlab import cli
 from sumsetlab.certificates import precision_schedule
 from sumsetlab.cli import run
-from sumsetlab.serialization import dumps_canonical, pointset_to_dict
+from conftest import naive_compress, naive_sumset
+from sumsetlab.core import point_sort_key
+from sumsetlab.serialization import dumps_canonical, encode_point, pointset_to_dict
 from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex
 
 
@@ -59,6 +66,12 @@ class TestGen:
         a = call("gen", "random", "--d", "2", "--size", "6", "--box=-4,4", "--seed", "9")
         b = call("gen", "random", "--d", "2", "--size", "6", "--box=-4,4", "--seed", "9")
         assert a == b and a[0] == 0
+
+    def test_unwritable_out_is_usage_error(self, call, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = call("gen", "cube", "--d", "2", "--N", "1", "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_missing_parameter_is_usage_error(self, call):
         code, _, err = call("gen", "cube", "--d", "2")
@@ -249,6 +262,104 @@ class TestCompressReduceProject:
         assert code == 0 and json.loads(out)["size"] == 2
 
 
+def set_document(dim, points):
+    """The document of ``sumset``, ``compress`` and ``project`` for a set of
+    rational points, written as earlier versions did: ``Fraction``
+    coordinates sorted by ``point_sort_key``, one ``encode_point`` each."""
+    rows = [encode_point(p) for p in sorted(points, key=point_sort_key)]
+    return dumps_canonical({"dim": dim, "points": rows, "size": len(rows)})
+
+
+@st.composite
+def boxed_sets(draw):
+    """(dim, q, a set of points p / q): each axis holds one value or a run
+    of up to 5 values from a low in -10..10, scaled by 1 or 10**5, so axes
+    of side 1, negative lows and sums of both folds are drawn."""
+    dim = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([1, 2, 6, 7, 12]))
+    axes = []
+    for _ in range(dim):
+        low, side = draw(st.integers(-10, 10)), draw(st.sampled_from([1, 2, 5]))
+        scale = draw(st.sampled_from([1, 10**5]))
+        axes.append([Fraction(scale * c, q) for c in range(low, low + side)])
+    points = draw(st.lists(st.tuples(*map(st.sampled_from, axes)), min_size=1, max_size=8))
+    return dim, q, PointSet(dim, points)
+
+
+class TestSetDocuments:
+    """``sumset``, ``compress`` and ``project`` write their set from the
+    engine's packed form; the bytes must be those of the naive result
+    written point by point, on stdout or through ``--out``."""
+
+    @staticmethod
+    def expected(argv, A):
+        """The points that the command ``argv`` on the set file A writes."""
+        command, d = argv[0], A.dim
+        if command == "sumset":
+            k = int(argv[argv.index("--k") + 1]) if "--k" in argv else 2
+            return naive_sumset([A] * k)
+        if command == "compress":
+            e = [int(j == int(argv[-1]) - 1) for j in range(d)]
+            return naive_compress(A.points, e, 0, e)
+        coords = {int(c) for c in argv[-1].split(",")}
+        return {tuple(c if j + 1 in coords else 0 for j, c in enumerate(p)) for p in A.points}
+
+    @settings(max_examples=60)
+    @given(data=st.data(), drawn=boxed_sets())
+    def test_commands_match_naive_documents(self, data, drawn):
+        dim, _, A = drawn
+        axis = str(data.draw(st.integers(1, dim)))
+        coords = ",".join(map(str, data.draw(st.sets(st.integers(1, dim), min_size=1))))
+        argv = data.draw(st.sampled_from([
+            ["sumset", "--set", "A", "--k", "1", "--budget", "1"],
+            ["sumset", "--set", "A", "--k", "2"],
+            ["sumset", "--set", "A", "--k", "3"],
+            ["sumset", "--sets", "A", "A"],
+            ["compress", "--set", "A", "--axis", axis],
+            ["project", "--set", "A", "--coords", coords],
+        ]))
+        to_file = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "A")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dumps_canonical(pointset_to_dict(A)))
+            out_path = os.path.join(tmp, "out.json")
+            full = [path if arg == "A" else arg for arg in argv] + (["--out", out_path] if to_file else [])
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                assert run(full) == 0
+            if to_file:
+                assert stdout.getvalue() == ""
+                with open(out_path, encoding="utf-8") as fh:
+                    written = fh.read()
+            else:
+                written = stdout.getvalue()
+        assert written == set_document(dim, self.expected(argv, A))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sumset", "--set", "R", "--k", "3"),
+            ("sumset", "--set", "R", "--k", "1", "--budget", "1"),
+            ("sumset", "--sets", "R", "W"),
+            ("compress", "--set", "R", "--axis", "2"),
+            ("project", "--set", "W", "--coords", "2"),
+        ],
+    )
+    def test_same_bytes_under_optimize(self, tmp_path, argv):
+        # R is rational and dense in its box (bitmap), W sparse (pair set)
+        sets = {"R": TestRationalOutputPinned.R,
+                "W": PointSet(2, [(Fraction(i * 99991, 6), -i * i) for i in range(-6, 7)])}
+        for name, A in sets.items():
+            (tmp_path / name).write_text(dumps_canonical(pointset_to_dict(A)))
+        if argv[1] == "--sets":
+            expected = naive_sumset([sets[name] for name in argv[2:]])
+        else:
+            expected = self.expected(argv, sets[argv[2]])
+        result = fresh_interpreter("-O", "-m", "sumsetlab.cli", *argv, cwd=tmp_path)
+        assert result.returncode == 0 and result.stdout == set_document(2, expected)
+
+
 # the shear pair is reducible: both maps fix the line spanned by (1, 0)
 SHEAR = {"dim": 2, "maps": [[["1", "1"], ["0", "1"]], [["1", "1"], ["-1", "1"]]]}
 SQUARE = PointSet(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -278,6 +389,8 @@ class TestLibraryErrors:
              "error: --k folds --set alone; it excludes --sets and --system"),
             (("sumset", "--sets", "square", "square", "--k", "5"),
              "error: --k folds --set alone; it excludes --sets and --system"),
+            (("sumset", "--set", "square", "--k", "0"), "error: --k must be >= 1"),
+            (("sumset", "--set", "square", "--k", "-2"), "error: --k must be >= 1"),
         ],
     )
     def test_exit_2_with_one_error_line(self, call, tmp_path, monkeypatch, argv, line):

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -31,9 +31,12 @@ from sumsetlab import (
     minkowski_sum,
     normalize_down,
     project,
+    random_full_dim_set,
     random_set,
     reduce_to_simplex,
 )
+from sumsetlab import compression
+from sumsetlab.core import vec_sub
 
 
 def axis_spec(i, d):
@@ -295,6 +298,39 @@ class TestReduceToSimplex:
         doublings = [len(iterated_sumset(S, 2)) for S in trace.intermediates()]
         assert all(x >= y for x, y in zip(doublings, doublings[1:]))
         assert doublings[-1] == len(iterated_sumset(final, 2))
+
+    def test_down_sets_read_from_axis_trials(self, monkeypatch):
+        # the input of the golden reduce trace: each state's down-set test
+        # reads the axis compressions it has tried, so the 6 moves take 17
+        # compressions; a second pass of axis compressions made them 25
+        calls = []
+
+        def counted(A, spec):
+            calls.append(spec)
+            return compress(A, spec)
+
+        monkeypatch.setattr(compression, "compress", counted)
+        _, trace = reduce_to_simplex(random_full_dim_set(3, 6, (0, 6), 34))
+        assert len(trace.steps) == 6 and len(calls) == 17
+
+    @given(point_sets(3, max_size=7, coords=values(-1, 2, max_denominator=2)))
+    @example(long_simplex(3, 5))
+    @example(PointSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]))
+    @example(PointSet(3, [(0, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    def test_shears_follow_down_sets(self, A):
+        # after the axis compressions come the shears on a down set and the
+        # pair alignments elsewhere, as is_down_set decides
+        d = A.dim
+        moves = list(compression._moves(A, d))
+        assert [spec for spec, _ in moves[:d]] == [axis_spec(i, d) for i in range(1, d + 1)]
+        assert all(image == compress(A, spec) for spec, image in moves)
+        if is_down_set(A):
+            w = max(p[0] for p in A.points)
+            rest = [compression._shear_spec(j, w, d) for j in range(2, d + 1)]
+        else:
+            pairs = itertools.combinations(A.sorted_points(), 2)
+            rest = [compression._alignment_spec(vec_sub(b, a), d) for a, b in pairs]
+        assert [spec for spec, _ in moves[d:]] == rest
 
     def test_dimension_deficient_rejected(self):
         collinear = PointSet(2, [(0, 0), (1, 1), (2, 2)])

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from conftest import INT_VALUES, MIXED_VALUES, RATIONAL_VALUES, point_sets, rational_coords, values
 from sumsetlab import Basis, CompressionSpec, EmptySetError, LinearSystem, PointSet, RationalMatrix
 from sumsetlab import serialization
-from sumsetlab.core import _scaled, as_coord, point_sort_key
+from sumsetlab.core import _decode, _scaled, as_coord, packed_sumset, point_sort_key
 from sumsetlab.serialization import (
     basis_from_dict,
     basis_to_dict,
     decode_coord,
     dumps_canonical,
+    dumps_packed,
     encode_coord,
     encode_point,
     encode_points,
@@ -242,6 +243,55 @@ class TestEncodePoints:
 
     def test_integral_points_sort_as_tuples(self):
         assert encode_points(1, {(2, -1), (-3, 5), (2, -7)}) == [["-3", "5"], ["2", "-7"], ["2", "-1"]]
+
+
+def packed_recipe(dim, q, folded, lows, sides):
+    """The document of a packed set as ``dumps_canonical`` writes it from the
+    decoded points and ``encode_points``."""
+    points = _decode(folded, lows, sides)
+    return dumps_canonical({"dim": dim, "points": encode_points(q, points), "size": len(points)})
+
+
+@st.composite
+def packed_boxes(draw):
+    """(dim, q, lows, sides, packed points): a box with sides of 1 to 6
+    cells, lows from -20 to 20, and a non-empty set of its cells."""
+    dim = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([1, 2, 6, 7, 12]))
+    lows = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+    sides = draw(st.lists(st.sampled_from([1, 1, 2, 3, 6]), min_size=dim, max_size=dim))
+    cells = draw(st.lists(st.integers(0, math.prod(sides) - 1), min_size=1, max_size=40, unique=True))
+    return dim, q, lows, sides, set(cells)
+
+
+class TestDumpsPacked:
+    """``dumps_packed`` writes the document of a packed set itself; its bytes
+    must be those of ``dumps_canonical`` over the decoded points."""
+
+    @given(packed_boxes())
+    @example((1, 6, [0], [1], {0}))
+    @example((3, 12, [-20, 0, 5], [6, 1, 3], {0, 4, 17}))
+    def test_both_forms_match_dumps_canonical(self, box):
+        # the same points as a bitmap and as a set of packed integers
+        dim, q, lows, sides, cells = box
+        bitmap = sum(1 << v for v in cells)
+        expected = packed_recipe(dim, q, bitmap, lows, sides)
+        assert expected == packed_recipe(dim, q, cells, lows, sides)
+        assert dumps_packed(dim, q, bitmap, lows, sides) == expected
+        assert dumps_packed(dim, q, cells, lows, sides) == expected
+
+    @given(data=st.data())
+    def test_engine_sums_match_dumps_canonical(self, data):
+        # spreads up to 10**6 / 12 send some sums to the pair-set fold
+        dim = data.draw(st.integers(1, 4))
+        q = data.draw(st.sampled_from([1, 2, 6, 7, 12]))
+        spread = data.draw(st.sampled_from([0, 3, 10**6]))
+        coords = st.builds(Fraction, st.integers(-spread, spread), st.just(q))
+        point = st.tuples(*[coords] * dim)
+        sets = [PointSet(dim, data.draw(st.lists(point, min_size=1, max_size=8)))
+                for _ in range(data.draw(st.integers(1, 3)))]
+        packed = packed_sumset(sets)
+        assert dumps_packed(*packed) == packed_recipe(*packed)
 
 
 class TestMatrixCodec:
