@@ -6,7 +6,8 @@ Exit codes: 0 when every emitted certificate Holds, 1 when any is Violated,
 All stdout output is canonical JSON, or CSV with ``--format csv`` where
 certificates are written (``verify`` and the certificate probes), and is a
 deterministic function of the run configuration; human-oriented progress
-lines go to stderr.
+lines go to stderr.  Each ``verify`` statement and each ``gen`` or ``probe``
+kind is its own subcommand, which accepts its own flags and no other.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .compression import (
     reduce_to_simplex,
 )
 from .core import (
+    LinearSystem,
     PointSet,
     Subspace,
     _size,
@@ -101,7 +103,8 @@ def _load(decode, path: str):
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder goes
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return decode(data)
@@ -109,8 +112,9 @@ def _load(decode, path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _parse_range(text: str, label: str) -> list[int]:
-    """Parses sweep ranges: '4', '1-4', '1,3-5' (inclusive ends)."""
+def _parse_range(text: str, label: str, budget: int) -> list[int]:
+    """Parses sweep ranges: '4', '1-4', '1,3-5' (inclusive ends).  More than
+    ``budget`` values are refused before they are listed."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -120,13 +124,13 @@ def _parse_range(text: str, label: str) -> list[int]:
                 lo, hi = int(part[:split_at]), int(part[split_at + 1 :])
                 if hi < lo:
                     raise CliError(f"{label}: empty range {part!r}")
-                values.extend(range(lo, hi + 1))
             else:
-                values.append(int(part))
+                lo = hi = int(part)
         except ValueError as exc:
             raise CliError(f"{label}: cannot parse {part!r}") from exc
-    if not values:
-        raise CliError(f"{label}: empty range")
+        if len(values) + hi - lo + 1 > budget:
+            raise CliError(f"{label}: {text!r} lists more values than the budget of {budget}")
+        values.extend(range(lo, hi + 1))
     return values
 
 
@@ -157,6 +161,10 @@ def _parse_box(text: str) -> tuple[int, int]:
 
 def _parse_vectors(text: str, label: str) -> list[list[int]]:
     return [_parse_ints(part, label) for part in text.split(";")]
+
+
+def _system_and_set(args: argparse.Namespace) -> tuple[LinearSystem, PointSet]:
+    return _load(system_from_dict, args.system), _load(pointset_from_dict, args.set)
 
 
 # ---------------------------------------------------------------------------
@@ -233,53 +241,98 @@ def _exit_for(certs: Sequence[Certificate]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# flags: each command, statement and kind declares its own, and argparse
+# refuses any other flag and any missing required one
+# ---------------------------------------------------------------------------
+
+
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    """One flag: the arguments of ``add_argument``."""
+    return name, kwargs
+
+
+def _add_flags(parser, flags) -> None:
+    """Declares ``flags`` on ``parser``: each a :func:`_flag`, or a list of
+    them of which exactly one must be given."""
+    for flag in flags:
+        if isinstance(flag, list):
+            _add_flags(parser.add_mutually_exclusive_group(required=True), flag)
+        else:
+            parser.add_argument(flag[0], **flag[1])
+
+
+_SET = _flag("--set", required=True, metavar="FILE")
+_SETS = _flag("--sets", nargs="+", required=True, metavar="FILE")
+_SYSTEM = _flag("--system", required=True, metavar="FILE")
+_BASIS = _flag("--basis", metavar="FILE")
+_AXIS_OR_SPEC = [_flag("--axis", type=int), _flag("--spec", help="compression spec file")]
+_FORMAT = _flag("--format", choices=("json", "csv"), default="json", dest="fmt")
+_D = _flag("--d", type=int, required=True)
+_N = _flag("--N", type=int, required=True)
+_SEED = _flag("--seed", type=int, default=0)
+_RANDOM_SET = (
+    _D,
+    _flag("--size", type=int, required=True),
+    _flag("--box", default="-5,5", help="coordinate box LO,HI"),
+    _SEED,
+)
+# --set of freiman_kfold and freiman_lemma: a file, or seeded random sets
+_FILE_OR_RANDOM = (
+    _flag("--set", required=True, help="file, or 'random' with --seed"),
+    _flag("--seed", dest="seed_range", default="0", help="seed range for --set random"),
+    _flag("--size", type=int, default=8, help="size for --set random"),
+    _flag("--box", default="-5,5", help="box for --set random"),
+    _flag("--random-dim", dest="d_int", type=int, default=2, help="dimension for --set random"),
+)
+
+
+# ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
 
+def _gen_grid(args: argparse.Namespace):
+    sets = grid(_parse_dims(args.dims))
+    return pointset_to_dict(sets[0]) if len(sets) == 1 else [pointset_to_dict(A) for A in sets]
+
+
+def _gen_shear_counterexample(args: argparse.Namespace):
+    system, X = shear_counterexample(args.N)
+    return {"system": system_to_dict(system), "set": pointset_to_dict(X)}
+
+
+# kind -> (the document it writes, its flags)
+_GEN_KINDS: dict[str, tuple[Callable[[argparse.Namespace], object], tuple]] = {
+    "simplex": (lambda args: pointset_to_dict(long_simplex(args.d, args.N)), (_D, _N)),
+    "simplex-summands": (lambda args: list(map(pointset_to_dict, long_simplex_summands(args.d, args.N))), (_D, _N)),
+    "simplex-sumset-form": (lambda args: pointset_to_dict(long_simplex_sumset_form(args.d, args.N)), (_D, _N)),
+    "cube": (lambda args: pointset_to_dict(cube(args.d, args.N)), (_D, _N)),
+    "interval": (
+        lambda args: pointset_to_dict(interval_set(args.lo, args.hi)),
+        (_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)),
+    ),
+    "grid": (_gen_grid, (_flag("--dims", required=True, help="grid shapes, e.g. 2x2,3x4"),)),
+    "rotation": (lambda args: system_to_dict(rotation_system(args.d)), (_D,)),
+    "shear": (lambda args: system_to_dict(shear_system()), ()),
+    "shear-counterexample": (_gen_shear_counterexample, (_N,)),
+    "random": (
+        lambda args: pointset_to_dict(random_set(args.d, args.size, _parse_box(args.box), args.seed)),
+        _RANDOM_SET,
+    ),
+    "random-full-dim": (
+        lambda args: pointset_to_dict(random_full_dim_set(args.d, args.size, _parse_box(args.box), args.seed)),
+        _RANDOM_SET,
+    ),
+    "random-system": (
+        lambda args: system_to_dict(random_system(args.d, args.k, args.entry_bound, args.seed)),
+        (_D, _flag("--k", type=int, required=True), _flag("--entry-bound", type=int, default=2), _SEED),
+    ),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    kind = args.kind
-    need = lambda name: _require(args, name, f"gen {kind}")
-    if kind == "simplex":
-        doc = pointset_to_dict(long_simplex(need("d"), need("N")))
-    elif kind == "simplex-summands":
-        head, tail = long_simplex_summands(need("d"), need("N"))
-        doc = [pointset_to_dict(head), pointset_to_dict(tail)]
-    elif kind == "simplex-sumset-form":
-        doc = pointset_to_dict(long_simplex_sumset_form(need("d"), need("N")))
-    elif kind == "cube":
-        doc = pointset_to_dict(cube(need("d"), need("N")))
-    elif kind == "interval":
-        doc = pointset_to_dict(interval_set(need("lo"), need("hi")))
-    elif kind == "grid":
-        sets = grid(_parse_dims(need("dims")))
-        doc = pointset_to_dict(sets[0]) if len(sets) == 1 else [pointset_to_dict(A) for A in sets]
-    elif kind == "rotation":
-        doc = system_to_dict(rotation_system(need("d")))
-    elif kind == "shear":
-        doc = system_to_dict(shear_system())
-    elif kind == "shear-counterexample":
-        system, X = shear_counterexample(need("N"))
-        doc = {"system": system_to_dict(system), "set": pointset_to_dict(X)}
-    elif kind == "random":
-        box = _parse_box(args.box or "-5,5")
-        doc = pointset_to_dict(random_set(need("d"), need("size"), box, args.seed))
-    elif kind == "random-full-dim":
-        box = _parse_box(args.box or "-5,5")
-        doc = pointset_to_dict(random_full_dim_set(need("d"), need("size"), box, args.seed))
-    elif kind == "random-system":
-        doc = system_to_dict(random_system(need("d"), need("k"), args.entry_bound, args.seed))
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown generator {kind!r}")
-    _emit_doc(doc, args)
+    _emit_doc(_GEN_KINDS[args.kind][0](args), args)
     return 0
-
-
-def _require(args: argparse.Namespace, name: str, context: str):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        raise CliError(f"{context} requires --{name}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +346,10 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     if args.k != 1 and (args.sets or args.system):
         raise CliError("--k folds --set alone; it excludes --sets and --system")
     if args.sets:
-        if args.set or args.system:
-            raise CliError("--sets excludes --set/--system")
+        if args.system:
+            raise CliError("--sets excludes --system")
         summands = [_load(pointset_from_dict, path) for path in args.sets]
-    elif args.set:
+    else:
         A = _load(pointset_from_dict, args.set)
         if args.system:
             system = _load(system_from_dict, args.system)
@@ -305,19 +358,15 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             summands = [linear_image(M, A) for M in system.maps]
         else:
             summands = [A] * args.k
-    else:
-        raise CliError("sumset needs --sets or --set")
     # the sum is written from its packed, scaled form: no point is decoded
     size = _emit_set(summands, args)
     print(f"size {size}", file=sys.stderr)
     return 0
 
 
-def _spec_arg(args: argparse.Namespace, dim: int, context: str) -> CompressionSpec:
-    """The compression of ``--axis`` or ``--spec``, exactly one of them given."""
-    if (args.axis is None) == (args.spec is None):
-        raise CliError(f"{context} needs exactly one of --axis or --spec")
-    if args.axis is None:
+def _spec_arg(args: argparse.Namespace, dim: int) -> CompressionSpec:
+    """The compression of ``--spec`` or of ``--axis``."""
+    if args.spec is not None:
         return _load(lambda data: CompressionSpec.from_dict(data, dim), args.spec)
     if not 1 <= args.axis <= dim:
         raise CliError(f"--axis must be in 1..{dim}")
@@ -326,7 +375,7 @@ def _spec_arg(args: argparse.Namespace, dim: int, context: str) -> CompressionSp
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     A = _load(pointset_from_dict, args.set)
-    _emit_set([compress(A, _spec_arg(args, A.dim, "compress"))], args)
+    _emit_set([compress(A, _spec_arg(args, A.dim))], args)
     return 0
 
 
@@ -353,57 +402,42 @@ def _cmd_project(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sets_arg(args: argparse.Namespace, minimum: int, statement: str) -> list[PointSet]:
-    if not args.sets or len(args.sets) < minimum:
-        raise CliError(f"verify {statement} needs --sets with at least {minimum} file(s)")
+def _sets_arg(args: argparse.Namespace) -> list[PointSet]:
     return [_load(pointset_from_dict, path) for path in args.sets]
 
 
-def _random_or_file_sets(args: argparse.Namespace, statement: str) -> list[PointSet]:
+def _two_or_more_sets(args: argparse.Namespace) -> list[PointSet]:
+    """``--sets`` of a statement about a sum of two or more sets."""
+    if len(args.sets) < 2:
+        raise CliError(f"verify {args.statement} needs --sets with at least 2 files")
+    return _sets_arg(args)
+
+
+def _random_or_file_sets(args: argparse.Namespace) -> list[PointSet]:
     """One set per sweep case: a file, or seeded random full-dimensional
     sets when ``--set random`` is given."""
-    if not args.set:
-        raise CliError(f"verify {statement} needs --set FILE or --set random")
     if args.set != "random":
         return [_load(pointset_from_dict, args.set)]
-    d = args.d_int
-    size = args.size
-    box = _parse_box(args.box or "-5,5")
-    seeds = _parse_range(args.seed_range, "--seed")
-    return [random_full_dim_set(d, size, box, seed) for seed in seeds]
-
-
-def _v_elementary(args) -> list[Certificate]:
-    sets = _sets_arg(args, 1, "elementary")
-    return [check_elementary(sets)]
+    box = _parse_box(args.box)
+    seeds = _parse_range(args.seed_range, "--seed", args.budget)
+    return [random_full_dim_set(args.d_int, args.size, box, seed) for seed in seeds]
 
 
 def _v_gs_kfold(args) -> list[Certificate]:
-    if args.grids:
-        sets = grid(_parse_dims(args.grids))
-    else:
-        sets = _sets_arg(args, 2, "gs_kfold")
-    direction = tuple(_parse_ints(args.direction or "1,0", "--direction"))
-    return [check_gs_kfold(sets, direction)]
+    sets = grid(_parse_dims(args.grids)) if args.grids is not None else _two_or_more_sets(args)
+    return [check_gs_kfold(sets, tuple(_parse_ints(args.direction, "--direction")))]
 
 
 def _v_freiman_kfold(args) -> list[Certificate]:
-    ks = _parse_range(args.k or "2", "--k")
-    cases = [(A, k) for A in _random_or_file_sets(args, "freiman_kfold") for k in ks]
+    ks = _parse_range(args.k, "--k", args.budget)
+    cases = [(A, k) for A in _random_or_file_sets(args) for k in ks]
     return [check_freiman_kfold(A, k) for A, k in cases]
 
 
-def _v_freiman_lemma(args) -> list[Certificate]:
-    sets = _random_or_file_sets(args, "freiman_lemma")
-    return [check_freiman_lemma(A) for A in sets]
-
-
 def _v_simplex_formula(args) -> list[Certificate]:
-    if not (args.d and args.N and args.k):
-        raise CliError("verify simplex_formula needs --d, --N and --k (ranges allowed)")
-    ds = _parse_range(args.d, "--d")
-    ns = _parse_range(args.N, "--N")
-    ks = _parse_range(args.k, "--k")
+    ds = _parse_range(args.d, "--d", args.budget)
+    ns = _parse_range(args.N, "--N", args.budget)
+    ks = _parse_range(args.k, "--k", args.budget)
     cases = [(d, N, k) for d in ds for N in ns if N >= d + 1 for k in ks]
     if not cases:
         raise CliError("no valid (d, N, k) combinations (need N >= d+1)")
@@ -411,89 +445,70 @@ def _v_simplex_formula(args) -> list[Certificate]:
 
 
 def _v_discrete_bm(args) -> list[Certificate]:
-    sets = _sets_arg(args, 1, "discrete_bm")
-    basis = _load(basis_from_dict, args.basis) if args.basis else None
-    return [check_discrete_bm(sets, basis)]
-
-
-def _v_ruzsa_triangle(args) -> list[Certificate]:
-    sets = _sets_arg(args, 3, "ruzsa_triangle")
-    if len(sets) != 3:
-        raise CliError("verify ruzsa_triangle needs exactly three sets U V W")
-    U, V, W = sets
-    return [check_ruzsa_triangle(U, V, W)]
-
-
-def _v_plunnecke_ruzsa(args) -> list[Certificate]:
-    sets = _sets_arg(args, 2, "plunnecke_ruzsa")
-    if len(sets) != 2:
-        raise CliError("verify plunnecke_ruzsa needs exactly two sets A B")
-    m = args.m if args.m is not None else 1
-    n = args.n if args.n is not None else 1
-    A, B = sets
-    return [check_plunnecke_ruzsa(A, B, m, n)]
-
-
-def _v_iterated_pr(args) -> list[Certificate]:
-    sets = _sets_arg(args, 2, "iterated_pr")
-    return [check_iterated_pr(sets)]
-
-
-def _v_linear_pr(args) -> list[Certificate]:
-    if not args.system or not args.set:
-        raise CliError("verify linear_pr needs --system and --set")
-    system = _load(system_from_dict, args.system)
-    A = _load(pointset_from_dict, args.set)
-    return [check_linear_pr(system, A)]
+    sets = _sets_arg(args)
+    return [check_discrete_bm(sets, _load(basis_from_dict, args.basis) if args.basis else None)]
 
 
 def _v_fiber_bound(args) -> list[Certificate]:
-    if not args.system or not args.set or not args.subspace:
-        raise CliError("verify fiber_bound needs --system, --set and --subspace")
-    system = _load(system_from_dict, args.system)
-    A = _load(pointset_from_dict, args.set)
-    vectors = _parse_vectors(args.subspace, "--subspace")
-    U = Subspace.span(vectors, system.dim)
+    system, A = _system_and_set(args)
+    U = Subspace.span(_parse_vectors(args.subspace, "--subspace"), system.dim)
     return [check_fiber_bound(system, A, U)]
 
 
 def _v_sum_monotone(args) -> list[Certificate]:
-    sets = _sets_arg(args, 1, "sum_monotone")
-    spec = _spec_arg(args, sets[0].dim, "verify sum_monotone")
-    return [check_sum_monotone(sets, spec)]
+    sets = _sets_arg(args)
+    return [check_sum_monotone(sets, _spec_arg(args, sets[0].dim))]
 
 
-def _v_projection_monotone(args) -> list[Certificate]:
-    sets = _sets_arg(args, 1, "projection_monotone")
-    if args.axis is None or not args.coords:
-        raise CliError("verify projection_monotone needs --axis and --coords")
-    coords = _parse_ints(args.coords, "--coords")
-    return [check_projection_monotone(sets, args.axis, coords)]
-
-
-_VERIFY_BUILDERS: dict[str, Callable[[argparse.Namespace], list[Certificate]]] = {
-    "elementary": _v_elementary,
-    "gs_kfold": _v_gs_kfold,
-    "freiman_kfold": _v_freiman_kfold,
-    "freiman_lemma": _v_freiman_lemma,
-    "simplex_formula": _v_simplex_formula,
-    "discrete_bm": _v_discrete_bm,
-    "ruzsa_triangle": _v_ruzsa_triangle,
-    "plunnecke_ruzsa": _v_plunnecke_ruzsa,
-    "iterated_pr": _v_iterated_pr,
-    "linear_pr": _v_linear_pr,
-    "fiber_bound": _v_fiber_bound,
-    "sum_monotone": _v_sum_monotone,
-    "projection_monotone": _v_projection_monotone,
+# statement -> (its certificates, its flags); every statement also takes --format
+_VERIFY_BUILDERS: dict[str, tuple[Callable[[argparse.Namespace], list[Certificate]], tuple]] = {
+    "elementary": (lambda args: [check_elementary(_sets_arg(args))], (_SETS,)),
+    "gs_kfold": (
+        _v_gs_kfold,
+        (
+            [_flag("--grids", help="grid shapes, e.g. 2x2,2x2,2x2"), _flag("--sets", nargs="+", metavar="FILE")],
+            _flag("--direction", default="1,0", help="line direction, e.g. 1,0"),
+        ),
+    ),
+    "freiman_kfold": (_v_freiman_kfold, (*_FILE_OR_RANDOM, _flag("--k", default="2", help="fold range"))),
+    "freiman_lemma": (lambda args: [check_freiman_lemma(A) for A in _random_or_file_sets(args)], _FILE_OR_RANDOM),
+    "simplex_formula": (
+        _v_simplex_formula,
+        (
+            _flag("--d", required=True, help="dimension range, e.g. 2 or 2-4"),
+            _flag("--N", required=True, help="size range"),
+            _flag("--k", required=True, help="fold range"),
+        ),
+    ),
+    "discrete_bm": (_v_discrete_bm, (_SETS, _BASIS)),
+    "ruzsa_triangle": (
+        lambda args: [check_ruzsa_triangle(*_sets_arg(args))],
+        (_flag("--sets", nargs=3, required=True, metavar=("U", "V", "W")),),
+    ),
+    "plunnecke_ruzsa": (
+        lambda args: [check_plunnecke_ruzsa(*_sets_arg(args), args.m, args.n)],
+        (
+            _flag("--sets", nargs=2, required=True, metavar=("A", "B")),
+            _flag("--m", type=int, default=1),
+            _flag("--n", type=int, default=1),
+        ),
+    ),
+    "iterated_pr": (lambda args: [check_iterated_pr(_two_or_more_sets(args))], (_SETS,)),
+    "linear_pr": (lambda args: [check_linear_pr(*_system_and_set(args))], (_SYSTEM, _SET)),
+    "fiber_bound": (
+        _v_fiber_bound,
+        (_SYSTEM, _SET, _flag("--subspace", required=True, help="basis vectors, e.g. 1,0;0,1")),
+    ),
+    "sum_monotone": (_v_sum_monotone, (_SETS, _AXIS_OR_SPEC)),
+    "projection_monotone": (
+        lambda args: [check_projection_monotone(_sets_arg(args), args.axis, _parse_ints(args.coords, "--coords"))],
+        (_SETS, _flag("--axis", type=int, required=True), _flag("--coords", required=True)),
+    ),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    builder = _VERIFY_BUILDERS.get(args.statement)
-    if builder is None:
-        known = ", ".join(sorted(_VERIFY_BUILDERS))
-        raise CliError(f"unknown statement {args.statement!r} (known: {known})")
-    return _emit_certificates(builder(args), args)
+    return _emit_certificates(_VERIFY_BUILDERS[args.statement][0](args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +526,27 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _p_khovanskii(args: argparse.Namespace) -> int:
+    _emit_doc(khovanskii_probe(_load(pointset_from_dict, args.set), args.k_max).to_dict(), args)
+    return 0
+
+
+# kind -> (its run, returning the exit code, its flags)
+_PROBE_KINDS: dict[str, tuple[Callable[[argparse.Namespace], int], tuple]] = {
+    "main-term": (
+        lambda args: _emit_certificates([main_term_probe(*_system_and_set(args))], args),
+        (_SYSTEM, _SET, _FORMAT),
+    ),
+    "det-main-term": (
+        lambda args: _emit_certificates([det_main_term_probe(*_system_and_set(args))], args),
+        (_SYSTEM, _SET, _FORMAT),
+    ),
+    "khovanskii": (_p_khovanskii, (_SET, _flag("--k-max", type=int, default=6))),
+}
+
+
 def _cmd_probe(args: argparse.Namespace) -> int:
-    if args.kind in ("main-term", "det-main-term"):
-        if not args.system or not args.set:
-            raise CliError(f"probe {args.kind} needs --system and --set")
-        system = _load(system_from_dict, args.system)
-        A = _load(pointset_from_dict, args.set)
-        if args.kind == "main-term":
-            cert = main_term_probe(system, A)
-        else:
-            cert = det_main_term_probe(system, A)
-        return _emit_certificates([cert], args)
-    if args.kind == "khovanskii":
-        if not args.set:
-            raise CliError("probe khovanskii needs --set")
-        if args.fmt == "csv":
-            raise CliError("probe khovanskii writes JSON only")
-        A = _load(pointset_from_dict, args.set)
-        _emit_doc(khovanskii_probe(A, args.k_max).to_dict(), args)
-        return 0
-    raise CliError(f"unknown probe {args.kind!r}")  # pragma: no cover
+    return _PROBE_KINDS[args.kind][0](args)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +556,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use: building it costs
-    about 2.4 ms (2 cores, Python 3.11.7), and a caller of :func:`run` may
-    make many runs.  Reuse is safe because ``parse_args`` returns a fresh
-    namespace and no option has a mutable default."""
+    """The one parser tree of the process, built on first use: building it
+    costs a few milliseconds, and a caller of :func:`run` may make many runs.
+    Reuse is safe because ``parse_args`` returns a fresh namespace and no
+    option has a mutable default.  No parser takes abbreviated flags, so no
+    flag is read as one of the same prefix."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--budget",
@@ -559,101 +576,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("-o", "--out", default=None, help="write the report to a file")
 
+    def leaf(subparsers, name: str, flags, help: str | None = None) -> None:
+        # the common flags go on the leaves alone: on an intermediate parser
+        # the leaf's defaults would overwrite the values given there
+        _add_flags(subparsers.add_parser(name, parents=[common], help=help, allow_abbrev=False), flags)
+
     parser = argparse.ArgumentParser(
         prog="sumsetlab",
         description="Exact sumset computations with verifiable certificates.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="emit generator families as JSON")
-    p_gen.add_argument(
-        "kind",
-        choices=(
-            "simplex",
-            "simplex-summands",
-            "simplex-sumset-form",
-            "cube",
-            "interval",
-            "grid",
-            "rotation",
-            "shear",
-            "shear-counterexample",
-            "random",
-            "random-full-dim",
-            "random-system",
+    def nested(command: str, help: str, dest: str, table: dict, extra: tuple = ()) -> None:
+        kinds = sub.add_parser(command, help=help, allow_abbrev=False).add_subparsers(
+            dest=dest, required=True, metavar=dest.upper()
+        )
+        for name, (_, flags) in table.items():
+            leaf(kinds, name, (*flags, *extra))
+
+    nested("gen", "emit generator families as JSON", "kind", _GEN_KINDS)
+    leaf(
+        sub,
+        "sumset",
+        (
+            [_flag("--sets", nargs="+", help="summand files"), _flag("--set", help="single summand file")],
+            _flag("--k", type=int, default=1, help="fold count for --set"),
+            _flag("--system", help="linear system file for --set"),
         ),
+        "Minkowski, iterated, or weighted sums",
     )
-    p_gen.add_argument("--d", type=int, default=None)
-    p_gen.add_argument("--N", type=int, default=None)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--lo", type=int, default=None)
-    p_gen.add_argument("--hi", type=int, default=None)
-    p_gen.add_argument("--dims", default=None, help="grid shapes, e.g. 2x2,3x4")
-    p_gen.add_argument("--size", type=int, default=None)
-    p_gen.add_argument("--box", default=None, help="coordinate box LO,HI")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--entry-bound", type=int, default=2)
-
-    p_sum = sub.add_parser("sumset", parents=[common], help="Minkowski, iterated, or weighted sums")
-    p_sum.add_argument("--sets", nargs="+", default=None, help="summand files")
-    p_sum.add_argument("--set", default=None, help="single summand file")
-    p_sum.add_argument("--k", type=int, default=1, help="fold count for --set")
-    p_sum.add_argument("--system", default=None, help="linear system file for --set")
-
-    p_comp = sub.add_parser("compress", parents=[common], help="apply one compression")
-    p_comp.add_argument("--set", required=True)
-    p_comp.add_argument("--axis", type=int, default=None)
-    p_comp.add_argument("--spec", default=None, help="compression spec file")
-
-    p_red = sub.add_parser("reduce", parents=[common], help="reduce to the long simplex, emit the trace")
-    p_red.add_argument("--set", required=True)
-    p_red.add_argument("--max-steps", type=int, default=None)
-
-    p_proj = sub.add_parser("project", parents=[common], help="project onto coordinates")
-    p_proj.add_argument("--set", required=True)
-    p_proj.add_argument("--coords", required=True, help="1-based coordinates, e.g. 1,3")
-    p_proj.add_argument("--basis", default=None)
-
-    p_ver = sub.add_parser("verify", parents=[common], help="emit certificates for one statement")
-    p_ver.add_argument("statement", help=", ".join(sorted(_VERIFY_BUILDERS)))
-    p_ver.add_argument("--sets", nargs="+", default=None)
-    p_ver.add_argument("--set", default=None, help="file, or 'random' with --seed")
-    p_ver.add_argument("--system", default=None)
-    p_ver.add_argument("--basis", default=None)
-    p_ver.add_argument("--grids", default=None, help="grid shapes, e.g. 2x2,2x2,2x2")
-    p_ver.add_argument("--direction", default=None, help="line direction, e.g. 1,0")
-    p_ver.add_argument("--d", default=None, help="dimension range, e.g. 2 or 2-4")
-    p_ver.add_argument("--N", default=None, help="size range")
-    p_ver.add_argument("--k", default=None, help="fold range")
-    p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--axis", type=int, default=None)
-    p_ver.add_argument("--coords", default=None)
-    p_ver.add_argument("--spec", default=None)
-    p_ver.add_argument("--subspace", default=None, help="basis vectors, e.g. 1,0;0,1")
-    p_ver.add_argument("--seed", dest="seed_range", default="0", help="seed range for --set random")
-    p_ver.add_argument("--size", type=int, default=8, help="size for --set random")
-    p_ver.add_argument("--box", default=None, help="box for --set random")
-    p_ver.add_argument(
-        "--random-dim",
-        dest="d_int",
-        type=int,
-        default=2,
-        help="dimension for --set random",
+    leaf(sub, "compress", (_SET, _AXIS_OR_SPEC), "apply one compression")
+    leaf(sub, "reduce", (_SET, _flag("--max-steps", type=int)), "reduce to the long simplex, emit the trace")
+    leaf(
+        sub,
+        "project",
+        (_SET, _flag("--coords", required=True, help="1-based coordinates, e.g. 1,3"), _BASIS),
+        "project onto coordinates",
     )
-
-    p_suite = sub.add_parser("suite", parents=[common], help="run a verification suite")
-    p_suite.add_argument("name", choices=("smoke", "full"))
-
-    p_probe = sub.add_parser("probe", parents=[common], help="asymptotic probes")
-    p_probe.add_argument("kind", choices=("main-term", "det-main-term", "khovanskii"))
-    p_probe.add_argument("--system", default=None)
-    p_probe.add_argument("--set", default=None)
-    p_probe.add_argument("--k-max", type=int, default=6)
-
-    for p_certs in (p_ver, p_probe):  # only certificates have a CSV form
-        p_certs.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-
+    # only certificates have a CSV form: every statement takes --format
+    nested("verify", "emit certificates for one statement", "statement", _VERIFY_BUILDERS, (_FORMAT,))
+    leaf(sub, "suite", (_flag("name", choices=("smoke", "full")),), "run a verification suite")
+    nested("probe", "asymptotic probes", "kind", _PROBE_KINDS)
     return parser
 
 

@@ -903,6 +903,170 @@ class TestSuite:
         assert call("suite", "nightly")[0] == 2
 
 
+# every flag that some statement or kind of the command takes
+FLAGS_OF = {
+    "verify": ("--sets", "--set", "--system", "--basis", "--grids", "--direction", "--d", "--N", "--k", "--m",
+               "--n", "--axis", "--coords", "--spec", "--subspace", "--seed", "--size", "--box", "--random-dim",
+               "--format"),
+    "probe": ("--system", "--set", "--k-max", "--format"),
+    "gen": ("--d", "--N", "--k", "--lo", "--hi", "--dims", "--size", "--box", "--seed", "--entry-bound"),
+}
+
+# (command, statement or kind, a valid invocation as (flag, values) pairs, its
+# exit code, the flags it requires, the flags it also takes); C is the 3 x 3
+# cube and rot the planar rotation system
+SUBCOMMANDS = [
+    ("verify", "elementary", [("--sets", "C C")], 0, {"--sets"}, {"--format"}),
+    ("verify", "gs_kfold", [("--grids", "2x2,2x2,2x2"), ("--direction", "1,0")], 0, {"--grids"},
+     {"--sets", "--format"}),
+    ("verify", "freiman_kfold",
+     [("--set", "random"), ("--seed", "1-2"), ("--size", "6"), ("--box", "0,6"), ("--random-dim", "2"), ("--k", "2")],
+     0, {"--set"}, {"--format"}),
+    ("verify", "freiman_lemma",
+     [("--set", "random"), ("--seed", "1"), ("--size", "6"), ("--box", "0,6"), ("--random-dim", "2")],
+     0, {"--set"}, {"--format"}),
+    ("verify", "simplex_formula", [("--d", "2"), ("--N", "4"), ("--k", "2")], 0, {"--d", "--N", "--k"},
+     {"--format"}),
+    ("verify", "discrete_bm", [("--sets", "C C")], 0, {"--sets"}, {"--basis", "--format"}),
+    ("verify", "ruzsa_triangle", [("--sets", "C C C")], 0, {"--sets"}, {"--format"}),
+    ("verify", "plunnecke_ruzsa", [("--sets", "C C"), ("--m", "2"), ("--n", "1")], 0, {"--sets"}, {"--format"}),
+    ("verify", "iterated_pr", [("--sets", "C C")], 0, {"--sets"}, {"--format"}),
+    ("verify", "linear_pr", [("--system", "rot"), ("--set", "C")], 0, {"--system", "--set"}, {"--format"}),
+    ("verify", "fiber_bound", [("--system", "rot"), ("--set", "C"), ("--subspace", "1,0")], 0,
+     {"--system", "--set", "--subspace"}, {"--format"}),
+    ("verify", "sum_monotone", [("--sets", "C C"), ("--axis", "1")], 0, {"--sets", "--axis"},
+     {"--spec", "--format"}),
+    ("verify", "projection_monotone", [("--sets", "C C"), ("--axis", "1"), ("--coords", "1")], 0,
+     {"--sets", "--axis", "--coords"}, {"--format"}),
+    ("probe", "main-term", [("--system", "rot"), ("--set", "C")], 3, {"--system", "--set"}, {"--format"}),
+    ("probe", "det-main-term", [("--system", "rot"), ("--set", "C")], 3, {"--system", "--set"}, {"--format"}),
+    ("probe", "khovanskii", [("--set", "C"), ("--k-max", "4")], 0, {"--set"}, set()),
+    *(("gen", kind, [("--d", "2"), ("--N", "3")], 0, {"--d", "--N"}, set())
+      for kind in ("simplex", "simplex-summands", "simplex-sumset-form", "cube")),
+    ("gen", "interval", [("--lo", "0"), ("--hi", "3")], 0, {"--lo", "--hi"}, set()),
+    ("gen", "grid", [("--dims", "2x2")], 0, {"--dims"}, set()),
+    ("gen", "rotation", [("--d", "2")], 0, {"--d"}, set()),
+    ("gen", "shear", [], 0, set(), set()),
+    ("gen", "shear-counterexample", [("--N", "3")], 0, {"--N"}, set()),
+    *(("gen", kind, [("--d", "2"), ("--size", "3"), ("--box", "0,4"), ("--seed", "1")], 0, {"--d", "--size"}, set())
+      for kind in ("random", "random-full-dim")),
+    ("gen", "random-system", [("--d", "2"), ("--k", "2"), ("--entry-bound", "2"), ("--seed", "1")], 0,
+     {"--d", "--k"}, set()),
+]
+
+
+SUBCOMMAND_IDS = [f"{command} {kind}" for command, kind, *_ in SUBCOMMANDS]
+
+
+class TestSubcommandFlags:
+    """Each ``verify`` statement and ``gen`` or ``probe`` kind takes its own
+    flags: argparse refuses a flag it does not take, or a missing required
+    one, with exit 2 and nothing on stdout."""
+
+    @pytest.fixture
+    def files(self, call, tmp_path, monkeypatch):
+        """C and rot in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert call("gen", "cube", "--d", "2", "--N", "1", "-o", "C")[0] == 0
+        assert call("gen", "rotation", "--d", "2", "-o", "rot")[0] == 0
+
+    @pytest.fixture
+    def sub_call(self, call, files):
+        def _call(command, kind, pairs):
+            return call(command, kind, *[token for flag, values in pairs for token in (flag, *values.split())])
+
+        return _call
+
+    def test_table_covers_every_statement_and_kind(self):
+        tables = {"verify": cli._VERIFY_BUILDERS, "probe": cli._PROBE_KINDS, "gen": cli._GEN_KINDS}
+        for command, table in tables.items():
+            assert [kind for c, kind, *_ in SUBCOMMANDS if c == command] == list(table)
+
+    @pytest.mark.parametrize("command, kind, pairs, code, required, other", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
+    def test_valid_invocation(self, sub_call, command, kind, pairs, code, required, other):
+        result = sub_call(command, kind, pairs)
+        assert result[0] == code and result[1] != "", result[2]
+
+    @pytest.mark.parametrize("command, kind, pairs, code, required, other", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
+    def test_undeclared_flag_refused(self, sub_call, command, kind, pairs, code, required, other):
+        taken = {flag for flag, _ in pairs} | other
+        for flag in FLAGS_OF[command]:
+            if flag not in taken:
+                value = "json" if flag == "--format" else "1"
+                code, out, err = sub_call(command, kind, [*pairs, (flag, value)])
+                assert (code, out) == (2, ""), flag
+                assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("command, kind, pairs, code, required, other", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
+    def test_missing_required_flag_refused(self, sub_call, command, kind, pairs, code, required, other):
+        for flag in required:
+            code, out, err = sub_call(command, kind, [pair for pair in pairs if pair[0] != flag])
+            assert (code, out) == (2, ""), flag
+            assert "required" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "elementary", "--sets", "C", "C", "--system", "SINGULAR", "--k", "7", "--grids", "3x3"),
+            ("verify", "freiman_kfold", "--set", "C", "--k", "2", "--sets", "C", "--axis", "1"),
+            ("probe", "main-term", "--system", "rot", "--set", "C", "--k-max", "99"),
+            ("gen", "rotation", "--d", "2", "--seed", "99", "--size", "4"),
+            # the common flags go after the statement
+            ("verify", "--budget", "5", "elementary", "--sets", "C", "C"),
+            ("verify", "ruzsa_triangle", "--sets", "C", "C"),
+            ("verify", "plunnecke_ruzsa", "--sets", "C", "C", "C"),
+            ("verify", "gs_kfold", "--grids", "2x2,2x2", "--sets", "C", "C"),
+            ("verify", "sum_monotone", "--sets", "C", "--axis", "1", "--spec", "C"),
+            ("sumset", "--sets", "C", "--set", "C"),
+            ("compress", "--set", "C"),
+            ("verify", "no_such_statement"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_once_ignored_flags_refused(self, files, call, argv):
+        code, out, err = call(*argv)
+        assert (code, out) == (2, "") and err.startswith("usage: sumsetlab")
+        assert err.splitlines()[-1].startswith("sumsetlab") and ": error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("statement, sets", [("gs_kfold", 1), ("iterated_pr", 1), ("iterated_pr", 2)])
+    def test_two_or_more_sets(self, files, call, statement, sets):
+        code, out, err = call("verify", statement, "--sets", *["C"] * sets)
+        if sets == 2:
+            assert code == 0 and out != ""
+        else:
+            assert (code, out, err) == (2, "", f"error: verify {statement} needs --sets with at least 2 files\n")
+
+    def test_sets_excludes_system(self, files, call):
+        assert call("sumset", "--sets", "C", "C", "--system", "rot") == (2, "", "error: --sets excludes --system\n")
+
+
+class TestRefusedBeforeReading:
+    """Inputs that once crashed with exit 1, the code of a Violated verdict,
+    are refused with exit 2 before they are read in full."""
+
+    def test_deep_json(self, call, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = call("sumset", "--set", str(path), "--k", "2")
+        assert (code, out) == (2, "") and err.startswith(f"error: {path} is not valid JSON: ")
+
+    def test_sweep_longer_than_budget(self, call):
+        # refused before the 10**8 values of --k are listed
+        code, out, err = call("verify", "simplex_formula", "--d", "1-3", "--N", "4-8", "--k", "2-100000000")
+        assert (code, out, err) == (2, "", "error: --k: '2-100000000' lists more values than the budget of 10000000\n")
+
+    def test_sweep_at_budget(self, call):
+        # a budget of 3 admits three values of --k, and the 3-point sums of
+        # these cases, but not four values
+        argv = ("verify", "simplex_formula", "--d", "1", "--N", "2", "--budget", "3", "--k")
+        assert call(*argv, "2,2,2")[0] == 0
+        assert call(*argv, "2,2,2,2") == (2, "", "error: --k: '2,2,2,2' lists more values than the budget of 3\n")
+
+    def test_seed_range_longer_than_budget(self, call):
+        argv = ("verify", "freiman_kfold", "--set", "random", "--size", "6", "--seed", "1-4", "--budget", "3")
+        assert call(*argv) == (2, "", "error: --seed: '1-4' lists more values than the budget of 3\n")
+
+
 # Runs CLI commands in one fresh interpreter and prints, as JSON, each
 # command's exit code, stdout and stderr and whether sympy was loaded after
 # it.  With the argument "block", sympy is blocked first: importing it raises
@@ -921,7 +1085,10 @@ steps = [("import", 0, "", "", loaded())]
 for line in sys.stdin.read().splitlines():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(line.split())
+        try:
+            code = cli.run(line.split())
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     steps.append((line, code, out.getvalue(), err.getvalue(), loaded()))
 try:
     import sympy
@@ -978,6 +1145,7 @@ class TestStartPath:
         ("probe main-term --system eis4.json --set s4.json", 3),
         ("probe main-term --system eis5.json --set s5.json", 3),
         ("probe main-term --system red4.json --set s4.json", 2),
+        ("verify elementary", 2),
     ]
 
     def run_commands(self, tmp_path, flags, block):
@@ -1023,3 +1191,8 @@ class TestStartPath:
             assert json.loads(out.splitlines()[0])["params"]["d"] == str(d)
         _, err = by_line["probe main-term --system red4.json --set s4.json"]
         assert "requires a certified irreducible system" in err
+        # the nested parsers refuse a missing flag
+        out, err = by_line["verify elementary"]
+        assert out == "" and err.splitlines()[-1] == (
+            "sumsetlab verify elementary: error: the following arguments are required: --sets"
+        )
