@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -301,37 +302,65 @@ def _gen_shear_counterexample(args: argparse.Namespace):
     return {"system": system_to_dict(system), "set": pointset_to_dict(X)}
 
 
-# kind -> (the document it writes, its flags)
-_GEN_KINDS: dict[str, tuple[Callable[[argparse.Namespace], object], tuple]] = {
-    "simplex": (lambda args: pointset_to_dict(long_simplex(args.d, args.N)), (_D, _N)),
-    "simplex-summands": (lambda args: list(map(pointset_to_dict, long_simplex_summands(args.d, args.N))), (_D, _N)),
-    "simplex-sumset-form": (lambda args: pointset_to_dict(long_simplex_sumset_form(args.d, args.N)), (_D, _N)),
-    "cube": (lambda args: pointset_to_dict(cube(args.d, args.N)), (_D, _N)),
+def _cube_size(args: argparse.Namespace) -> int:
+    # (2N+1)^d; past bit_length(budget) + 1 factors of at least 2 it exceeds
+    # the budget anyway, so a huge d costs no huge power
+    return (2 * args.N + 1) ** min(args.d, args.budget.bit_length() + 1)
+
+
+# kind -> (the document it writes, its flags, the number of points and matrix
+# entries it writes, found before anything is built)
+_GEN_KINDS: dict[
+    str, tuple[Callable[[argparse.Namespace], object], tuple, Callable[[argparse.Namespace], int]]
+] = {
+    "simplex": (lambda args: pointset_to_dict(long_simplex(args.d, args.N)), (_D, _N), lambda args: args.N),
+    "simplex-summands": (
+        lambda args: list(map(pointset_to_dict, long_simplex_summands(args.d, args.N))),
+        (_D, _N),
+        lambda args: args.N,
+    ),
+    "simplex-sumset-form": (
+        lambda args: pointset_to_dict(long_simplex_sumset_form(args.d, args.N)),
+        (_D, _N),
+        lambda args: args.d * (args.N - args.d),
+    ),
+    "cube": (lambda args: pointset_to_dict(cube(args.d, args.N)), (_D, _N), _cube_size),
     "interval": (
         lambda args: pointset_to_dict(interval_set(args.lo, args.hi)),
         (_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)),
+        lambda args: args.hi - args.lo + 1,
     ),
-    "grid": (_gen_grid, (_flag("--dims", required=True, help="grid shapes, e.g. 2x2,3x4"),)),
-    "rotation": (lambda args: system_to_dict(rotation_system(args.d)), (_D,)),
-    "shear": (lambda args: system_to_dict(shear_system()), ()),
-    "shear-counterexample": (_gen_shear_counterexample, (_N,)),
+    "grid": (
+        _gen_grid,
+        (_flag("--dims", required=True, help="grid shapes, e.g. 2x2,3x4"),),
+        lambda args: sum(n * m for n, m in _parse_dims(args.dims)),
+    ),
+    "rotation": (lambda args: system_to_dict(rotation_system(args.d)), (_D,), lambda args: args.d**3),
+    "shear": (lambda args: system_to_dict(shear_system()), (), lambda args: 8),
+    "shear-counterexample": (_gen_shear_counterexample, (_N,), lambda args: 8 + 2 * args.N - 1),
     "random": (
         lambda args: pointset_to_dict(random_set(args.d, args.size, _parse_box(args.box), args.seed)),
         _RANDOM_SET,
+        lambda args: args.size,
     ),
     "random-full-dim": (
         lambda args: pointset_to_dict(random_full_dim_set(args.d, args.size, _parse_box(args.box), args.seed)),
         _RANDOM_SET,
+        lambda args: args.size,
     ),
     "random-system": (
         lambda args: system_to_dict(random_system(args.d, args.k, args.entry_bound, args.seed)),
         (_D, _flag("--k", type=int, required=True), _flag("--entry-bound", type=int, default=2), _SEED),
+        lambda args: args.k * args.d**2,
     ),
 }
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _emit_doc(_GEN_KINDS[args.kind][0](args), args)
+    document, _, size = _GEN_KINDS[args.kind]
+    if size(args) > args.budget:
+        raise CliError(f"gen {args.kind} writes more points and matrix entries than the budget of {args.budget}")
+    _emit_doc(document(args), args)
     return 0
 
 
@@ -413,13 +442,23 @@ def _two_or_more_sets(args: argparse.Namespace) -> list[PointSet]:
     return _sets_arg(args)
 
 
-def _random_or_file_sets(args: argparse.Namespace) -> list[PointSet]:
+def _refuse_sweep(args: argparse.Namespace, *counts: int) -> None:
+    """Refuses a sweep whose number of cases, the product of ``counts``,
+    exceeds the budget: before the cases are listed."""
+    cases = math.prod(counts)
+    if cases > args.budget:
+        raise CliError(f"verify {args.statement}: {cases} cases exceed the budget of {args.budget}")
+
+
+def _random_or_file_sets(args: argparse.Namespace, folds: int = 1) -> list[PointSet]:
     """One set per sweep case: a file, or seeded random full-dimensional
-    sets when ``--set random`` is given."""
+    sets when ``--set random`` is given.  With ``folds`` cases per set, a
+    sweep of more cases than the budget is refused before a set is drawn."""
     if args.set != "random":
         return [_load(pointset_from_dict, args.set)]
     box = _parse_box(args.box)
     seeds = _parse_range(args.seed_range, "--seed", args.budget)
+    _refuse_sweep(args, len(seeds), folds)
     return [random_full_dim_set(args.d_int, args.size, box, seed) for seed in seeds]
 
 
@@ -430,7 +469,7 @@ def _v_gs_kfold(args) -> list[Certificate]:
 
 def _v_freiman_kfold(args) -> list[Certificate]:
     ks = _parse_range(args.k, "--k", args.budget)
-    cases = [(A, k) for A in _random_or_file_sets(args) for k in ks]
+    cases = [(A, k) for A in _random_or_file_sets(args, len(ks)) for k in ks]
     return [check_freiman_kfold(A, k) for A, k in cases]
 
 
@@ -438,6 +477,7 @@ def _v_simplex_formula(args) -> list[Certificate]:
     ds = _parse_range(args.d, "--d", args.budget)
     ns = _parse_range(args.N, "--N", args.budget)
     ks = _parse_range(args.k, "--k", args.budget)
+    _refuse_sweep(args, len(ds), len(ns), len(ks))
     cases = [(d, N, k) for d in ds for N in ns if N >= d + 1 for k in ks]
     if not cases:
         raise CliError("no valid (d, N, k) combinations (need N >= d+1)")
@@ -554,6 +594,17 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses an argument it does not take itself, so the
+    usage printed is that of the subcommand given, not of the root."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser tree of the process, built on first use: building it
@@ -581,7 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # the leaf's defaults would overwrite the values given there
         _add_flags(subparsers.add_parser(name, parents=[common], help=help, allow_abbrev=False), flags)
 
-    parser = argparse.ArgumentParser(
+    # subparsers take the class of their parent: every parser is a _Parser
+    parser = _Parser(
         prog="sumsetlab",
         description="Exact sumset computations with verifiable certificates.",
         allow_abbrev=False,
@@ -592,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
         kinds = sub.add_parser(command, help=help, allow_abbrev=False).add_subparsers(
             dest=dest, required=True, metavar=dest.upper()
         )
-        for name, (_, flags) in table.items():
+        for name, (_, flags, *_) in table.items():
             leaf(kinds, name, (*flags, *extra))
 
     nested("gen", "emit generator families as JSON", "kind", _GEN_KINDS)

@@ -6,11 +6,14 @@ a green CI run and a green CLI run are literally the same computation.  All
 randomness is drawn from fixed seeds through splitmix64, so a suite is a
 deterministic function of its knobs; reports carry wall-clock timing for the
 operator but exclude it from the serialized form to keep reports
-byte-identical across runs.
+byte-identical across runs.  Each criterion draws from its own stream, so
+:func:`run_suite` runs them in forked worker processes, one per available
+CPU, and its report does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
@@ -30,7 +33,7 @@ from .bounds import (
     khovanskii_probe,
     main_term_probe,
 )
-from .certificates import HOLDS, INDETERMINATE, VIOLATED, Certificate
+from .certificates import _PRECISION_CAP, HOLDS, INDETERMINATE, VIOLATED, Certificate, precision_limit
 from .compression import (
     CompressionSpec,
     check_projection_monotone,
@@ -39,8 +42,10 @@ from .compression import (
     reduce_to_simplex,
 )
 from .core import (
+    _SUM_LIMIT,
     LinearSystem,
     RationalMatrix,
+    sum_limit,
     sumset_size,
     vec_dot,
 )
@@ -451,11 +456,41 @@ class SuiteReport:
         }
 
 
+_SUITES = {"smoke": SMOKE_SUITE, "full": FULL_SUITE}
+
+
+def _run_criterion(suite: str, criterion: str, budget: int | None, precision_cap: int) -> CriterionReport:
+    """One criterion of ``suite``, under the limits of the caller of
+    :func:`run_suite`; a worker gets names and values, never a runner."""
+    with sum_limit(budget), precision_limit(precision_cap):
+        return _SUITES[suite][criterion]()
+
+
 def run_suite(name: str) -> SuiteReport:
-    """Runs the named suite ('smoke' or 'full'), criteria in registry order."""
-    registry = {"smoke": SMOKE_SUITE, "full": FULL_SUITE}.get(name)
+    """Runs the named suite ('smoke' or 'full') in forked worker processes,
+    one per available CPU and at most one per criterion.  The criteria are
+    submitted and their reports collected in registry order, so the report
+    does not depend on the CPU count; an exception of a criterion is raised
+    here."""
+    # imported here: no other command pays for them at start
+    import concurrent.futures
+    import multiprocessing
+
+    registry = _SUITES.get(name)
     if registry is None:
         raise ValueError(f"unknown suite {name!r} (expected 'smoke' or 'full')")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        cpus = os.cpu_count() or 1
+    limits = (_SUM_LIMIT.get(), _PRECISION_CAP.get())
     started = time.perf_counter()
-    reports = tuple(fn() for fn in registry.values())
+    # fork: a worker starts without importing the package again, and no
+    # forkserver or resource tracker outlives the call.  The pool forks all
+    # its workers at the first submit, before it starts its own thread.
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(cpus, len(registry)), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        futures = [pool.submit(_run_criterion, name, criterion, *limits) for criterion in registry]
+        reports = tuple(future.result() for future in futures)
     return SuiteReport(name=name, reports=reports, seconds=time.perf_counter() - started)

@@ -410,18 +410,22 @@ SET_FILE_EXTRA = {
 }
 
 
-def spy_interval_caps(monkeypatch):
-    """A list that receives, for every interval certificate the bounds build,
-    the precision cap in effect when it is built."""
-    seen = []
+def spy_interval_caps(monkeypatch, tmp_path):
+    """A function returning, for every interval certificate the bounds have
+    built, the precision cap in effect when it was built.  The caps are
+    appended to a file under ``tmp_path``, so the certificates of forked
+    worker processes are seen too."""
+    log = tmp_path / "precision_caps"
+    log.touch()
     original = bounds.interval_certificate
 
     def spy(statement_id, make_sides, **kwargs):
-        seen.append(list(precision_schedule())[-1])
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{list(precision_schedule())[-1]}\n")
         return original(statement_id, make_sides, **kwargs)
 
     monkeypatch.setattr(bounds, "interval_certificate", spy)
-    return seen
+    return lambda: [int(line) for line in log.read_text(encoding="utf-8").split()]
 
 
 def forbid_sums(monkeypatch, budget):
@@ -623,9 +627,10 @@ class TestVerify:
             call("gen", "rotation", "--d", "2", "-o", rot)
             call("gen", "cube", "--d", "2", "--N", "1", "-o", cube)
             argv = ("probe", "det-main-term", "--system", rot, "--set", cube)
-        seen = spy_interval_caps(monkeypatch)
+        caps = spy_interval_caps(monkeypatch, tmp)
         call(*argv)
         call(*argv, "--precision-cap", "256")
+        seen = caps()
         assert seen == [4096, 256]
 
     def test_csv_format(self, call, workset):
@@ -893,10 +898,12 @@ class TestSuite:
         assert doc["passed"] is True
         assert [line.split()[0] for line in err.splitlines()] == ["PASS"] * len(doc["criteria"])
 
-    def test_precision_cap_reaches_every_interval_certificate(self, call, monkeypatch):
-        seen = spy_interval_caps(monkeypatch)
+    def test_precision_cap_reaches_every_interval_certificate(self, call, monkeypatch, tmp_path):
+        # the criteria run in forked workers, which append to the spy's file
+        caps = spy_interval_caps(monkeypatch, tmp_path)
         code, out, _ = call("suite", "smoke", "--precision-cap", "256")
         assert code == 0 and json.loads(out)["passed"] is True
+        seen = caps()
         assert seen and set(seen) == {256}
 
     def test_unknown_suite_is_usage_error(self, call):
@@ -995,7 +1002,14 @@ class TestSubcommandFlags:
                 value = "json" if flag == "--format" else "1"
                 code, out, err = sub_call(command, kind, [*pairs, (flag, value)])
                 assert (code, out) == (2, ""), flag
+                assert err.startswith(f"usage: sumsetlab {command} {kind} ")
                 assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_stray_flag_refused_with_the_statement_usage(self, files, call):
+        code, out, err = call("verify", "freiman_kfold", "--set", "C", "--sets", "C")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sumsetlab verify freiman_kfold")
+        assert err.splitlines()[-1] == "sumsetlab verify freiman_kfold: error: unrecognized arguments: --sets C"
 
     @pytest.mark.parametrize("command, kind, pairs, code, required, other", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
     def test_missing_required_flag_refused(self, sub_call, command, kind, pairs, code, required, other):
@@ -1038,6 +1052,65 @@ class TestSubcommandFlags:
 
     def test_sets_excludes_system(self, files, call):
         assert call("sumset", "--sets", "C", "C", "--system", "rot") == (2, "", "error: --sets excludes --system\n")
+
+
+def written_entries(doc) -> int:
+    """The points and matrix entries of a ``gen`` document."""
+    if isinstance(doc, list):
+        return sum(map(written_entries, doc))
+    if "points" in doc:
+        return len(doc["points"])
+    if "maps" in doc:
+        return sum(len(row) for matrix in doc["maps"] for row in matrix)
+    return sum(map(written_entries, doc.values()))
+
+
+class TestBudgetBeforeBuilding:
+    """``gen`` and the sweeps of ``verify`` compare what they would build with
+    ``--budget`` before they build it, and refuse with exit 2."""
+
+    @pytest.mark.parametrize("argv", [("--d", "2", "--N", "100000000"), ("--d", "40", "--N", "3")])
+    def test_oversized_cube_refused(self, call, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("the cube was built despite the budget")
+
+        monkeypatch.setattr(cli, "cube", forbidden)
+        code, out, err = call("gen", "cube", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: gen cube writes more points and matrix entries than the budget of 10000000\n"
+
+    @pytest.mark.parametrize(
+        "kind, pairs", [pytest.param(kind, pairs, id=kind) for command, kind, pairs, *_ in SUBCOMMANDS if command == "gen"]
+    )
+    def test_gen_size_is_what_it_writes(self, call, kind, pairs):
+        # the closed-form size: accepted at a budget of exactly it, refused below
+        argv = ("gen", kind, *[token for flag, values in pairs for token in (flag, *values.split())])
+        code, out, _ = call(*argv)
+        size = written_entries(json.loads(out))
+        assert code == 0 and size > 0
+        assert call(*argv, "--budget", str(size)) == (0, out, "")
+        code, out, err = call(*argv, "--budget", str(size - 1))
+        assert (code, out) == (2, "") and "budget" in err
+
+    def test_product_of_ranges_refused(self, call):
+        # each range fits the budget, their 10^9 cases do not
+        code, out, err = call("verify", "simplex_formula", "--d", "1-1000", "--N", "1-1000", "--k", "1-1000")
+        assert (code, out) == (2, "")
+        assert err == "error: verify simplex_formula: 1000000000 cases exceed the budget of 10000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, cases",
+        [
+            (("verify", "simplex_formula", "--d", "1-2", "--N", "3-4", "--k", "1"), 4),
+            (("verify", "freiman_kfold", "--set", "random", "--seed", "1-5", "--k", "1-2", "--size", "3"), 10),
+        ],
+        ids=lambda value: value[1] if isinstance(value, tuple) else str(value),
+    )
+    def test_cases_refused_past_the_budget(self, call, argv, cases):
+        code, out, _ = call(*argv, "--budget", str(cases))
+        assert code == 0 and len(out.splitlines()) == cases
+        code, out, err = call(*argv, "--budget", str(cases - 1))
+        assert (code, out) == (2, "") and f"{cases} cases exceed the budget of {cases - 1}" in err
 
 
 class TestRefusedBeforeReading:
