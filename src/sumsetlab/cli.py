@@ -2,7 +2,9 @@
 certificate verification, suites, and probes.
 
 Exit codes: 0 when every emitted certificate Holds, 1 when any is Violated,
-2 on usage or input errors, 3 when some are Indeterminate and none Violated.
+2 on usage or input errors, 3 when some are Indeterminate and none Violated,
+4 when the run fails with an exception that is no input error (a bug, or
+running out of memory), whose traceback goes to stderr.
 All stdout output is canonical JSON, or CSV with ``--format csv`` where
 certificates are written (``verify`` and the certificate probes), and is a
 deterministic function of the run configuration; human-oriented progress
@@ -17,6 +19,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 from typing import Callable, Sequence
 
 from .bounds import (
@@ -303,26 +306,30 @@ def _gen_shear_counterexample(args: argparse.Namespace):
 
 
 def _cube_size(args: argparse.Namespace) -> int:
-    # (2N+1)^d; past bit_length(budget) + 1 factors of at least 2 it exceeds
-    # the budget anyway, so a huge d costs no huge power
-    return (2 * args.N + 1) ** min(args.d, args.budget.bit_length() + 1)
+    # (2N+1)^d points of d coordinates; past bit_length(budget) + 1 factors of
+    # at least 2 it exceeds the budget anyway, so a huge d costs no huge power
+    return (2 * args.N + 1) ** min(args.d, args.budget.bit_length() + 1) * args.d
 
 
-# kind -> (the document it writes, its flags, the number of points and matrix
-# entries it writes, found before anything is built)
+# kind -> (the document it writes, its flags, the number of coordinates and
+# matrix entries it writes, found before anything is built)
 _GEN_KINDS: dict[
     str, tuple[Callable[[argparse.Namespace], object], tuple, Callable[[argparse.Namespace], int]]
 ] = {
-    "simplex": (lambda args: pointset_to_dict(long_simplex(args.d, args.N)), (_D, _N), lambda args: args.N),
+    "simplex": (
+        lambda args: pointset_to_dict(long_simplex(args.d, args.N)),
+        (_D, _N),
+        lambda args: args.N * args.d,
+    ),
     "simplex-summands": (
         lambda args: list(map(pointset_to_dict, long_simplex_summands(args.d, args.N))),
         (_D, _N),
-        lambda args: args.N,
+        lambda args: args.N * args.d,
     ),
     "simplex-sumset-form": (
         lambda args: pointset_to_dict(long_simplex_sumset_form(args.d, args.N)),
         (_D, _N),
-        lambda args: args.d * (args.N - args.d),
+        lambda args: args.d * (args.N - args.d) * args.d,
     ),
     "cube": (lambda args: pointset_to_dict(cube(args.d, args.N)), (_D, _N), _cube_size),
     "interval": (
@@ -333,20 +340,20 @@ _GEN_KINDS: dict[
     "grid": (
         _gen_grid,
         (_flag("--dims", required=True, help="grid shapes, e.g. 2x2,3x4"),),
-        lambda args: sum(n * m for n, m in _parse_dims(args.dims)),
+        lambda args: 2 * sum(n * m for n, m in _parse_dims(args.dims)),
     ),
     "rotation": (lambda args: system_to_dict(rotation_system(args.d)), (_D,), lambda args: args.d**3),
     "shear": (lambda args: system_to_dict(shear_system()), (), lambda args: 8),
-    "shear-counterexample": (_gen_shear_counterexample, (_N,), lambda args: 8 + 2 * args.N - 1),
+    "shear-counterexample": (_gen_shear_counterexample, (_N,), lambda args: 8 + 2 * (2 * args.N - 1)),
     "random": (
         lambda args: pointset_to_dict(random_set(args.d, args.size, _parse_box(args.box), args.seed)),
         _RANDOM_SET,
-        lambda args: args.size,
+        lambda args: args.size * args.d,
     ),
     "random-full-dim": (
         lambda args: pointset_to_dict(random_full_dim_set(args.d, args.size, _parse_box(args.box), args.seed)),
         _RANDOM_SET,
-        lambda args: args.size,
+        lambda args: args.size * args.d,
     ),
     "random-system": (
         lambda args: system_to_dict(random_system(args.d, args.k, args.entry_bound, args.seed)),
@@ -359,7 +366,8 @@ _GEN_KINDS: dict[
 def _cmd_gen(args: argparse.Namespace) -> int:
     document, _, size = _GEN_KINDS[args.kind]
     if size(args) > args.budget:
-        raise CliError(f"gen {args.kind} writes more points and matrix entries than the budget of {args.budget}")
+        raise CliError(f"gen {args.kind} writes more coordinates and matrix entries"
+                       f" than the budget of {args.budget}")
     _emit_doc(document(args), args)
     return 0
 
@@ -699,7 +707,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """:func:`run` as a process: its exit code, or 4, with the traceback on
+    stderr, when an exception escapes it (a bug, or ``MemoryError``), so that
+    no crash exits 1, the code of a Violated verdict."""
+    try:
+        sys.exit(run())
+    except Exception:
+        traceback.print_exc()
+        sys.exit(4)
 
 
 if __name__ == "__main__":

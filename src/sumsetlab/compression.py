@@ -9,10 +9,9 @@ full-dimensional finite subset of Z^d toward the extremal long simplex.
 
 ``compress`` runs in integers: the set, the offset and the direction are
 multiplied by the lcm q of their denominators, the normal and the offset by
-the lcm of the normal's, the fibers are keyed by |<n, v>| times their base
-points, and each output coordinate is divided once by q |<n, v>|.  So an
-integral set under an integral spec with |<n, v>| = 1, such as every axis
-compression, builds no ``Fraction``.
+the lcm of the normal's, and the fibers are keyed by |<n, v>| times their
+base points.  The result is the point set in the form (q |<n, v>|, the
+compressed integral points), so no ``Fraction`` is built.
 
 Caution on dimensions: a single compression can *collapse* the affine hull
 (e.g. {(0,0), (0,1), (1,2)} drops to a line under the x-axis compression
@@ -53,7 +52,6 @@ from .core import (
     _canon,
     _integer_row,
     _scaled,
-    _unscaled,
 )
 from .generators import long_simplex
 from .serialization import (
@@ -159,8 +157,8 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
     with the offset keeps the hyperplane.  On the scaled data a point a lies
     in the fiber whose key is |nv| a + sign(nv)(c - <n, a>) v, which is |nv|
     times the fiber's base point on the hyperplane, and the j-th point of the
-    fiber is key + j |nv| v.  Each coordinate is divided once, at the end, by
-    Q = q |nv|.
+    fiber is key + j |nv| v.  The result is stored as these points over
+    q |nv|: no coordinate is divided.
     """
     if spec.dim != A.dim:
         raise ValueError("compression and set dimensions differ")
@@ -184,9 +182,8 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
         for _ in range(count - 1):
             point = tuple(map(add, point, step))
             out.add(point)
-    ensure(len(out) == len(A.points), "compression must preserve cardinality")
-    Q = q * m
-    return PointSet._raw(A.dim, _unscaled(Q, frozenset(out)), Q == 1 or None)
+    ensure(len(out) == len(A), "compression must preserve cardinality")
+    return PointSet._raw(A.dim, q * m, frozenset(out))
 
 
 def is_down_set(A: PointSet) -> bool:

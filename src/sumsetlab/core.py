@@ -1,56 +1,67 @@
 """Exact rational geometry of finite point sets.
 
-Everything here is computed over Q with no floating point.  Coordinates are
-stored as plain ``int`` whenever they are integral and as
+Everything here is computed over Q with no floating point.  A coordinate
+read by a caller is a plain ``int`` when it is integral and a
 ``fractions.Fraction`` (always in lowest terms) otherwise; the two mix freely
 because Python guarantees ``hash(Fraction(2, 1)) == hash(2)``.
+
+One integer form
+----------------
+A :class:`PointSet` A is stored as (q, qA): q, the lcm of its coordinate
+denominators, and the integral points qA.  Every operation on point sets
+reads and builds that form and no other, so none rescales its inputs or
+divides its result back: an integral set has q = 1 and its points are qA
+itself, and a rational set decodes its points to ``Fraction`` only when
+``.points`` is read.  :meth:`PointSet._raw` divides q and qA by their gcd, so
+the form of a set is unique.
 
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
 :func:`weighted_sumset`) goes through one engine, :func:`packed_sumset`.  It
-packs each distinct summand once into integers in the mixed radix of the
-final sum's bounding box and folds; :func:`scaled_sumset` decodes the fold
-once.  The box is the sums of
-the summands' minima and maxima, and the sum has at most
-min(|A_1| ... |A_k|, cells of the box) points.  The fold is an ``int`` bitmap
-(one shift and OR per summand point) when the box has at most
-``_BITMAP_DENSITY`` cells per point of that bound, and at most
-``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of packed integers that
-adds every pair.  The choice depends only on the summands' sizes and
-bounding boxes, not on their order, and both folds return the same set.  A
-rational sum is scaled by q, the lcm of its coordinate denominators, and
-divided back by q only when a ``PointSet`` is asked for.  The ``sumset``,
-``compress`` and ``project`` commands write the fold itself, still packed
-and scaled, in box order (:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the
-same scaling and folds and counts the result without decoding it: the
-bitmap's set bits, or the size of the packed set.
+brings the summands to one q, the lcm of theirs (:func:`_scaled`), packs each
+distinct summand once into integers in the mixed radix of the final sum's
+bounding box and folds; :func:`scaled_sumset` decodes the fold once, to the
+integral points of the sum's form.  The box is the sums of the summands'
+minima and maxima, and the sum has at most min(|A_1| ... |A_k|, cells of the
+box) points.  The fold is an ``int`` bitmap (one shift and OR per summand
+point) when the box has at most ``_BITMAP_DENSITY`` cells per point of that
+bound, and at most ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of
+packed integers that adds every pair.  The choice depends only on the
+summands' sizes and bounding boxes, not on their order, and both folds
+return the same set.  The ``sumset``, ``compress`` and ``project`` commands
+write the fold itself, still packed and scaled, in box order
+(:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the same
+folds and counts the result without decoding it: the bitmap's set bits, or
+the size of the packed set.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
-summands whose bound exceeds the limit: the same bound, taken after a
-rational sum is scaled.  The limit is a context variable, so it ends with its
-block; library calls outside any block have none.  The command line enters
-one block per command with ``--budget``, in the same ``with`` as
+summands whose bound exceeds the limit: the same bound, taken on the scaled
+summands.  The limit is a context variable, so it ends with its block;
+library calls outside any block have none.  The command line enters one
+block per command with ``--budget``, in the same ``with`` as
 :func:`~sumsetlab.certificates.precision_limit`.
 
 Integral inputs
 ---------------
-Outside the engine, integral inputs take integer paths as well.
-:func:`linear_image` of an integral set under an integral matrix takes ``int``
-dot products and marks the image integral; other pairs keep the ``Fraction``
-code.  Two fraction-free routines do the linear algebra.  For reduced forms
-and determinants, one Gauss-Jordan elimination, :func:`_eliminate`:
-:func:`rref` (so :func:`kernel_basis`, :meth:`RationalMatrix.inverse` and
-:class:`Subspace`) runs it on rows scaled to integers and divides each pivot
-row once at the end; :meth:`RationalMatrix.det` runs it on the scaled rows
-and divides the last pivot by the product of the scales.  For ranks and
-spins, one incremental echelon reduction, :func:`_echelon_extend`, which
-adds integer vectors one at a time to primitive pivot rows and stops at rank
-d: :func:`affine_dimension` feeds it the differences of a set, scaled to
-integral points like a rational sum, and ``structure`` spins subspaces under
-a system's maps with it.  :func:`project` onto standard coordinates keeps
-the integral flag.
+Outside the engine, the operations on point sets work in integers as well.
+:func:`linear_image` multiplies the matrix by r, the lcm of its
+denominators, and takes ``int`` dot products with the points of qA; the
+image has the form (qr, (rM)(qA)).  :meth:`PointSet.translate` shifts qA by
+an integral vector, :func:`project` onto standard coordinates drops
+coordinates of qA, and :func:`~sumsetlab.compression.compress` slides the
+points of qA.  Two fraction-free routines do the linear algebra.  For
+reduced forms and determinants, one Gauss-Jordan elimination,
+:func:`_eliminate`: :func:`rref` (so :func:`kernel_basis`,
+:meth:`RationalMatrix.inverse` and :class:`Subspace`) runs it on rows scaled
+to integers and divides each pivot row once at the end;
+:meth:`RationalMatrix.det` runs it on the scaled rows and divides the last
+pivot by the product of the scales.  For ranks and spins, one incremental
+echelon reduction, :func:`_echelon_extend`, which adds integer vectors one
+at a time to primitive pivot rows and stops at rank d:
+:func:`affine_dimension` feeds it the differences of qA, and ``structure``
+spins subspaces under a system's maps with it.
 
 The engine is pure Python on purpose: importing numpy would add about 10 MB
 of resident memory and 0.13-0.16 s to every CLI start, while big-int shifts
@@ -140,16 +151,8 @@ def as_vec(point: Sequence, dim: int) -> Vec:
     return p
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(_canon(x + y) for x, y in zip(a, b))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(_canon(x - y) for x, y in zip(a, b))
-
-
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> Coord:
@@ -170,50 +173,87 @@ def point_sort_key(p: Vec):
 # ---------------------------------------------------------------------------
 
 
-class PointSet:
-    """A finite, non-empty, deduplicated set of points in Q^d."""
+def _form(points: frozenset) -> tuple[int, frozenset]:
+    """(q, qA) for a set A of canonical points: q, the lcm of the coordinate
+    denominators, and the integral points qA (A itself for q = 1).  An empty
+    A raises :class:`EmptySetError`."""
+    if not points:
+        raise EmptySetError("point set must be non-empty")
+    q = math.lcm(*{c.denominator for p in points for c in p})
+    if q > 1:
+        points = frozenset(tuple([c.numerator * (q // c.denominator) for c in p]) for p in points)
+    return q, points
 
-    __slots__ = ("dim", "points", "_integral")
+
+class PointSet:
+    """A finite, non-empty, deduplicated set A of points in Q^d.
+
+    A is stored in the one integer form that every layer computes with:
+    ``q``, the lcm of its coordinate denominators in lowest terms, and
+    ``scaled``, the frozenset of integral points qA.  Equality and hashing
+    compare (d, q, qA), which determines A.  ``points`` is A itself:
+    ``scaled`` when q = 1, and otherwise decoded on its first read and kept."""
+
+    __slots__ = ("dim", "q", "scaled", "_points")
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         pts = frozenset(as_vec(p, dim) for p in points)
-        if not pts:
-            raise EmptySetError("point set must be non-empty")
         self.dim = dim
-        self.points = pts
-        self._integral: bool | None = None
+        self.q, self.scaled = _form(pts)
+        self._points = pts
 
     @classmethod
-    def _raw(cls, dim: int, points: frozenset, integral: bool | None = None) -> "PointSet":
-        """Trusted constructor: ``points`` already canonical and non-empty."""
+    def _raw(cls, dim: int, q: int, scaled: frozenset) -> "PointSet":
+        """Trusted constructor of the set q^-1 ``scaled``, for ``scaled`` a
+        non-empty frozenset of ``int`` tuples of length ``dim``.  For q > 1,
+        q and every coordinate are divided by g, their gcd, so that equal sets
+        have equal (dim, q, scaled): 1/2 + 1/2 is stored as 1, not 2/2."""
+        if q > 1:
+            g = math.gcd(q, *itertools.chain.from_iterable(scaled))
+            if g > 1:
+                q //= g
+                scaled = frozenset(tuple([c // g for c in p]) for p in scaled)
         self = object.__new__(cls)
         self.dim = dim
-        self.points = points
-        self._integral = integral
+        self.q = q
+        self.scaled = scaled
+        self._points = scaled if q == 1 else None
         return self
 
     @property
+    def points(self) -> frozenset:
+        """The points of the set, each coordinate an ``int`` or a
+        ``Fraction`` in lowest terms.  For q > 1 they are decoded from
+        ``scaled`` on the first read: each distinct coordinate c becomes
+        ``c // q``, or ``Fraction(c, q)`` if q does not divide c, once."""
+        if self._points is None:
+            q = self.q
+            table = {c: c // q if c % q == 0 else Fraction(c, q)
+                     for c in set(itertools.chain.from_iterable(self.scaled))}
+            self._points = frozenset(tuple(map(table.__getitem__, p)) for p in self.scaled)
+        return self._points
+
+    @property
     def is_integral(self) -> bool:
-        if self._integral is None:
-            self._integral = all(
-                type(c) is int for p in self.points for c in p
-            )
-        return self._integral
+        return self.q == 1
 
     def sorted_points(self) -> list[Vec]:
         return sorted(self.points, key=point_sort_key)
 
     def translate(self, v: Sequence) -> "PointSet":
-        w = as_vec(v, self.dim)
-        return PointSet._raw(self.dim, frozenset(vec_add(p, w) for p in self.points))
+        """A + v: the points and the shift brought to one q by :func:`_scaled`,
+        then added in integers.  It is no sum of two summands, so no
+        :func:`sum_limit` applies."""
+        q, (points, (shift,)) = _scaled([self, PointSet(self.dim, [v])])
+        return PointSet._raw(self.dim, q, frozenset(tuple(map(add, p, shift)) for p in points))
 
     def negate(self) -> "PointSet":
-        return PointSet._raw(self.dim, frozenset(vec_neg(p) for p in self.points), self._integral)
+        return PointSet._raw(self.dim, self.q, frozenset(tuple([-x for x in p]) for p in self.scaled))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.scaled)
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.points)
@@ -224,10 +264,10 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.dim == other.dim and self.points == other.points
+        return self.dim == other.dim and self.q == other.q and self.scaled == other.scaled
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.points))
+        return hash((self.dim, self.q, self.scaled))
 
     def __repr__(self) -> str:
         pts = self.sorted_points()
@@ -396,30 +436,17 @@ def _decode(folded: int | set[int], lows: list[int], sides: list[int]) -> frozen
     return frozenset(zip(*_columns(list(folded), lows, sides)))
 
 
-def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[Collection[Vec]]]:
+def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[frozenset]]:
     """(q, the points of each set times q), where q becomes the lcm of the
-    given q and all coordinate denominators, so every scaled point is
-    integral.  Each distinct set is scaled once, and an integral family with
-    q = 1 is returned as it is.  Scaling is one-to-one, so it keeps the size of
-    every sum."""
-    if q == 1 and all(A.is_integral for A in sets):
-        return 1, [A.points for A in sets]
-    distinct = {id(A): A for A in sets}
-    q = math.lcm(q, *{c.denominator for A in distinct.values() for p in A for c in p})
-    scaled = {key: frozenset(tuple(c.numerator * q // c.denominator for c in p) for p in A)
-              for key, A in distinct.items()}
+    given q and the sets' own.  A set whose q is that lcm gives its
+    ``scaled`` as it is, so a family sharing one q is returned unchanged and
+    the engine still meets each repeated summand as one object; any other
+    distinct set is scaled once, by the integer q // A.q.  Scaling is
+    one-to-one, so it keeps the size of every sum."""
+    q = math.lcm(q, *{A.q for A in sets})
+    scaled = {key: A.scaled if A.q == q else frozenset(tuple([q // A.q * c for c in p]) for p in A.scaled)
+              for key, A in {id(A): A for A in sets}.items()}
     return q, [scaled[id(A)] for A in sets]
-
-
-def _unscaled(q: int, points: frozenset) -> frozenset:
-    """Integral points divided by q: each coordinate c becomes ``c // q``, or
-    ``Fraction(c, q)`` if q does not divide c.  Each distinct coordinate is
-    converted once."""
-    if q == 1:
-        return points
-    coords = set(itertools.chain.from_iterable(points))
-    table = {c: c // q if c % q == 0 else Fraction(c, q) for c in coords}
-    return frozenset(tuple(map(table.__getitem__, p)) for p in points)
 
 
 def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], int]:
@@ -433,7 +460,7 @@ def packed_sumset(sets: Sequence[PointSet]) -> tuple[int, int, int | set[int], l
     """(d, q, fold, lows, sides): the one engine behind every sumset, with
     q(A_1 + ... + A_k) as :func:`_integral_fold` leaves it, packed in the
     sum's box and not decoded.  The summands must be non-empty and share the
-    dimension d; they are scaled to integral points by :func:`_scaled`.  One
+    dimension d; :func:`_scaled` brings their forms to one q.  One
     summand is packed alone, as a bitmap when it is dense in its box, and no
     :func:`sum_limit` applies to it.  A writer reads the points in box order
     from this form (:func:`serialization.dumps_packed`)."""
@@ -461,13 +488,11 @@ def sumset_size(sets: Sequence[PointSet]) -> int:
 
 
 def _sum(sets: list[PointSet]) -> PointSet:
-    """A_1 + ... + A_k as a ``PointSet``: :func:`scaled_sumset` divided back
-    by q."""
+    """A_1 + ... + A_k as a ``PointSet``: the form (q, q(A_1 + ... + A_k))
+    of :func:`scaled_sumset`."""
     if len(sets) == 1:
         return sets[0]
-    dim, q, points = scaled_sumset(sets)
-    # a rational sum can have only integral points: its flag is read from them
-    return PointSet._raw(dim, _unscaled(q, points), all(A.is_integral for A in sets) or None)
+    return PointSet._raw(*scaled_sumset(sets))
 
 
 def minkowski_sum(sets: Sequence[PointSet]) -> PointSet:
@@ -687,16 +712,16 @@ class RationalMatrix:
 
 
 def linear_image(M: RationalMatrix, A: PointSet) -> PointSet:
-    """M(A) = {M p : p in A}.  An integral matrix applied to an integral set
-    takes plain ``int`` dot products, and the image is integral."""
+    """M(A) = {M p : p in A}, in integers: with r the lcm of the denominators
+    of M, the image is (q r)^-1 {(r M) p : p in qA}, taken with ``int`` dot
+    products."""
     if M.dim != A.dim:
         raise DimensionMismatchError("matrix and set dimensions differ")
-    if M.is_integral() and A.is_integral:
-        rows = M.rows
-        return PointSet._raw(
-            A.dim, frozenset(tuple([sum(map(mul, row, p)) for row in rows]) for p in A.points), True
-        )
-    return PointSet._raw(A.dim, frozenset(M.mat_vec(p) for p in A.points))
+    r = math.lcm(*(c.denominator for row in M.rows for c in row))
+    rows = [[c.numerator * (r // c.denominator) for c in row] for row in M.rows]
+    return PointSet._raw(
+        A.dim, A.q * r, frozenset(tuple([sum(map(mul, row, p)) for row in rows]) for p in A.scaled)
+    )
 
 
 class LinearSystem:
@@ -847,11 +872,9 @@ def affine_dimension(A: PointSet) -> int:
     the differences to one point.  Each difference is added to an echelon
     basis by :func:`_echelon_extend`, which stops as soon as the
     rank reaches d, so a full-dimensional set is usually decided by its first
-    d + 1 points.  A rational set is first scaled to integral points by
-    :func:`_scaled`, which is one-to-one and linear and so keeps the affine
-    dimension."""
-    _, (points,) = _scaled([A])
-    pts = iter(points)
+    d + 1 points.  The differences are taken in qA, which has the affine
+    dimension of A."""
+    pts = iter(A.scaled)
     anchor = next(pts)
     differences = (list(map(sub, p, anchor)) for p in pts)
     return sum(1 for _ in _echelon_extend([], differences, A.dim))
@@ -870,14 +893,10 @@ def project(A: PointSet, basis: Basis | None, coords: Iterable[int]) -> PointSet
         raise ValueError(f"projection coordinates must lie in 1..{d}")
     if basis is None or basis.is_standard():
         if d == 1:  # itemgetter of one index returns the item, not a 1-tuple
-            if index_set:
-                return PointSet._raw(d, A.points, A._integral)
-            return PointSet._raw(d, frozenset({(0,)}), True)
-        # index d picks the 0 appended to each point; dropping coordinates
-        # keeps an integral set integral
+            return A if index_set else PointSet._raw(d, 1, frozenset({(0,)}))
+        # index d picks the 0 appended to each point of qA
         keep = itemgetter(*(i if i + 1 in index_set else d for i in range(d)))
-        points = frozenset(map(keep, map(add, A.points, itertools.repeat((0,)))))
-        return PointSet._raw(d, points, A._integral or None)
+        return PointSet._raw(d, A.q, frozenset(map(keep, map(add, A.scaled, itertools.repeat((0,))))))
     mask = [1 if (i + 1) in index_set else 0 for i in range(d)]
     D = RationalMatrix([[mask[i] if i == j else 0 for j in range(d)] for i in range(d)])
     return linear_image(basis.matrix @ D @ basis.inverse_matrix, A)

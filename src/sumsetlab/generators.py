@@ -6,7 +6,7 @@ driven by a splitmix64 counter stream keyed only by the caller's seed, never
 by global state.
 
 Every point set is built from canonical ``int`` tuples, so it is handed to the
-trusted :meth:`PointSet._raw` as integral instead of being re-validated point
+trusted :meth:`PointSet._raw` with q = 1 instead of being re-validated point
 by point.
 """
 
@@ -29,7 +29,7 @@ MASK64 = (1 << 64) - 1
 def _lattice_set(d: int, points: Iterable[tuple[int, ...]]) -> PointSet:
     """The integral set of ``points``: non-empty tuples of ``int`` of length d,
     repeats allowed.  Nothing is re-validated."""
-    return PointSet._raw(d, frozenset(points), True)
+    return PointSet._raw(d, 1, frozenset(points))
 
 
 def splitmix64_stream(seed: int) -> Iterator[int]:
@@ -227,10 +227,13 @@ def random_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
     side = hi - lo + 1
     if d < 1 or size < 1:
         raise ValueError("need d >= 1 and size >= 1")
-    if side < 1 or side ** d < size:
+    # side ** min(d, 65) is the number of cells when that is at most 2**64,
+    # and above 2**64, where _uniform_draws refuses it, otherwise: a huge d
+    # costs no huge power
+    if side < 1 or side ** min(d, 65) < size:
         raise ValueError("box too small for the requested size")
     chosen: set = set()
-    for index in _uniform_draws(splitmix64_stream(seed), side ** d):
+    for index in _uniform_draws(splitmix64_stream(seed), side ** min(d, 65)):
         point = []
         for _ in range(d):
             index, r = divmod(index, side)

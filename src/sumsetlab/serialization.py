@@ -4,14 +4,14 @@ Coordinates are written as decimal strings ("5", "-3/4") rather than floats:
 round-tripping must be exact.  All emitters sort keys and order points
 canonically so identical mathematical objects serialize to identical bytes.
 
-A point set is encoded from its scaled integer form (q, integral points), the
-form the sumset engine computes (:func:`core._scaled`), so no ``Fraction`` is
-built to print a point.  :func:`_canonical_order` reduces each distinct
-coordinate c to (c/g, q/g) with g = gcd(c, q) once, and writes it with the
-same formatter as :func:`encode_coord`.  Canonical order is lexicographic on
-(numerator, denominator) per coordinate, which is not numeric order: 1/2
-comes before 1/3.  For q = 1 every key is (c, 1), so integral points sort as
-they are.  :func:`encode_points` writes a point set nested in a larger
+A point set is encoded from the integer form it is stored in, (q, qA)
+(:class:`core.PointSet`), which is also the form the sumset engine computes,
+so no ``Fraction`` is built to print a point.  :func:`_canonical_order`
+reduces each distinct coordinate c to (c/g, q/g) with g = gcd(c, q) once, and
+writes it with the same formatter as :func:`encode_coord`.  Canonical order
+is lexicographic on (numerator, denominator) per coordinate, which is not
+numeric order: 1/2 comes before 1/3.  For q = 1 every key is (c, 1), so
+integral points sort as they are.  :func:`encode_points` writes a point set nested in a larger
 document; :func:`dumps_packed` writes the whole {"dim", "points", "size"}
 document of the ``sumset``, ``compress`` and ``project`` commands from the
 engine's packed form (:func:`core.packed_sumset`), without decoding it.
@@ -39,13 +39,12 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .core import (
     Basis,
     Coord,
-    EmptySetError,
     LinearSystem,
     PointSet,
     RationalMatrix,
     Vec,
     _columns,
-    _scaled,
+    _form,
     _selectors,
     _size,
     as_coord,
@@ -197,8 +196,7 @@ def dumps_packed(dim: int, q: int, folded: int | set[int], lows: list[int], side
 
 
 def pointset_to_dict(A: PointSet) -> dict:
-    q, (points,) = _scaled([A])
-    return {"dim": A.dim, "points": encode_points(q, points)}
+    return {"dim": A.dim, "points": encode_points(A.q, A.scaled)}
 
 
 def pointset_from_dict(data: dict) -> PointSet:
@@ -206,10 +204,7 @@ def pointset_from_dict(data: dict) -> PointSet:
         raise ValueError("point set JSON needs keys 'dim' and 'points'")
     dim = _dimension(data["dim"])
     # decoded coordinates are canonical already: PointSet's checks are skipped
-    points = frozenset([decode_point(p, dim) for p in data["points"]])
-    if not points:
-        raise EmptySetError("point set must be non-empty")
-    return PointSet._raw(dim, points)
+    return PointSet._raw(dim, *_form(frozenset([decode_point(p, dim) for p in data["points"]])))
 
 
 def matrix_to_rows(M: RationalMatrix) -> list[list[str]]:

@@ -9,6 +9,9 @@ compression from its definition in ``sumsetlab.compression`` with
 ``Fraction`` arithmetic, sharing no code with the library's integral path.
 ``naive_rref`` is textbook Gauss-Jordan elimination in ``Fraction``
 arithmetic, the reference for the library's fraction-free elimination.
+``naive_image`` and ``naive_project`` map points by their definitions in
+``Fraction`` arithmetic, the references for ``linear_image`` and ``project``,
+which work on the integer form (q, qA) of a set.
 ``naive_spin`` grows an invariant subspace one ``Subspace`` (one full
 ``rref``) per vector, the reference for ``structure._spin``.
 ``naive_charpoly_factors`` factors a characteristic polynomial with sympy,
@@ -106,6 +109,28 @@ def naive_rref(rows, width):
     return mat[:row], pivots
 
 
+def naive_image(rows, points):
+    """{M p : p in points} in ``Fraction`` arithmetic, for the matrix M with
+    the given rows.  Integral coordinates come back as ``int``."""
+    canon = lambda x: x.numerator if x.denominator == 1 else x
+    return {tuple(canon(sum(Fraction(a) * Fraction(x) for a, x in zip(row, p))) for row in rows) for p in points}
+
+
+def naive_project(points, vectors, coords):
+    """The projection onto span{b_i : i in coords} (1-based) that kills the
+    other basis vectors b_i: each point's coordinates in the basis, solved by
+    ``naive_rref``, with the others set to 0.  Integral coordinates come back
+    as ``int``."""
+    d = len(vectors)
+    kept = [[Fraction(x) if i + 1 in coords else Fraction(0) for x in b] for i, b in enumerate(vectors)]
+    out = set()
+    for p in points:
+        red, _ = naive_rref([[b[j] for b in vectors] + [p[j]] for j in range(d)], d + 1)
+        image = (sum(row[d] * b[j] for row, b in zip(red, kept)) for j in range(d))
+        out.add(tuple(x.numerator if x.denominator == 1 else x for x in image))
+    return out
+
+
 def naive_spin(seeds, mats, d):
     """Smallest subspace containing the seeds and invariant under the maps:
     each vector is reduced modulo the subspace found so far, and a nonzero
@@ -156,6 +181,8 @@ rational_coords = st.fractions(
 INT_VALUES = values(-6, 6)
 RATIONAL_VALUES = values(-4, 4, max_denominator=3)
 MIXED_VALUES = tuple(dict.fromkeys(INT_VALUES + RATIONAL_VALUES))
+# negative and zero coordinates with denominators up to 12
+TWELFTHS = values(-2, 2, max_denominator=12)
 
 
 def point_sets(dim, min_size=1, max_size=8, coords=INT_VALUES):

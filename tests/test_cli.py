@@ -1055,11 +1055,11 @@ class TestSubcommandFlags:
 
 
 def written_entries(doc) -> int:
-    """The points and matrix entries of a ``gen`` document."""
+    """The coordinates and matrix entries of a ``gen`` document."""
     if isinstance(doc, list):
         return sum(map(written_entries, doc))
     if "points" in doc:
-        return len(doc["points"])
+        return sum(map(len, doc["points"]))
     if "maps" in doc:
         return sum(len(row) for matrix in doc["maps"] for row in matrix)
     return sum(map(written_entries, doc.values()))
@@ -1077,7 +1077,24 @@ class TestBudgetBeforeBuilding:
         monkeypatch.setattr(cli, "cube", forbidden)
         code, out, err = call("gen", "cube", *argv)
         assert (code, out) == (2, "")
-        assert err == "error: gen cube writes more points and matrix entries than the budget of 10000000\n"
+        assert err == "error: gen cube writes more coordinates and matrix entries than the budget of 10000000\n"
+
+    @pytest.mark.parametrize(
+        "kind, generator, argv",
+        [
+            ("simplex", "long_simplex", ("--d", "100000", "--N", "100001")),
+            ("random", "random_set", ("--d", "100000000", "--size", "3", "--box", "0,4")),
+        ],
+    )
+    def test_few_points_of_many_coordinates_refused(self, call, monkeypatch, kind, generator, argv):
+        # 100,001 points of 100,000 coordinates; 3 points of 10^8 coordinates
+        def forbidden(*args):
+            raise AssertionError(f"gen {kind} built its set despite the budget")
+
+        monkeypatch.setattr(cli, generator, forbidden)
+        code, out, err = call("gen", kind, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: gen {kind} writes more coordinates and matrix entries than the budget of 10000000\n"
 
     @pytest.mark.parametrize(
         "kind, pairs", [pytest.param(kind, pairs, id=kind) for command, kind, pairs, *_ in SUBCOMMANDS if command == "gen"]
@@ -1111,6 +1128,41 @@ class TestBudgetBeforeBuilding:
         assert code == 0 and len(out.splitlines()) == cases
         code, out, err = call(*argv, "--budget", str(cases - 1))
         assert (code, out) == (2, "") and f"{cases} cases exceed the budget of {cases - 1}" in err
+
+
+class TestCrashExit:
+    """An exception that escapes ``run`` exits 4 from ``main``, with its
+    traceback on stderr, never 1, the code of a Violated verdict."""
+
+    def test_memory_error_in_a_process(self, tmp_path):
+        # under a 1.5 GB address space, the 10^9 summands of --k do not fit
+        resource = pytest.importorskip("resource")
+        (tmp_path / "one.json").write_text('{"dim": 1, "points": [["0"]]}')
+        limit = 3 << 29
+        script = (f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                  "runpy.run_module('sumsetlab.cli', run_name='__main__')")
+        result = fresh_interpreter("-c", script, "sumset", "--set", "one.json", "--k", "1000000000", cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("Traceback") and result.stderr.endswith("MemoryError\n")
+
+    def test_exception_in_a_command(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+        monkeypatch.setattr(sys, "argv", ["sumsetlab", "gen", "shear"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (4, "")
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: broken command\n")
+
+    @pytest.mark.parametrize("argv, code", [(("gen", "shear"), 0), (("sumset", "--set", "missing.json"), 2)])
+    def test_run_codes_kept(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["sumsetlab", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main()
+        assert excinfo.value.code == code
 
 
 class TestRefusedBeforeReading:

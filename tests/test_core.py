@@ -10,14 +10,18 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
     INT_VALUES,
     MIXED_VALUES,
     RATIONAL_VALUES,
+    TWELFTHS,
     int_coords,
+    naive_compress,
+    naive_image,
+    naive_project,
     naive_rref,
     naive_sumset,
     point_sets,
@@ -29,6 +33,7 @@ from sumsetlab import core
 from sumsetlab import (
     Basis,
     BudgetError,
+    CompressionSpec,
     DimensionMismatchError,
     EmptySetError,
     LinearSystem,
@@ -37,6 +42,7 @@ from sumsetlab import (
     SingularMatrixError,
     Subspace,
     affine_dimension,
+    compress,
     covering_number,
     iterated_sumset,
     linear_image,
@@ -405,8 +411,9 @@ class TestScaledSumset:
 
 
 class TestUnscaled:
-    """``core._unscaled`` converts each distinct coordinate once; it must give
-    the points, and the type of every coordinate, of the per-point division."""
+    """``PointSet.points`` decodes (q, qA) converting each distinct coordinate
+    once; it must give the points, and the type of every coordinate, of the
+    per-point division of qA by q."""
 
     @staticmethod
     def per_point(points, q):
@@ -418,12 +425,12 @@ class TestUnscaled:
         q = data.draw(st.integers(1, 60))
         coord = st.integers(-3 * q, 3 * q) | st.just(0)
         points = data.draw(st.frozensets(st.tuples(*[coord] * dim), min_size=1, max_size=40))
-        got = core._unscaled(q, points)
+        got = PointSet._raw(dim, q, points).points
         assert typed(got) == typed(self.per_point(points, q))
 
     def test_shared_coordinates_and_signs(self):
         points = frozenset({(-6, 0, 3), (3, -3, 0), (0, 5, -4), (-1, 6, 9)})
-        got = core._unscaled(6, points)
+        got = PointSet._raw(3, 6, points).points
         assert got == {(-1, 0, Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2), 0),
                        (0, Fraction(5, 6), Fraction(-2, 3)), (Fraction(-1, 6), 1, Fraction(3, 2))}
         assert typed(got) == typed(self.per_point(points, 6))
@@ -577,6 +584,90 @@ def refused(sets, limit):
     return False
 
 
+@st.composite
+def twelfths_case(draw, max_size=6):
+    """(d, a set with coordinates in TWELFTHS, a strategy for vectors of
+    length d over TWELFTHS), for d = 1..3."""
+    dim = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.sampled_from(TWELFTHS)] * dim)
+    return dim, draw(point_sets(dim, max_size=max_size, coords=TWELFTHS)), vectors
+
+
+class TestOneForm:
+    """Every operation builds its result in the one form (q, qA).  Against a
+    naive ``Fraction`` oracle: ``.points`` with the type of every coordinate,
+    ``is_integral``, q the lcm of the oracle's denominators and ``scaled``
+    the oracle's points times q."""
+
+    @staticmethod
+    def check(got, want):
+        want = canonical(want)
+        q = math.lcm(*(Fraction(c).denominator for p in want for c in p))
+        assert (got.q, got.scaled) == (q, {tuple(int(c * q) for c in p) for p in want})
+        assert typed(got.points) == typed(want)
+        assert got.is_integral == (q == 1)
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.fractions(-2, 2, max_denominator=12)] * d), min_size=1, max_size=8)))
+    def test_constructor(self, raw):
+        # Fraction coordinates, integral ones among them, and repeated points
+        self.check(PointSet(len(raw[0]), raw), {tuple(p) for p in raw})
+
+    @given(twelfths_case(), st.data())
+    def test_translate_and_negate(self, case, data):
+        _, A, vectors = case
+        v = data.draw(vectors)
+        self.check(A.translate(v), {tuple(x + y for x, y in zip(p, v)) for p in A.points})
+        self.check(A.negate(), {tuple(-x for x in p) for p in A.points})
+
+    @given(twelfths_case(), st.data())
+    def test_linear_image(self, case, data):
+        dim, A, vectors = case
+        rows = [data.draw(vectors) for _ in range(dim)]
+        self.check(linear_image(RationalMatrix(rows), A), naive_image(rows, A.points))
+
+    @given(twelfths_case(), st.data())
+    def test_project(self, case, data):
+        dim, A, vectors = case
+        coords = data.draw(st.sets(st.integers(1, dim)))
+        standard = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        self.check(project(A, None, coords), naive_project(A.points, standard, coords))
+        vectors = [data.draw(vectors) for _ in range(dim)]
+        assume(RationalMatrix(vectors).det() != 0)
+        self.check(project(A, Basis(vectors), coords), naive_project(A.points, vectors, coords))
+
+    @given(twelfths_case(), st.data())
+    def test_compress(self, case, data):
+        _, A, vectors = case
+        normal, direction = data.draw(vectors), data.draw(vectors)
+        assume(sum(a * b for a, b in zip(normal, direction)) != 0)
+        offset = data.draw(st.sampled_from(TWELFTHS))
+        spec = CompressionSpec(normal=normal, offset=offset, direction=direction)
+        self.check(compress(A, spec), naive_compress(A.points, normal, offset, direction))
+
+    @given(twelfths_case(max_size=4), st.data())
+    def test_sums(self, case, data):
+        dim, A, _ = case
+        others = data.draw(st.lists(point_sets(dim, max_size=4, coords=TWELFTHS), max_size=2))
+        sets = [A, *others]
+        self.check(minkowski_sum(sets), naive_sumset(sets))
+        k = data.draw(st.integers(1, 3))
+        self.check(iterated_sumset(A, k), naive_sumset([A] * k))
+
+    @given(twelfths_case())
+    def test_raw_form_is_reduced(self, case):
+        # the trusted constructor divides out a common factor of q and qA
+        dim, A, _ = case
+        doubled = PointSet._raw(dim, 2 * A.q, frozenset(tuple(2 * c for c in p) for p in A.scaled))
+        assert doubled == A and hash(doubled) == hash(A)
+        assert (doubled.q, doubled.scaled) == (A.q, A.scaled)
+
+    def test_halves_sum_to_an_integer(self):
+        half = PointSet(1, [(Fraction(1, 2),)])
+        assert minkowski_sum([half, half]) == PointSet(1, [(1,)])
+        assert hash(iterated_sumset(half, 4)) == hash(PointSet(1, [(2,)]))
+
+
 class TestSumLimit:
     @given(data=st.data())
     def test_refuses_below_true_size(self, data):
@@ -689,16 +780,14 @@ class TestLinearImage:
         M = RationalMatrix(data.draw(st.lists(
             st.lists(st.sampled_from(entries), min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
         A = data.draw(point_sets(dim, coords=coords))
-        integral = M.is_integral() and A.is_integral
         with fractions_built() as built:
             got = linear_image(M, A)
+        # the image is built in integers, before any read of its points
+        assert built == [0]
         expected = {
             tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, p)) for row in M.rows)
             for p in A.points
         }
-        if integral:  # flagged when built, before any read of is_integral
-            assert got._integral is True
-            assert built == [0]
         assert typed(got.points) == typed(canonical(expected))
         assert got.is_integral == all(type(c) is int for p in got for c in p)
 
@@ -1037,12 +1126,12 @@ class TestAffineDimension:
 
         monkeypatch.setattr(core, "_eliminate", no_elimination)
         points = CountedPoints(itertools.product(range(22), repeat=3))
-        assert affine_dimension(PointSet._raw(3, points, True)) == 3
+        assert affine_dimension(PointSet._raw(3, 1, points)) == 3
         assert 4 <= points.taken <= 10
 
     def test_deficient_set_is_scanned_to_the_end(self):
         points = CountedPoints((i, 2 * i, j, 0) for i in range(30) for j in range(30))
-        assert affine_dimension(PointSet._raw(4, points, True)) == 2
+        assert affine_dimension(PointSet._raw(4, 1, points)) == 2
         assert points.taken == 900
 
 
@@ -1125,10 +1214,10 @@ class TestProject:
     @given(st.integers(1, 4).flatmap(lambda d: point_sets(d, coords=MIXED_VALUES)), st.data())
     def test_integral_flag(self, A, data):
         I = data.draw(st.sets(st.integers(1, A.dim)))
-        integral = A.is_integral
-        got = project(A, None, I)
-        if integral:  # flagged when built, before any read of is_integral
-            assert got._integral is True
+        with fractions_built() as built:
+            got = project(A, None, I)
+        # the projection is built in integers, before any read of its points
+        assert built == [0]
         assert got.is_integral == all(type(c) is int for p in got for c in p)
 
     def test_rational_set_with_integral_projection(self):

@@ -206,6 +206,16 @@ class TestUniformDraws:
         with pytest.raises(ValueError, match=r"2\*\*64"):
             random_set(4, 3, (-100000, 100000), 1)
 
+    @pytest.mark.parametrize("d, box", [(65, (0, 1)), (10**8, (0, 4))], ids=["2^65", "5^(10^8)"])
+    def test_random_set_in_a_box_of_huge_dimension_rejected(self, d, box):
+        # refused at once, without the power side ** d of 10^8 digits
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            random_set(d, 3, box, 1)
+
+    def test_random_set_in_a_box_of_2_to_the_64_cells(self):
+        A = random_set(64, 3, (0, 1), 1)
+        assert len(A) == 3 and A.dim == 64
+
 
 class TestRandomGenerators:
     def test_random_set_frozen(self):
@@ -257,7 +267,7 @@ GENERATED = {
 class TestGeneratedSets:
     """Generators build their sets with the trusted constructor: each one must
     equal the same points validated by ``PointSet``, hold ``int`` tuples only,
-    and carry the integral flag from construction."""
+    and be stored with q = 1, its points the integral form itself."""
 
     @pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED.keys())
     def test_contract(self, make):
@@ -266,7 +276,7 @@ class TestGeneratedSets:
             assert type(out.points) is frozenset
             assert all(type(p) is tuple and len(p) == out.dim for p in out.points)
             assert all(type(c) is int for p in out.points for c in p)
-            assert out._integral is True and out.is_integral is True
+            assert out.q == 1 and out.scaled is out.points and out.is_integral is True
 
     def test_box_ends_become_int(self):
         # any integer type with __index__, numpy's included, gives int points

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import INT_VALUES, MIXED_VALUES, RATIONAL_VALUES, point_sets, rational_coords, values
+from conftest import INT_VALUES, MIXED_VALUES, RATIONAL_VALUES, TWELFTHS, point_sets, rational_coords
 from sumsetlab import Basis, CompressionSpec, EmptySetError, LinearSystem, PointSet, RationalMatrix
 from sumsetlab import serialization
-from sumsetlab.core import _decode, _scaled, as_coord, packed_sumset, point_sort_key
+from sumsetlab.core import _decode, as_coord, packed_sumset, point_sort_key
 from sumsetlab.serialization import (
     basis_from_dict,
     basis_to_dict,
@@ -209,10 +209,6 @@ def old_recipe(A):
     return [encode_point(p) for p in sorted(A.points, key=point_sort_key)]
 
 
-# negative and zero coordinates with denominators up to 12
-TWELFTHS = values(-2, 2, max_denominator=12)
-
-
 class TestEncodePoints:
     """``encode_points`` writes (q, integral points) without building a
     ``Fraction``; ``pointset_to_dict`` and certificate digests go through it."""
@@ -222,8 +218,7 @@ class TestEncodePoints:
         dim = data.draw(st.integers(1, 4))
         coords = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES, TWELFTHS]))
         A = data.draw(point_sets(dim, max_size=30, coords=coords))
-        q, (points,) = _scaled([A])
-        assert encode_points(q, points) == old_recipe(A)
+        assert encode_points(A.q, A.scaled) == old_recipe(A)
         assert pointset_to_dict(A) == {"dim": dim, "points": old_recipe(A)}
 
     @given(data=st.data())
