@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -125,7 +126,7 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
         Fraction(math.comb(k + d - 1, d - 1)) * (Fraction(k * (n - d), d) + 1)
     )
     ensure(bound == rewritten, "the two closed forms of the bound must agree")
-    rhs = sumset_size([A] * k)
+    rhs = sumset_size({A: k})
     return exact_certificate(
         "freiman_kfold",
         bound,
@@ -167,7 +168,7 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
     """Dual-route equality check: the closed form against brute-force
     enumeration of |k A_{d,N}|.  Holds only on exact agreement (slack 0)."""
     lhs = simplex_cardinality(d, N, k)
-    rhs = sumset_size([long_simplex(d, N)] * k)
+    rhs = sumset_size({long_simplex(d, N): k})
     slack = rhs - lhs
     return Certificate(
         statement_id="simplex_formula",
@@ -314,14 +315,16 @@ def check_plunnecke_ruzsa(A: PointSet, B: PointSet, m: int, n: int) -> Certifica
     """|mA - nA| <= K^{m+n} |B| with K = |A + B| / |B| (the sharpest
     admissible doubling ratio for the hypothesis).
 
-    mA - nA is the sum of m copies of A and n copies of -A, counted by
-    :func:`sumset_size`; for m = n = 0 it is {0}, of size 1."""
+    mA - nA is the sum of A with multiplicity m and -A with multiplicity n,
+    counted by :func:`sumset_size`; when A = -A the two are one summand of
+    multiplicity m + n.  For m = n = 0 it is {0}, of size 1."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if A.dim != B.dim:
         raise DimensionMismatchError("mixed dimensions")
     K = Fraction(sumset_size([A, B]), len(B))
-    summands = [A] * m + [A.negate()] * n
+    # a Counter sum, not a dict literal: A and -A are one key when A = -A
+    summands = Counter({A: m}) + Counter({A.negate(): n})
     lhs = sumset_size(summands) if summands else 1
     rhs = _canon(K ** (m + n) * len(B))
     return exact_certificate(

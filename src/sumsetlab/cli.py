@@ -57,6 +57,7 @@ from .core import (
     LinearSystem,
     PointSet,
     Subspace,
+    Summands,
     _size,
     linear_image,
     packed_sumset,
@@ -191,10 +192,10 @@ def _emit_doc(doc, args: argparse.Namespace) -> None:
     _write(dumps_canonical(doc), args)
 
 
-def _emit_set(sets: Sequence[PointSet], args: argparse.Namespace) -> int:
-    """The sum of ``sets`` (one set: the set itself) as the document
-    {"dim", "points", "size"}, written from the engine's packed form by
-    ``dumps_packed``; returns the size."""
+def _emit_set(sets: Summands, args: argparse.Namespace) -> int:
+    """The sum of the multiset ``sets`` (one set: the set itself) as the
+    document {"dim", "points", "size"}, written from the engine's packed form
+    by ``dumps_packed``; returns the size."""
     packed = packed_sumset(sets)
     _write(dumps_packed(*packed), args)
     return _size(packed[2])
@@ -394,7 +395,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
                 raise CliError("system and set dimensions differ")
             summands = [linear_image(M, A) for M in system.maps]
         else:
-            summands = [A] * args.k
+            summands = {A: args.k}
     # the sum is written from its packed, scaled form: no point is decoded
     size = _emit_set(summands, args)
     print(f"size {size}", file=sys.stderr)

@@ -19,12 +19,18 @@ Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
 :func:`weighted_sumset`) goes through one engine, :func:`packed_sumset`.  It
-brings the summands to one q, the lcm of theirs (:func:`_scaled`), packs each
-distinct summand once into integers in the mixed radix of the final sum's
-bounding box and folds; :func:`scaled_sumset` decodes the fold once, to the
-integral points of the sum's form.  The box is the sums of the summands'
-minima and maxima, and the sum has at most min(|A_1| ... |A_k|, cells of the
-box) points.  The fold is an ``int`` bitmap (one shift and OR per summand
+reads its summands as a multiset, once, as ``Counter(sets)``
+(:func:`_summands`): a sequence of sets, whose equal entries are one summand
+repeated, or a mapping from set to a positive ``int`` multiplicity, so kA is
+``{A: k}``.  It brings the distinct summands to one q, the lcm of theirs
+(:func:`_scaled`), packs each once into integers in the mixed radix of the
+final sum's bounding box and folds it as often as its multiplicity;
+:func:`minkowski_sum` decodes the fold once, to the integral points of the
+sum's form.  The box of m_1 A_1 + ... + m_k A_k is the sums of m_i times the
+summands' minima and maxima, and the sum has at most
+min(|A_1|^m_1 ... |A_k|^m_k, cells of the box) points, a bound taken in
+O(k) whatever the multiplicities.  A one-point summand only moves the box and
+is not folded.  The fold is an ``int`` bitmap (one shift and OR per summand
 point) when the box has at most ``_BITMAP_DENSITY`` cells per point of that
 bound, and at most ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of
 packed integers that adds every pair.  The choice depends only on the
@@ -37,11 +43,11 @@ the size of the packed set.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
-summands whose bound exceeds the limit: the same bound, taken on the scaled
-summands.  The limit is a context variable, so it ends with its block;
-library calls outside any block have none.  The command line enters one
-block per command with ``--budget``, in the same ``with`` as
-:func:`~sumsetlab.certificates.precision_limit`.
+summands, counted with multiplicity, whose bound exceeds the limit: the same
+bound, taken on the scaled summands.  The limit is a context variable, so
+it ends with its block; library calls outside any block have none.  The
+command line enters one block per command with ``--budget``, in the same
+``with`` as :func:`~sumsetlab.certificates.precision_limit`.
 
 Integral inputs
 ---------------
@@ -87,7 +93,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import add, floordiv, itemgetter, mod, mul, sub
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Coord = int | Fraction
 Vec = tuple[Coord, ...]
@@ -276,11 +282,8 @@ class PointSet:
         return f"PointSet(dim={self.dim}, {{{shown}{more}}})"
 
 
-def _require_same_dim(sets: Sequence[PointSet]) -> int:
-    dims = {A.dim for A in sets}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-    return dims.pop()
+# the summands of a sum: a sequence of sets, or a mapping from set to multiplicity
+Summands = Sequence[PointSet] | Mapping[PointSet, int]
 
 
 # The integral engine picks one of two folds over the same packed integers.
@@ -308,8 +311,9 @@ _SUM_LIMIT: contextvars.ContextVar[int | None] = contextvars.ContextVar(
 @contextlib.contextmanager
 def sum_limit(limit: int | None) -> Iterator[None]:
     """Within the block, refuse with :class:`BudgetError` every sum of two or
-    more summands whose bound exceeds ``limit`` points: the product of the
-    summand sizes, capped by the cells of the (scaled) sum's bounding box.
+    more summands, counted with multiplicity, whose bound exceeds ``limit``
+    points: the product of size^multiplicity over the distinct summands,
+    capped by the cells of the (scaled) sum's bounding box.
     The sum is refused before it is built.  On exit the previous limit is
     restored; outside any block there is none."""
     token = _SUM_LIMIT.set(limit)
@@ -354,50 +358,54 @@ def _pair_fold(packed: list[list[int]]) -> set[int]:
     return sums
 
 
-def _integral_fold(sets: Sequence[Collection[Vec]]) -> tuple[int | set[int], list[int], list[int]]:
-    """A_1 + ... + A_k for sets of integral points, packed once in the sum's
-    box and not yet decoded: the bitmap of :func:`_bitmap_fold` or the set of
+def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int | set[int], list[int], list[int]]:
+    """m_1 A_1 + ... + m_k A_k for distinct sets of integral points, given as
+    (points, multiplicity) pairs, packed once in the sum's box and not yet
+    decoded: the bitmap of :func:`_bitmap_fold` or the set of
     :func:`_pair_fold`, with the box's lower corner and side lengths.
 
     Every point becomes one integer in the mixed radix of the final sum's
     bounding box, first coordinate most significant, so a sum of points is a
     sum of integers with no carry between coordinates, and packed order is
-    ``itertools.product`` order over the box.  Each distinct summand is packed
-    once.  The box is the sums of the summands' minima and maxima, and the
-    sum has at most ``bound`` = min(|A_1| ... |A_k|, cells of the box)
-    points.  For two or more summands that one bound is checked against
-    :func:`sum_limit` before anything is packed, and it picks the fold:
-    :func:`_bitmap_fold` runs when the box has at most ``_BITMAP_DENSITY``
-    cells per point of the bound and at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
-    summands.
+    ``itertools.product`` order over the box.  The box is the sums of m_i
+    times the summands' minima and maxima, and the sum has at most ``bound``
+    = min(|A_1|^m_1 ... |A_k|^m_k, cells of the box) points.  For two or more
+    summands, counted with multiplicity, that one bound is checked against
+    :func:`sum_limit` in O(k), before anything is packed, and it picks the
+    fold: :func:`_bitmap_fold` runs when the box has at most
+    ``_BITMAP_DENSITY`` cells per point of the bound and at most
+    ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
+    summands.  Each summand of two or more points is then packed once and
+    folded m_i times; a one-point summand packs to [0], so it only moves the
+    box and is not folded.
     """
-    ids = list(map(id, sets))
-    # each distinct summand once, by id: its columns and minima, then its
-    # packed points; the box adds its minima and maxima once per occurrence
-    distinct = dict(zip(ids, sets))
-    lows, highs = [], []
-    for key, count in Counter(ids).items():
-        cols = list(zip(*distinct[key]))
+    columns, lows, highs = [], [], []
+    for points, count in summands:
+        cols = list(zip(*points))
         mins = [min(c) for c in cols]
-        distinct[key] = cols, mins
+        columns.append((cols, mins))
         lows.append([count * low for low in mins])
         highs.append([count * max(c) for c in cols])
     lows, highs = list(map(sum, zip(*lows))), list(map(sum, zip(*highs)))
     sides = [high - low + 1 for low, high in zip(lows, highs)]
     cells = math.prod(sides)
-    # capped at the cells, the product of the sizes never grows to |A|^k
+    # capped at the cells, the product of the sizes never grows to |A|^k: a
+    # factor of two or more points taken bit_length(cells) times exceeds it
     bound = 1
-    for size in map(len, sets):
-        bound = min(bound * size, cells)
+    for points, count in summands:
+        bound = min(bound * len(points) ** min(count, cells.bit_length()), cells)
     limit = _SUM_LIMIT.get()
-    if limit is not None and bound > limit and len(sets) > 1:
+    if limit is not None and bound > limit and sum(count for _, count in summands) > 1:
         raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
         weights[i - 1] = weights[i] * sides[i]
-    for key, (cols, mins) in distinct.items():
-        distinct[key] = _pack(cols, mins, weights)
-    packed = list(map(distinct.__getitem__, ids))
+    packed = []
+    for (cols, mins), (points, count) in zip(columns, summands):
+        if len(points) > 1:
+            packed += [_pack(cols, mins, weights)] * count
+    # a sum of points alone is the one cell of its box
+    packed = packed or [[0]]
     if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * bound:
         return _bitmap_fold(packed, cells), lows, sides
     return _pair_fold(packed), lows, sides
@@ -439,72 +447,74 @@ def _decode(folded: int | set[int], lows: list[int], sides: list[int]) -> frozen
 def _scaled(sets: Sequence[PointSet], q: int = 1) -> tuple[int, list[frozenset]]:
     """(q, the points of each set times q), where q becomes the lcm of the
     given q and the sets' own.  A set whose q is that lcm gives its
-    ``scaled`` as it is, so a family sharing one q is returned unchanged and
-    the engine still meets each repeated summand as one object; any other
-    distinct set is scaled once, by the integer q // A.q.  Scaling is
-    one-to-one, so it keeps the size of every sum."""
+    ``scaled`` as it is; any other is scaled by the integer q // A.q.
+    Scaling is one-to-one, so it keeps the size of every sum."""
     q = math.lcm(q, *{A.q for A in sets})
-    scaled = {key: A.scaled if A.q == q else frozenset(tuple([q // A.q * c for c in p]) for p in A.scaled)
-              for key, A in {id(A): A for A in sets}.items()}
-    return q, [scaled[id(A)] for A in sets]
+    return q, [A.scaled if A.q == q else frozenset(tuple([q // A.q * c for c in p]) for p in A.scaled)
+               for A in sets]
 
 
-def _summands(sets: Sequence[PointSet], caller: str) -> tuple[list[PointSet], int]:
-    sets = list(sets)
-    if not sets:
+def _summands(sets: Summands, caller: str) -> tuple[int, int, list[tuple[frozenset, int]]]:
+    """(d, q, [(qA, m) for each distinct summand A of multiplicity m]): the
+    multiset of summands read once, as ``Counter(sets)``.  ``sets`` is a
+    sequence, whose equal entries count as one summand repeated, or a mapping
+    from summand to multiplicity.  The summands must be non-empty and share
+    the dimension d, every multiplicity is a positive ``int``, and
+    :func:`_scaled` brings the distinct summands to one q."""
+    counts = Counter(sets)
+    if not counts:
         raise EmptySetError(f"{caller} needs at least one set")
-    return sets, _require_same_dim(sets)
+    if not all(type(m) is int and m > 0 for m in counts.values()):
+        raise ValueError(f"{caller}: every multiplicity must be a positive int")
+    dims = {A.dim for A in counts}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
+    q, scaled = _scaled(list(counts))
+    return dims.pop(), q, list(zip(scaled, counts.values()))
 
 
-def packed_sumset(sets: Sequence[PointSet]) -> tuple[int, int, int | set[int], list[int], list[int]]:
+def packed_sumset(sets: Summands) -> tuple[int, int, int | set[int], list[int], list[int]]:
     """(d, q, fold, lows, sides): the one engine behind every sumset, with
     q(A_1 + ... + A_k) as :func:`_integral_fold` leaves it, packed in the
-    sum's box and not decoded.  The summands must be non-empty and share the
-    dimension d; :func:`_scaled` brings their forms to one q.  One
-    summand is packed alone, as a bitmap when it is dense in its box, and no
-    :func:`sum_limit` applies to it.  A writer reads the points in box order
-    from this form (:func:`serialization.dumps_packed`)."""
-    sets, dim = _summands(sets, "a sumset")
-    q, scaled = _scaled(sets)
-    return (dim, q, *_integral_fold(scaled))
+    sum's box and not decoded.  ``sets`` is the multiset of summands of
+    :func:`_summands`.  One summand taken once is packed alone, as a bitmap
+    when it is dense in its box, and no :func:`sum_limit` applies to it.  A
+    writer reads the points in box order from this form
+    (:func:`serialization.dumps_packed`)."""
+    dim, q, summands = _summands(sets, "a sumset")
+    return (dim, q, *_integral_fold(summands))
 
 
-def scaled_sumset(sets: Sequence[PointSet]) -> tuple[int, int, frozenset]:
-    """(d, q, q(A_1 + ... + A_k)): :func:`packed_sumset` decoded.  The sum is
-    left scaled by q, so no ``Fraction`` is built."""
-    dim, q, *fold = packed_sumset(sets)
-    return dim, q, _decode(*fold)
-
-
-def sumset_size(sets: Sequence[PointSet]) -> int:
-    """|A_1 + ... + A_k|, from the same scaling and folds as
-    :func:`scaled_sumset` but without decoding the sum: the bitmap's set bits
+def sumset_size(sets: Summands) -> int:
+    """|A_1 + ... + A_k|, from the same summands and folds as
+    :func:`packed_sumset` but without decoding the sum: the bitmap's set bits
     or the packed set's size are counted."""
-    sets, _ = _summands(sets, "sumset_size")
-    if len(sets) == 1:
-        return len(sets[0])
-    folded, _, _ = _integral_fold(_scaled(sets)[1])
-    return _size(folded)
+    _, _, summands = _summands(sets, "sumset_size")
+    if summands[0][1] == len(summands) == 1:
+        return len(summands[0][0])
+    return _size(_integral_fold(summands)[0])
 
 
-def _sum(sets: list[PointSet]) -> PointSet:
+def _sum(sets: Summands) -> PointSet:
     """A_1 + ... + A_k as a ``PointSet``: the form (q, q(A_1 + ... + A_k))
-    of :func:`scaled_sumset`."""
-    if len(sets) == 1:
-        return sets[0]
-    return PointSet._raw(*scaled_sumset(sets))
+    of :func:`packed_sumset`, decoded, with no ``Fraction`` built.  One
+    summand taken once is not packed."""
+    dim, q, summands = _summands(sets, "a sumset")
+    if summands[0][1] == len(summands) == 1:
+        return PointSet._raw(dim, q, summands[0][0])
+    return PointSet._raw(dim, q, _decode(*_integral_fold(summands)))
 
 
-def minkowski_sum(sets: Sequence[PointSet]) -> PointSet:
-    """A_1 + ... + A_k = {a_1 + ... + a_k}."""
-    return _sum(list(sets))
+def minkowski_sum(sets: Summands) -> PointSet:
+    """A_1 + ... + A_k = {a_1 + ... + a_k}, for a sequence of summands or a
+    mapping from summand to multiplicity."""
+    return _sum(sets)
 
 
 def iterated_sumset(A: PointSet, k: int) -> PointSet:
-    """kA = A + ... + A (k summands), k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _sum([A] * k)
+    """kA = A + ... + A (k summands): the summand A of multiplicity k, so a k
+    other than a positive ``int`` raises ``ValueError``."""
+    return _sum({A: k})
 
 
 # ---------------------------------------------------------------------------

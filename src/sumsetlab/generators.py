@@ -227,13 +227,14 @@ def random_set(d: int, size: int, box: tuple[int, int], seed: int) -> PointSet:
     side = hi - lo + 1
     if d < 1 or size < 1:
         raise ValueError("need d >= 1 and size >= 1")
-    # side ** min(d, 65) is the number of cells when that is at most 2**64,
-    # and above 2**64, where _uniform_draws refuses it, otherwise: a huge d
-    # costs no huge power
-    if side < 1 or side ** min(d, 65) < size:
+    # a box of side^d > 2**64 cells is named, not computed: a huge d costs no
+    # huge power
+    if side > 1 and d > 64:
+        raise ValueError(f"cannot draw uniformly from {side}^{d} values: the limit is 2**64")
+    if side < 1 or side ** d < size:
         raise ValueError("box too small for the requested size")
     chosen: set = set()
-    for index in _uniform_draws(splitmix64_stream(seed), side ** min(d, 65)):
+    for index in _uniform_draws(splitmix64_stream(seed), side ** d):
         point = []
         for _ in range(d):
             index, r = divmod(index, side)

@@ -368,6 +368,11 @@ class TestPlunneckeRuzsa:
             points = {tuple(x + y for x, y in zip(p, a)) for p in points for a in summand}
         assert check_plunnecke_ruzsa(A, A, m, n).lhs == len(points)
 
+    def test_symmetric_set(self):
+        # A = -A: A - A is 2A = {-2, ..., 2}, not A counted once
+        A = PointSet(1, [(-1,), (0,), (1,)])
+        assert check_plunnecke_ruzsa(A, A, 1, 1).lhs == 5
+
     def test_builds_no_sum(self, built_sums):
         A, B = random_set(2, 6, (0, 5), 1), random_set(2, 5, (0, 5), 2)
         for m, n in [(0, 0), (2, 0), (0, 2), (2, 1)]:

@@ -23,7 +23,7 @@ from sumsetlab.cli import run
 from conftest import naive_compress, naive_sumset
 from sumsetlab.core import point_sort_key
 from sumsetlab.serialization import dumps_canonical, encode_point, pointset_to_dict
-from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex
+from sumsetlab import PointSet, bounds, compression, core, iterated_sumset, long_simplex, random_set
 
 
 @pytest.fixture
@@ -430,13 +430,14 @@ def spy_interval_caps(monkeypatch, tmp_path):
 
 def forbid_sums(monkeypatch, budget):
     """Fail the test if the engine completes a fold whose bound, the product
-    of the summand sizes capped by the cells of the sum's box, exceeds
-    ``budget``: such a sum must be refused before it is built."""
+    of size^multiplicity over the distinct summands capped by the cells of the
+    sum's box, exceeds ``budget``: such a sum must be refused before it is
+    built."""
     fold = core._integral_fold
 
-    def spy(sets):
-        folded, lows, sides = fold(sets)
-        bound = min(math.prod(map(len, sets)), math.prod(sides))
+    def spy(summands):
+        folded, lows, sides = fold(summands)
+        bound = min(math.prod(len(points) ** count for points, count in summands), math.prod(sides))
         if bound > budget:
             raise AssertionError(f"a sum of up to {bound} points was built despite the budget of {budget}")
         return folded, lows, sides
@@ -799,12 +800,21 @@ RATIONAL_SET = (
 )
 
 
-def fresh_interpreter(*args, cwd=None):
+def fresh_interpreter(*args, cwd=None, timeout=120):
     """``python args`` in a new interpreter that imports this sumsetlab."""
     src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          cwd=cwd, timeout=120)
+                          cwd=cwd, timeout=timeout)
+
+
+def limited_process(*argv, cwd=None, timeout=120):
+    """``sumsetlab argv`` in a new interpreter limited to a 1.5 GB address
+    space (``RLIMIT_AS``)."""
+    limit = 3 << 29
+    script = (f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+              "runpy.run_module('sumsetlab.cli', run_name='__main__')")
+    return fresh_interpreter("-c", script, *argv, cwd=cwd, timeout=timeout)
 
 
 def fresh_process(*argv, cwd=None):
@@ -1135,13 +1145,13 @@ class TestCrashExit:
     traceback on stderr, never 1, the code of a Violated verdict."""
 
     def test_memory_error_in_a_process(self, tmp_path):
-        # under a 1.5 GB address space, the 10^9 summands of --k do not fit
-        resource = pytest.importorskip("resource")
-        (tmp_path / "one.json").write_text('{"dim": 1, "points": [["0"]]}')
-        limit = 3 << 29
-        script = (f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                  "runpy.run_module('sumsetlab.cli', run_name='__main__')")
-        result = fresh_interpreter("-c", script, "sumset", "--set", "one.json", "--k", "1000000000", cwd=tmp_path)
+        # under a 1.5 GB address space, the 10^8 pair sums of two sparse
+        # 10^4-point sets, admitted by the budget, do not fit
+        pytest.importorskip("resource")
+        for seed in (1, 2):
+            A = random_set(1, 10_000, (-10**12, 10**12), seed)
+            (tmp_path / f"{seed}.json").write_text(dumps_canonical(pointset_to_dict(A)))
+        result = limited_process("sumset", "--sets", "1.json", "2.json", "--budget", "100000000", cwd=tmp_path)
         assert (result.returncode, result.stdout) == (4, "")
         assert result.stderr.startswith("Traceback") and result.stderr.endswith("MemoryError\n")
 
@@ -1163,6 +1173,39 @@ class TestCrashExit:
         with pytest.raises(SystemExit) as excinfo:
             cli.main()
         assert excinfo.value.code == code
+
+
+class TestHugeMultiplicity:
+    """A summand repeated 10^9 times is one summand with a multiplicity: a
+    one-point one is summed at once, and any other sum is refused by the
+    budget in time independent of the multiplicity.  Each command runs in a
+    child limited to a 1.5 GB address space and must end within 5 s."""
+
+    SETS = {"ONE": [(1,)], "TWO": [(0,), (1,)], "S": [(0,), (1,), (3,)]}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("sumset", "--set", "ONE", "--k", "1000000000"), 0),
+            (("verify", "plunnecke_ruzsa", "--sets", "ONE", "ONE", "--m", "1000000000"), 0),
+            (("verify", "freiman_kfold", "--set", "S", "--k", "1000000000"), 2),
+            (("verify", "simplex_formula", "--d", "1", "--N", "4", "--k", "1000000000"), 2),
+            (("verify", "plunnecke_ruzsa", "--sets", "TWO", "ONE", "--m", "1000000000"), 2),
+        ],
+        ids=["sumset-one-point", "plunnecke-one-point", "freiman", "simplex", "plunnecke-two-points"],
+    )
+    def test_decided_without_listing_summands(self, tmp_path, argv, code):
+        pytest.importorskip("resource")
+        for name, points in self.SETS.items():
+            (tmp_path / name).write_text(dumps_canonical(pointset_to_dict(PointSet(1, points))))
+        result = limited_process(*argv, cwd=tmp_path, timeout=5)
+        assert result.returncode == code, result.stderr
+        if code == 2:
+            assert result.stdout == "" and "budget" in result.stderr
+        elif argv[0] == "sumset":
+            assert json.loads(result.stdout) == {"dim": 1, "points": [["1000000000"]], "size": 1}
+        else:
+            assert json.loads(result.stdout)["lhs"] == "1"
 
 
 class TestRefusedBeforeReading:

@@ -387,9 +387,10 @@ class TestRationalSums:
 
 
 class TestScaledSumset:
-    """``core.scaled_sumset`` is the engine's public entry: it checks the
-    summands and returns (d, q, q(A_1 + ... + A_k)) with q the lcm of every
-    coordinate denominator, integral points and no ``Fraction``."""
+    """``core.packed_sumset`` is the engine's public entry: it checks the
+    summands and returns (d, q, fold, lows, sides), whose fold decodes to
+    q(A_1 + ... + A_k) with q the lcm of every coordinate denominator,
+    integral points and no ``Fraction``."""
 
     @given(data=st.data())
     def test_scaled_points(self, data):
@@ -397,7 +398,8 @@ class TestScaledSumset:
         coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
         k = data.draw(st.integers(1, 4))
         sets = [data.draw(point_sets(dim, max_size=5, coords=data.draw(coords))) for _ in range(k)]
-        d, q, points = core.scaled_sumset(sets)
+        d, q, *fold = core.packed_sumset(sets)
+        points = core._decode(*fold)
         assert d == dim
         assert q == math.lcm(*(c.denominator for A in sets for p in A for c in p))
         assert all(type(c) is int for p in points for c in p)
@@ -405,9 +407,9 @@ class TestScaledSumset:
 
     def test_summands_checked(self):
         with pytest.raises(EmptySetError):
-            core.scaled_sumset([])
+            core.packed_sumset([])
         with pytest.raises(DimensionMismatchError):
-            core.scaled_sumset([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
+            core.packed_sumset([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
 
 
 class TestUnscaled:
@@ -707,6 +709,15 @@ class TestSumLimit:
             iterated_sumset(tri, 10**6)
         assert time.perf_counter() - start < 20
 
+    def test_huge_multiplicity_refused_at_once(self):
+        # one summand of multiplicity 10^18: the bound is taken in O(1) per
+        # distinct summand, and no list of 10^18 entries is built
+        tri = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+        start = time.perf_counter()
+        with sum_limit(10**7), pytest.raises(BudgetError, match=f"up to {(10**18 + 1) ** 2}"):
+            iterated_sumset(tri, 10**18)
+        assert time.perf_counter() - start < 0.1
+
     def test_refused_before_packing(self, monkeypatch):
         def packed(*args):
             raise AssertionError("a refused sum was packed")
@@ -734,6 +745,54 @@ class TestSumLimit:
         with pytest.raises(BudgetError), sum_limit(4):
             iterated_sumset(A, 2)
         assert len(iterated_sumset(A, 4)) == 9
+
+
+class TestMultiset:
+    """The engine reads its summands as a multiset: a sequence whose equal
+    entries count as one summand repeated, or a mapping from summand to a
+    positive ``int`` multiplicity."""
+
+    @pytest.mark.parametrize(
+        "points, fold",
+        [(list(itertools.product(range(3), range(2))), "bitmap"), ([(0, 0), (WIDE, -1), (3, 7)], "pairs")],
+    )
+    def test_equal_sets_as_distinct_objects(self, monkeypatch, points, fold):
+        # three equal sets, built apart, are one summand of multiplicity 3,
+        # packed once, whichever fold runs
+        pack, packs = core._pack, []
+        monkeypatch.setattr(core, "_pack", lambda *args: packs.append(1) or pack(*args))
+        sets = [PointSet(2, points), PointSet(2, points), PointSet(2, points[::-1])]
+        with engine_folds() as seen:
+            got = minkowski_sum(sets)
+        assert set(got.points) == naive_sumset(sets)
+        assert (seen, len(packs)) == ([fold], 1)
+        assert sumset_size(sets) == len(got)
+
+    @given(data=st.data())
+    def test_mapping_equals_repeated_sequence(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES])
+        sets = [data.draw(point_sets(dim, max_size=4, coords=data.draw(coords))) for _ in range(data.draw(st.integers(1, 3)))]
+        counts = {A: data.draw(st.integers(1, 3)) for A in sets}
+        repeated = [A for A, m in counts.items() for _ in range(m)]
+        got = minkowski_sum(counts)
+        assert set(got.points) == naive_sumset(repeated)
+        assert sumset_size(counts) == len(got)
+        assert core.packed_sumset(counts) == core.packed_sumset(repeated)
+
+    def test_one_point_summands_move_the_box(self):
+        point, two = PointSet(2, [(3, -1)]), PointSet(2, [(0, 0), (1, 2)])
+        assert iterated_sumset(point, 10**18) == PointSet(2, [(3 * 10**18, -(10**18))])
+        assert minkowski_sum({point: 5, two: 2}) == PointSet(2, [(15, -5), (16, -3), (17, -1)])
+
+    @pytest.mark.parametrize("count", [0, -1, True, False, 1.0])
+    def test_bad_multiplicity_rejected(self, count):
+        A = PointSet(1, [(0,), (1,)])
+        for build in (minkowski_sum, sumset_size, core.packed_sumset):
+            with pytest.raises(ValueError, match="multiplicity"):
+                build({A: count})
+            with pytest.raises(ValueError, match="multiplicity"):
+                build({A: 2, PointSet(1, [(5,)]): count})
 
 
 class TestIteratedSumset:

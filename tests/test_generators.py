@@ -1,5 +1,8 @@
 """Deterministic instance families and the seeded random generators."""
 
+import re
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +214,16 @@ class TestUniformDraws:
         # refused at once, without the power side ** d of 10^8 digits
         with pytest.raises(ValueError, match=r"2\*\*64"):
             random_set(d, 3, box, 1)
+
+    @pytest.mark.parametrize("d, box, name", [(4, (-100000, 100000), "1600032000240000800001"),
+                                              (65, (0, 1), "2^65"), (10**8, (0, 4), "5^100000000")])
+    def test_random_set_refusal_names_the_box(self, d, box, name):
+        # the count of cells is exact: computed up to d = 64, and above it
+        # named as side^d, not as the value of a smaller power
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^cannot draw uniformly from {re.escape(name)} values: "):
+            random_set(d, 3, box, 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_random_set_in_a_box_of_2_to_the_64_cells(self):
         A = random_set(64, 3, (0, 1), 1)
