@@ -23,6 +23,7 @@ from .certificates import (
     Certificate,
     Interval,
     exact_certificate,
+    int_nth_root,
     int_nth_root_interval,
     interval_certificate,
 )
@@ -186,44 +187,32 @@ def check_simplex_formula(d: int, N: int, k: int) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _extract_dth_power(n: int, d: int) -> tuple[int, int]:
-    """n = c**d * m with m free of d-th powers; returns (c, m).
+def _root_sum_power_exact(values, d: int) -> int | Fraction | None:
+    """(sum x^{1/d})^d over non-negative rationals x when it is rational,
+    else None.
 
-    Trial division: for p = 2, 3, 4, ... while p**d <= m, divide p**d out of
-    m as often as it goes.  A composite p never divides, since its prime
-    factors were divided out before it, and a prime q with q**d | m at the
-    end would have q**d <= m, so q was tried.  The loop takes at most
-    n ** (1/d) <= sqrt(n) steps; n is a set size here."""
-    if n < 1:
-        raise ValueError("need a positive integer")
-    if d == 1:
-        return n, 1
-    c, m = 1, n
-    p = 2
-    while (power := p ** d) <= m:
-        while m % power == 0:
-            m //= power
-            c *= p
-        p += 1
-    return c, m
-
-
-def _root_sum_power_exact(sizes: list[int], d: int) -> int | None:
-    """(sum n_i^{1/d})^d when it is exactly an integer, else None.
-
-    Writing n_i = c_i^d m_i with m_i power-free, the sum collapses to a
-    rational multiple of a single d-th root iff all m_i agree, and then
-    (sum c_i)^d * m is exact.  (Distinct surviving radicals make the power
-    irrational, so returning None and falling back to intervals loses
-    nothing.)"""
-    radicals: dict[int, int] = {}
-    for n in sizes:
-        c, m = _extract_dth_power(n, d)
-        radicals[m] = radicals.get(m, 0) + c
-    if len(radicals) == 1:
-        m, total = radicals.popitem()
-        return total ** d * m
-    return None
+    Zeros add nothing; let x_1 be the first non-zero x.  The power is
+    rational iff every x / x_1 is the d-th power of a rational r, and then
+    it is x_1 (sum r)^d.  (The real d-th roots of distinct d-th-power-free
+    integers are linearly independent over Q, so a sum of two or more
+    radicals with positive coefficients is no rational multiple of one
+    radical, and its d-th power is irrational.)  Each ratio is tested by
+    :func:`int_nth_root` on its numerator and denominator: no factoring."""
+    if any(x < 0 for x in values):
+        raise ValueError("need non-negative values")
+    nonzero = [Fraction(x) for x in values if x]
+    if not nonzero:
+        return 0
+    first = nonzero[0]
+    total = Fraction(0)
+    for x in nonzero:
+        ratio = x / first
+        top, top_exact = int_nth_root(ratio.numerator, d)
+        bottom, bottom_exact = int_nth_root(ratio.denominator, d)
+        if not (top_exact and bottom_exact):
+            return None
+        total += Fraction(top, bottom)
+    return _canon(first * total ** d)
 
 
 def _root_sum_power(values, d: int, bits: int) -> Interval:
@@ -451,16 +440,18 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
 
 def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     """Like :func:`main_term_probe` but against the determinant main term
-    Lambda = (sum |det L_i|^{1/d})^d, interval-certified.  Holds when
-    |sum L_i(A)| provably reaches Lambda |A|; otherwise Indeterminate."""
+    Lambda = (sum |det L_i|^{1/d})^d, interval-certified, and exact (a point
+    interval) when it is rational.  Holds when |sum L_i(A)| provably reaches
+    Lambda |A|; otherwise Indeterminate."""
     if system.dim != A.dim:
         raise DimensionMismatchError("system and set dimensions differ")
     d = system.dim
     rhs = _weighted_size(system, A)
     dets = [abs(Fraction(M.det())) for M in system.maps]
+    exact = _root_sum_power_exact(dets, d)
 
     def make_sides(bits: int) -> tuple[Interval, Interval]:
-        lam = _root_sum_power(dets, d, bits)
+        lam = Interval.point(exact) if exact is not None else _root_sum_power(dets, d, bits)
         return Interval(lam.lo * len(A), lam.hi * len(A)), Interval.point(rhs)
 
     cert = interval_certificate(

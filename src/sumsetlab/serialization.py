@@ -16,14 +16,11 @@ document; :func:`dumps_packed` writes the whole {"dim", "points", "size"}
 document of the ``sumset``, ``compress`` and ``project`` commands from the
 engine's packed form (:func:`core.packed_sumset`), without decoding it.
 
-:func:`dumps_canonical` writes the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` without calling it: on Python 3.10-3.12, ``json`` uses its C
-encoder only when ``indent`` is None, and the pure-Python encoder it falls back
-to yields every token through nested generators.  The writer joins strings
-escaped by the C ``encode_basestring_ascii`` instead, a list of strings or of
-lists of strings (a point set, matrix rows) in one join, and hands every other
-scalar but ``int``, ``bool`` and ``None`` (a float, say) to ``json.dumps``.
-Its bytes are pinned to ``json``'s by a differential test.
+:func:`dumps_canonical` writes any other document as ``json.dumps(obj,
+sort_keys=True, indent=2)`` does.  :func:`dumps_packed` writes the same bytes
+for a set document, pinned to ``json``'s by a differential test; it is the one
+hand-written writer, since a sum can hold far more points than any other
+document.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _escape
 from operator import add, itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -257,65 +253,5 @@ def basis_from_dict(data: dict) -> Basis:
 
 
 def dumps_canonical(obj) -> str:
-    """Pretty, key-sorted JSON with a trailing newline: byte-stable output,
-    exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  Unlike
-    ``json``, it does not detect a container that contains itself."""
-    return _encode(obj, 0) + "\n"
-
-
-def _encode(obj, level: int) -> str:
-    """``obj`` as ``json`` writes it at nesting depth ``level``, with the
-    type tests in ``json``'s order."""
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return _encode_list(obj, level)
-    if isinstance(obj, dict):
-        return _encode_dict(obj, level)
-    return json.dumps(obj)
-
-
-def _encode_list(items, level: int) -> str:
-    if not items:
-        return "[]"
-    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    kinds = set(map(type, items))
-    if kinds == {str}:
-        body = ("," + inner).join(map(_escape, items))
-    elif (kinds <= {list, tuple} and all(items)
-          and set(map(type, itertools.chain.from_iterable(items))) == {str}):
-        # non-empty rows of strings: each row is joined, then the rows
-        row_inner = inner + "  "
-        rows = map(("," + row_inner).join, map(map, itertools.repeat(_escape), items))
-        body = "[" + row_inner + (inner + "]," + inner + "[" + row_inner).join(rows) + inner + "]"
-    else:
-        body = ("," + inner).join([_encode(item, level + 1) for item in items])
-    return "[" + inner + body + outer + "]"
-
-
-def _encode_dict(mapping: dict, level: int) -> str:
-    if not mapping:
-        return "{}"
-    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    # sorted before the keys are converted to text, as json does
-    body = ("," + inner).join([
-        _encode_key(key) + ": " + _encode(value, level + 1)
-        for key, value in sorted(mapping.items())
-    ])
-    return "{" + inner + body + outer + "}"
-
-
-def _encode_key(key) -> str:
-    if isinstance(key, str):
-        return _escape(key)
-    if key is None or isinstance(key, (int, float)):
-        return _escape(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """Pretty, key-sorted JSON with a trailing newline: byte-stable output."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -59,7 +59,7 @@ from sumsetlab import (
     shear_system,
     simplex_cardinality,
 )
-from sumsetlab.bounds import _extract_dth_power
+from sumsetlab.bounds import _root_sum_power_exact
 from sumsetlab.certificates import Interval, canonical_json
 
 # per dimension: the standard basis, an integral shear, and a basis with
@@ -277,56 +277,67 @@ class TestDiscreteBrunnMinkowski:
         assert built_sums == []
 
 
-def factorint_dth_power(n, d):
-    """(c, m) with n = c**d * m and m free of d-th powers, read from sympy's
-    prime factorization: the reference for ``_extract_dth_power``."""
-    c, m = 1, 1
-    for p, e in sympy.factorint(n).items():
-        c *= p ** (e // d)
-        m *= p ** (e % d)
-    return c, m
-
-
-class CountingInt(int):
-    """An int that counts the remainders taken of it."""
-
-    mods = 0
-
-    def __mod__(self, other):
-        CountingInt.mods += 1
-        return int(self) % other
+def factorint_root_sum_power(values, d):
+    """(sum x^{1/d})^d when it is rational, else None, read from sympy's
+    prime factorization: the reference for ``_root_sum_power_exact``.  Each
+    x = a/b > 0 has x^{1/d} = (c/b) m^{1/d} with a b^{d-1} = c^d m and m free
+    of d-th powers; the power is rational iff one m remains."""
+    radicals = {}
+    for x in map(Fraction, values):
+        if x == 0:
+            continue
+        c, m = 1, 1
+        for p, e in sympy.factorint(x.numerator * x.denominator ** (d - 1)).items():
+            c *= p ** (e // d)
+            m *= p ** (e % d)
+        radicals[m] = radicals.get(m, 0) + Fraction(c, x.denominator)
+    if not radicals:
+        return 0
+    if len(radicals) > 1:
+        return None
+    (m, total), = radicals.items()
+    return total ** d * m
 
 
 class TestExtractDthPower:
+    """``_root_sum_power_exact`` decides whether (sum x^{1/d})^d is rational
+    by extracting d-th roots of the ratios x / x_1, against sympy."""
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_small_sizes(self, d):
         for n in range(1, 3000):
-            assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+            for other in (1, 12, 4 * n, 2**d * n):
+                assert _root_sum_power_exact([n, other], d) == factorint_root_sum_power([n, other], d)
 
-    @given(st.integers(1, 10**5), st.integers(1, 6))
+    @given(st.lists(st.integers(0, 10**5) | st.fractions(0, 1000, max_denominator=30), min_size=1, max_size=4),
+           st.integers(1, 6))
     @settings(max_examples=300)
-    def test_matches_factorint(self, n, d):
-        assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+    def test_matches_factorint(self, values, d):
+        assert _root_sum_power_exact(values, d) == factorint_root_sum_power(values, d)
 
-    @given(st.integers(1, 20), st.integers(1, 250), st.integers(1, 6))
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 30)), min_size=1, max_size=4),
+           st.sampled_from([1, 2, 3, 6, 12]), st.integers(1, 6))
     @settings(max_examples=200)
-    def test_powers_times_small_factors(self, c, m, d):
-        # n carries a d-th power on purpose
-        n = c**d * m
-        assert _extract_dth_power(n, d) == factorint_dth_power(n, d)
+    def test_powers_times_small_factors(self, pairs, m, d):
+        # every x = (c/b)^d m shares the radical m^{1/d}, so the power is
+        # rational: (sum c/b)^d m
+        values = [Fraction(c, b) ** d * m for c, b in pairs]
+        expected = sum(Fraction(c, b) for c, b in pairs) ** d * m
+        assert _root_sum_power_exact(values, d) == factorint_root_sum_power(values, d) == expected
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_trial_division_steps_at_most_sqrt(self, d):
-        # a prime is never divided, so every step takes a remainder of it;
-        # d = 1 returns at once
-        CountingInt.mods = 0
-        n = CountingInt(99_991)
-        assert _extract_dth_power(n, d) == ((n, 1) if d == 1 else (1, n))
-        assert CountingInt.mods <= (0 if d == 1 else math.isqrt(n))
+        # no trial division is left: the roots are integer Newton steps, so
+        # a 127-bit prime, which division up to its square root could not
+        # finish, is decided at once
+        p = 2**127 - 1
+        assert _root_sum_power_exact([p, 2**d * p], d) == 3**d * p
+        assert _root_sum_power_exact([p, 2 * p], d) == (3 * p if d == 1 else None)
 
-    def test_rejects_non_positive(self):
+    def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            _extract_dth_power(0, 2)
+            _root_sum_power_exact([2, -1], 2)
+        assert _root_sum_power_exact([0, 0], 3) == 0
 
 
 class TestRuzsaTriangle:
@@ -489,6 +500,16 @@ class TestDetMainTermProbe:
         assert cert.holds()
         assert cert.lhs.is_point and cert.lhs.lo == 9
         assert cert.slack.is_point and cert.slack.lo == 0
+
+    def test_common_radical_is_exact(self):
+        # |det| = 2 and 8: (sqrt 2 + sqrt 8)^2 = 18, so Lambda |A| = 18 * 18
+        # equals |L_1(A) + L_2(A)| = 324, which no enclosure of the two roots
+        # can decide; the exact power is a point interval, decided at once
+        system = LinearSystem([RationalMatrix([[1, 0], [0, 2]]), RationalMatrix([[2, 0], [0, 4]])])
+        A = PointSet(2, [(0, 3**i) for i in range(18)])
+        cert = det_main_term_probe(system, A)
+        assert cert.verdict == "Holds" and cert.rhs == 324
+        assert cert.slack == Interval.point(0) and cert.precision_bits == 128
 
     def test_rotation_below_main_term_is_indeterminate(self):
         cert = det_main_term_probe(rotation_system(2), cube(2, 1))
