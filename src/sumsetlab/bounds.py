@@ -29,11 +29,14 @@ from .certificates import (
 )
 from .core import (
     Basis,
+    BudgetError,
     DimensionMismatchError,
     LinearSystem,
     PointSet,
     Subspace,
+    _SUM_LIMIT,
     _canon,
+    _point_bound,
     affine_dimension,
     as_vec,
     covering_number,
@@ -138,22 +141,10 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
 
 
 def check_freiman_lemma(A: PointSet) -> Certificate:
-    """|2A| >= (d+1)|A| - d(d+1)/2, the classical doubling form (k = 2)."""
-    d = A.dim
-    if affine_dimension(A) != d:
-        raise ValueError("the doubling lower bound needs a full-dimensional set")
-    n = len(A)
-    lhs = (d + 1) * n - d * (d + 1) // 2
-    kfold = simplex_cardinality(d, n, 2)
-    ensure(lhs == kfold, "k=2 specialization must match the k-fold bound")
-    rhs = sumset_size([A, A])
-    return exact_certificate(
-        "freiman_lemma",
-        lhs,
-        rhs,
-        params={"d": d, "size": n},
-        inputs=[A],
-    )
+    """|2A| >= (d+1)|A| - d(d+1)/2, the classical doubling form: the
+    certificate of :func:`check_freiman_kfold` at k = 2, relabelled."""
+    cert = check_freiman_kfold(A, 2)
+    return replace(cert, statement_id="freiman_lemma", params={"d": A.dim, "size": len(A)}, inputs=[A])
 
 
 def simplex_cardinality(d: int, N: int, k: int) -> int:
@@ -552,12 +543,28 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
 
     |kA| agrees with a polynomial of degree d = dim(A) for k large; the
     last d+1 computed values pin that polynomial down exactly when k_max is
-    past the stabilization point."""
+    past the stabilization point.
+
+    Inside a :func:`~sumsetlab.core.sum_limit` block the probe raises
+    :class:`~sumsetlab.core.BudgetError` before its first sum when the
+    engine's point bounds of kA, added up over k = 2..k_max, exceed the
+    limit: each sum may fit it while the k_max - 1 of them together do not."""
     d = affine_dimension(A)
     if d != A.dim:
         raise ValueError("growth probe expects a full-dimensional set")
     if k_max < d + 2:
         raise ValueError(f"need k_max >= {d + 2} to fit a degree-{d} polynomial")
+    limit = _SUM_LIMIT.get()
+    if limit is not None:
+        # kA has at least k + 1 points, so the total passes the limit within
+        # about sqrt(2 limit) terms, however large k_max is
+        spans = [max(c) - min(c) for c in zip(*A.scaled)]
+        total = 0
+        for k in range(2, k_max + 1):
+            total += _point_bound([(A.scaled, k)], math.prod(k * span + 1 for span in spans))
+            if total > limit:
+                raise BudgetError(f"the sums kA for k = 2..{k_max} could have more points"
+                                  f" in total than the budget of {limit}")
     values = []
     acc = A
     values.append(len(acc))

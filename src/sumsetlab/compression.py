@@ -113,14 +113,6 @@ class CompressionSpec:
             return nonzero[0] + 1
         return None
 
-    def shifted(self, mu) -> "CompressionSpec":
-        """Same normal/direction, hyperplane offset moved by mu * <n, v>."""
-        return CompressionSpec(
-            normal=self.normal,
-            offset=_canon(self.offset + mu * vec_dot(self.normal, self.direction)),
-            direction=self.direction,
-        )
-
     def to_dict(self) -> dict:
         axis = self.axis_index()
         if axis is not None:
@@ -231,38 +223,6 @@ class CompressionTrace:
             "steps": [s.to_dict() for s in self.steps],
             "final": pointset_to_dict(self.final),
         }
-
-
-def normalize_down(A: PointSet) -> tuple[PointSet, CompressionTrace]:
-    """Round-robin axis compressions until A is a down set.
-
-    Requires an integral set with non-negative coordinates.  Terminates
-    because every firing move strictly decreases the total coordinate sum.
-    Note the result can have smaller affine dimension than the input.
-    """
-    if not A.is_integral:
-        raise ValueError("normalize_down needs an integral set")
-    if any(c < 0 for p in A.points for c in p):
-        raise ValueError("normalize_down needs non-negative coordinates")
-    steps: list[CompressionSpec] = []
-    current = A
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, A.dim + 1):
-            spec = CompressionSpec.axis(i, A.dim)
-            nxt = compress(current, spec)
-            if nxt != current:
-                steps.append(spec)
-                current = nxt
-                changed = True
-    trace = CompressionTrace(
-        initial=A,
-        steps=tuple(steps),
-        final=current,
-        translation=tuple(0 for _ in range(A.dim)),
-    )
-    return current, trace
 
 
 # ---------------------------------------------------------------------------

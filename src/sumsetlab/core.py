@@ -358,6 +358,19 @@ def _pair_fold(packed: list[list[int]]) -> set[int]:
     return sums
 
 
+def _point_bound(summands: Iterable[tuple[Collection, int]], cells: int) -> int:
+    """min(|A_1|^m_1 ... |A_k|^m_k, cells): the most points the sum of the
+    distinct summands A_i, given as (points, multiplicity) pairs, can have in
+    a bounding box of ``cells`` cells, taken in O(k) whatever the
+    multiplicities."""
+    # capped at the cells, the product of the sizes never grows to |A|^k: a
+    # factor of two or more points taken bit_length(cells) times exceeds it
+    bound = 1
+    for points, count in summands:
+        bound = min(bound * len(points) ** min(count, cells.bit_length()), cells)
+    return bound
+
+
 def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int | set[int], list[int], list[int]]:
     """m_1 A_1 + ... + m_k A_k for distinct sets of integral points, given as
     (points, multiplicity) pairs, packed once in the sum's box and not yet
@@ -369,12 +382,12 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     sum of integers with no carry between coordinates, and packed order is
     ``itertools.product`` order over the box.  The box is the sums of m_i
     times the summands' minima and maxima, and the sum has at most ``bound``
-    = min(|A_1|^m_1 ... |A_k|^m_k, cells of the box) points.  For two or more
-    summands, counted with multiplicity, that one bound is checked against
-    :func:`sum_limit` in O(k), before anything is packed, and it picks the
-    fold: :func:`_bitmap_fold` runs when the box has at most
-    ``_BITMAP_DENSITY`` cells per point of the bound and at most
-    ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
+    = min(|A_1|^m_1 ... |A_k|^m_k, cells of the box) points, taken by
+    :func:`_point_bound`.  For two or more summands, counted with
+    multiplicity, that one bound is checked against :func:`sum_limit` in
+    O(k), before anything is packed, and it picks the fold:
+    :func:`_bitmap_fold` runs when the box has at most ``_BITMAP_DENSITY``
+    cells per point of the bound and at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
     summands.  Each summand of two or more points is then packed once and
     folded m_i times; a one-point summand packs to [0], so it only moves the
     box and is not folded.
@@ -389,11 +402,7 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     lows, highs = list(map(sum, zip(*lows))), list(map(sum, zip(*highs)))
     sides = [high - low + 1 for low, high in zip(lows, highs)]
     cells = math.prod(sides)
-    # capped at the cells, the product of the sizes never grows to |A|^k: a
-    # factor of two or more points taken bit_length(cells) times exceeds it
-    bound = 1
-    for points, count in summands:
-        bound = min(bound * len(points) ** min(count, cells.bit_length()), cells)
+    bound = _point_bound(summands, cells)
     limit = _SUM_LIMIT.get()
     if limit is not None and bound > limit and sum(count for _, count in summands) > 1:
         raise BudgetError(f"a sum of up to {bound} points exceeds the budget of {limit}")

@@ -5,9 +5,11 @@ Randomness is deterministic and reproducible across platforms: everything is
 driven by a splitmix64 counter stream keyed only by the caller's seed, never
 by global state.
 
-Every point set is built from canonical ``int`` tuples, so it is handed to the
-trusted :meth:`PointSet._raw` with q = 1 instead of being re-validated point
-by point.
+Every point set but one is built from canonical ``int`` tuples, so it is
+handed to the trusted :meth:`PointSet._raw` with q = 1 instead of being
+re-validated point by point.  The one exception is
+:func:`long_simplex_sumset_form`, which comes from the sumset engine as the
+sum of :func:`long_simplex_summands`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     PointSet,
     RationalMatrix,
     affine_dimension,
+    minkowski_sum,
     weighted_sumset,
 )
 
@@ -68,56 +71,40 @@ def _uniform_draws(stream: Iterator[int], n: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
+def long_simplex_summands(d: int, N: int) -> tuple[PointSet, PointSet]:
+    """The head {0, e_2, ..., e_d} and the tail {e_1, 2e_1, ..., (N-d)e_1} of
+    the long simplex of N points in Z^d."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if N < d + 1:
+        raise ValueError("need N >= d + 1 for a full-dimensional simplex")
+    head = [(0,) * d] + [tuple(1 if j == i else 0 for j in range(d)) for i in range(1, d)]
+    tail = [(j,) + (0,) * (d - 1) for j in range(1, N - d + 1)]
+    return _lattice_set(d, head), _lattice_set(d, tail)
+
+
 def long_simplex(d: int, N: int) -> PointSet:
-    """The N-point set {0, e_2, ..., e_d} u {e_1, 2e_1, ..., (N-d)e_1}.
+    """The N-point set {0, e_2, ..., e_d} u {e_1, 2e_1, ..., (N-d)e_1}: the
+    union of :func:`long_simplex_summands`.
 
     For every k the k-fold sumset has cardinality
     C(k+d-1, d) (N-d) + C(k+d-1, d-1), which is the exact minimum among
     full-dimensional N-point sets in Z^d; this family is the equality case of
     the k-fold lower bound.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if N < d + 1:
-        raise ValueError("need N >= d + 1 for a full-dimensional simplex")
-    points = [tuple(0 for _ in range(d))]
-    for i in range(1, d):
-        points.append(tuple(1 if j == i else 0 for j in range(d)))
-    for j in range(1, N - d + 1):
-        points.append(tuple(j if i == 0 else 0 for i in range(d)))
-    return _lattice_set(d, points)
-
-
-def long_simplex_summands(d: int, N: int) -> tuple[PointSet, PointSet]:
-    """The pair ({0, e_2, ..., e_d}, {e_1, ..., (N-d)e_1})."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if N < d + 1:
-        raise ValueError("need N >= d + 1")
-    head = [tuple(0 for _ in range(d))]
-    for i in range(1, d):
-        head.append(tuple(1 if j == i else 0 for j in range(d)))
-    tail = [tuple(j if i == 0 else 0 for i in range(d)) for j in range(1, N - d + 1)]
-    return _lattice_set(d, head), _lattice_set(d, tail)
+    head, tail = long_simplex_summands(d, N)
+    return _lattice_set(d, head.points | tail.points)
 
 
 def long_simplex_sumset_form(d: int, N: int) -> PointSet:
-    """{0, e_2, ..., e_d} + {e_1, ..., (N-d)e_1}, enumerated directly.
+    """{0, e_2, ..., e_d} + {e_1, ..., (N-d)e_1}: the sum of
+    :func:`long_simplex_summands`, built by the sumset engine.
 
     A *different* fixture from :func:`long_simplex`: it has d(N-d) points
     (e.g. it omits the origin but contains every e_i + j e_1).  Both arise as
     extremal configurations and they must not be conflated.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if N < d + 1:
-        raise ValueError("need N >= d + 1")
-    points = []
-    for j in range(1, N - d + 1):
-        points.append(tuple(j if i == 0 else 0 for i in range(d)))
-        for axis in range(1, d):
-            points.append(tuple(j if i == 0 else (1 if i == axis else 0) for i in range(d)))
-    return _lattice_set(d, points)
+    return minkowski_sum(long_simplex_summands(d, N))
 
 
 def cube(d: int, N: int) -> PointSet:

@@ -25,6 +25,7 @@ from conftest import (
 )
 from sumsetlab import (
     Basis,
+    BudgetError,
     DimensionMismatchError,
     affine_dimension,
     LinearSystem,
@@ -54,11 +55,14 @@ from sumsetlab import (
     main_term_probe,
     minkowski_sum,
     project,
+    random_full_dim_set,
     random_set,
     rotation_system,
     shear_system,
     simplex_cardinality,
+    sum_limit,
 )
+from sumsetlab import bounds
 from sumsetlab.bounds import _root_sum_power_exact
 from sumsetlab.certificates import Interval, canonical_json
 
@@ -186,6 +190,19 @@ class TestFreimanLemma:
                 check_freiman_lemma(A)
             return
         assert check_freiman_lemma(A).holds()
+
+    def test_degenerate_set_rejected(self):
+        with pytest.raises(ValueError, match="the k-fold lower bound needs a full-dimensional set"):
+            check_freiman_lemma(PointSet(2, [(0, -1), (0, 0), (0, 1)]))
+
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_is_the_kfold_certificate_at_k2(self, d, extra, seed):
+        A = random_full_dim_set(d, d + 1 + extra, (-6, 6), seed)
+        lemma, kfold = check_freiman_lemma(A), check_freiman_kfold(A, 2)
+        assert lemma.lhs == (d + 1) * len(A) - d * (d + 1) // 2
+        assert (lemma.lhs, lemma.rhs, lemma.verdict) == (kfold.lhs, kfold.rhs, kfold.verdict)
+        assert lemma.statement_id == "freiman_lemma" and lemma.params == {"d": d, "size": len(A)}
 
 
 class TestSimplexFormula:
@@ -560,6 +577,32 @@ class TestKhovanskiiProbe:
         assert rep.polynomial == (0, 3) and rep.observed_threshold == 1
         assert rep.reference == (1, 2)
         assert rep.dominates_reference and not rep.equals_reference
+
+    @pytest.mark.parametrize("k_max", [3, 9])
+    def test_budget_bounds_the_total_of_the_sums(self, k_max):
+        # kA of {0, 1} has k + 1 points: k = 2..k_max total
+        # (k_max + 1)(k_max + 2)/2 - 3, admitted at that budget, refused below it
+        A = interval_set(0, 1)
+        total = (k_max + 1) * (k_max + 2) // 2 - 3
+        with sum_limit(total):
+            assert khovanskii_probe(A, k_max).values == tuple(range(2, k_max + 2))
+        with sum_limit(total - 1), pytest.raises(BudgetError, match="budget"):
+            khovanskii_probe(A, k_max)
+
+    def test_budget_counts_the_box_or_the_product(self, monkeypatch):
+        # the bound of kA is min(4^k, cells of its box (5k + 1)(7k + 1)), and
+        # a refused probe builds no sum
+        A = PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 7)])
+        total = sum(min(4**k, (5 * k + 1) * (7 * k + 1)) for k in range(2, 7))
+        with sum_limit(total):
+            assert khovanskii_probe(A, 6).k_max == 6
+
+        def forbidden(sets):
+            raise AssertionError("a sum was built despite the budget")
+
+        monkeypatch.setattr(bounds, "minkowski_sum", forbidden)
+        with sum_limit(total - 1), pytest.raises(BudgetError):
+            khovanskii_probe(A, 6)
 
     def test_k_max_too_small_rejected(self):
         with pytest.raises(ValueError):

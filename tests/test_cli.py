@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -728,6 +729,18 @@ class TestSumLimit:
     def test_every_command_refuses(self, call, cube7, argv):
         code, out, err = call(*argv, "--budget", "10")
         assert code == 2 and "budget" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "points, k_max", [([(0,), (1,)], "1000000000"), ([(0, 0), (1, 0), (0, 1), (5, 7)], "300")]
+    )
+    def test_probe_bounds_the_total_of_its_sums(self, call, tmp_path, points, k_max):
+        # every sum kA fits the default budget, the k_max - 1 folds together do not
+        path = tmp_path / "A.json"
+        path.write_text(dumps_canonical(pointset_to_dict(PointSet(len(points[0]), points))))
+        started = time.perf_counter()
+        code, out, err = call("probe", "khovanskii", "--set", str(path), "--k-max", k_max)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "") and "budget" in err
 
     def test_one_summand_is_not_a_sum(self, call, cube7):
         code, out, _ = call("sumset", "--set", "C", "--k", "1", "--budget", "1")

@@ -29,7 +29,6 @@ from sumsetlab import (
     iterated_sumset,
     long_simplex,
     minkowski_sum,
-    normalize_down,
     project,
     random_full_dim_set,
     random_set,
@@ -95,8 +94,9 @@ class TestCompress:
 
     def test_offset_shift_translates_image(self):
         A = PointSet(2, [(0, 0), (0, 3), (1, 7)])
+        # offset moved by mu <n, v> = 2: every image point moves by 2v
         spec = axis_spec(2, 2)
-        shifted = spec.shifted(2)
+        shifted = CompressionSpec(normal=(0, 1), offset=2, direction=(0, 1))
         moved = compress(A, shifted)
         expected = compress(A, spec).translate((0, 2))
         assert moved == expected
@@ -166,27 +166,6 @@ class TestCompressOracle:
     )
     def test_fixed_cases(self, points, spec):
         self.check(PointSet(2, points), spec)
-
-
-class TestNormalizeDown:
-    def test_square_corner(self):
-        A = PointSet(2, [(1, 1), (0, 0)])
-        down, trace = normalize_down(A)
-        assert down == PointSet(2, [(0, 0), (0, 1)])
-        assert trace.replay() == down
-
-    def test_requires_integral_nonnegative(self):
-        with pytest.raises(ValueError):
-            normalize_down(PointSet(2, [(-1, 0)]))
-        with pytest.raises(ValueError):
-            normalize_down(PointSet(1, [(Fraction(1, 2),)]))
-
-    @given(point_sets(3, coords=values(0, 4)))
-    def test_result_is_down_set(self, A):
-        down, trace = normalize_down(A)
-        assert is_down_set(down)
-        assert len(down) == len(A)
-        assert trace.replay() == down
 
 
 class TestIsDownSet:

@@ -63,9 +63,19 @@ class TestLongSimplex:
 
 class TestLongSimplexForms:
     def test_summands_sum_to_sumset_form(self):
-        for d, N in [(2, 5), (3, 6), (2, 7)]:
-            B, C = long_simplex_summands(d, N)
-            assert minkowski_sum([B, C]) == long_simplex_sumset_form(d, N)
+        # j e_1 and j e_1 + e_i for 1 <= j <= N - d and 2 <= i <= d
+        for d, N in [(1, 4), (2, 5), (3, 6), (2, 7)]:
+            points = []
+            for j in range(1, N - d + 1):
+                points.append((j,) + (0,) * (d - 1))
+                points += [tuple(j if a == 0 else int(a == i) for a in range(d)) for i in range(1, d)]
+            assert long_simplex_sumset_form(d, N) == PointSet(d, points)
+            assert len(points) == d * (N - d)
+
+    @pytest.mark.parametrize("make", [long_simplex, long_simplex_summands, long_simplex_sumset_form])
+    def test_too_few_points_rejected_by_every_form(self, make):
+        with pytest.raises(ValueError, match=r"need N >= d \+ 1"):
+            make(3, 3)
 
     def test_summand_sizes(self):
         B, C = long_simplex_summands(2, 5)
