@@ -8,7 +8,7 @@ so the printed |2A| column is non-increasing down to the simplex value
 
 import argparse
 
-from sumsetlab import iterated_sumset, random_full_dim_set, reduce_to_simplex
+from sumsetlab import random_full_dim_set, reduce_to_simplex, sumset_size
 
 
 def main() -> None:
@@ -25,11 +25,11 @@ def main() -> None:
     final, trace = reduce_to_simplex(A)
     print(f"\n{'step':>4} {'|2A|':>6}  compression")
     stages = trace.intermediates()
-    print(f"{0:>4} {len(iterated_sumset(stages[0], 2)):>6}  (translated start)")
+    print(f"{0:>4} {sumset_size({stages[0]: 2}):>6}  (translated start)")
     for i, (spec, stage) in enumerate(zip(trace.steps, stages[1:]), start=1):
         axis = spec.axis_index()
         label = f"axis {axis}" if axis else f"normal {spec.normal}, direction {spec.direction}"
-        print(f"{i:>4} {len(iterated_sumset(stage, 2)):>6}  {label}")
+        print(f"{i:>4} {sumset_size({stage: 2}):>6}  {label}")
 
     print(f"\nfinal ({len(trace.steps)} steps):")
     print(" ", sorted(tuple(p) for p in final.points))

@@ -43,8 +43,8 @@ from .core import (
     ensure,
     linear_image,
     max_fiber,
-    minkowski_sum,
     project,
+    rref,
     sumset_size,
     weighted_sumset,
 )
@@ -468,35 +468,17 @@ def _poly_eval(coeffs: tuple[Fraction, ...], x) -> Fraction:
     return acc
 
 
-def _poly_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _interpolate(nodes: list[int], values: list[int]) -> tuple[Fraction, ...]:
+    """Exact coefficients (low to high) of the unique polynomial of degree
+    < len(nodes) through the given points, trailing zeros dropped.  The
+    Vandermonde rows [x^0, ..., x^(n-1), y] have full rank for distinct
+    nodes, so their :func:`~sumsetlab.core.rref` is [I | c]."""
+    n = len(nodes)
+    red, _ = rref([[x**i for i in range(n)] + [y] for x, y in zip(nodes, values)], n + 1)
+    coeffs = [Fraction(row[n]) for row in red]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _interpolate(nodes: list[int], values: list[int]) -> tuple[Fraction, ...]:
-    """Exact coefficients (low to high) of the unique polynomial of degree
-    < len(nodes) through the given points, via Newton's divided differences."""
-    n = len(nodes)
-    table = [Fraction(v) for v in values]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (nodes[i] - nodes[i - level])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for i in range(n):
-        for j, c in enumerate(basis):
-            coeffs[j] += table[i] * c
-        basis = _poly_mul(basis, [Fraction(-nodes[i]), Fraction(1)])
-    return _poly_trim(coeffs)
 
 
 @dataclass(frozen=True)
@@ -545,6 +527,12 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
     last d+1 computed values pin that polynomial down exactly when k_max is
     past the stabilization point.
 
+    Each |kA| is counted by :func:`~sumsetlab.core.sumset_size` on the
+    multiset {A: k}, so no kA is decoded into a point set.  The fitted and
+    the reference polynomial are each solved exactly from their d + 1 values
+    at the nodes k_max - d, ..., k_max, as the Vandermonde system that
+    :func:`~sumsetlab.core.rref` reduces.
+
     Inside a :func:`~sumsetlab.core.sum_limit` block the probe raises
     :class:`~sumsetlab.core.BudgetError` before its first sum when the
     engine's point bounds of kA, added up over k = 2..k_max, exceed the
@@ -565,12 +553,7 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
             if total > limit:
                 raise BudgetError(f"the sums kA for k = 2..{k_max} could have more points"
                                   f" in total than the budget of {limit}")
-    values = []
-    acc = A
-    values.append(len(acc))
-    for _ in range(k_max - 1):
-        acc = minkowski_sum([acc, A])
-        values.append(len(acc))
+    values = [sumset_size({A: k}) for k in range(1, k_max + 1)]
     nodes = list(range(k_max - d, k_max + 1))
     poly = _interpolate(nodes, values[k_max - d - 1 :])
     observed_threshold = k_max

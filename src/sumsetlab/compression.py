@@ -94,8 +94,9 @@ class CompressionSpec:
     @classmethod
     def axis(cls, i: int, d: int) -> "CompressionSpec":
         """The standard i-th axis compression (1-based): push fibers parallel
-        to e_i down onto the coordinate hyperplane {x_i = 0}."""
-        if not 1 <= i <= d:
+        to e_i down onto the coordinate hyperplane {x_i = 0}.  A bool or any
+        other non-``int`` is no axis."""
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= d:
             raise ValueError(f"axis must be in 1..{d}")
         e = tuple(1 if j == i - 1 else 0 for j in range(d))
         return cls(normal=e, offset=0, direction=e)

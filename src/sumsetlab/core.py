@@ -179,6 +179,13 @@ def point_sort_key(p: Vec):
 # ---------------------------------------------------------------------------
 
 
+def _dimension(dim) -> int:
+    """``dim`` if it is a positive ``int``; a bool is no dimension."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError("'dim' must be a positive integer")
+    return dim
+
+
 def _form(points: frozenset) -> tuple[int, frozenset]:
     """(q, qA) for a set A of canonical points: q, the lcm of the coordinate
     denominators, and the integral points qA (A itself for q = 1).  An empty
@@ -203,10 +210,8 @@ class PointSet:
     __slots__ = ("dim", "q", "scaled", "_points")
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        self.dim = _dimension(dim)
         pts = frozenset(as_vec(p, dim) for p in points)
-        self.dim = dim
         self.q, self.scaled = _form(pts)
         self._points = pts
 

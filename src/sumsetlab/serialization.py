@@ -40,6 +40,7 @@ from .core import (
     RationalMatrix,
     Vec,
     _columns,
+    _dimension,
     _form,
     _selectors,
     _size,
@@ -98,13 +99,6 @@ def decode_point(raw, dim: int) -> Vec:
     if not isinstance(raw, (list, tuple)) or len(raw) != dim:
         raise ValueError(f"point {raw!r} does not have {dim} coordinates")
     return tuple(map(decode_coord, raw))
-
-
-def _dimension(dim) -> int:
-    """``dim`` if it is a positive ``int``; a bool is no dimension."""
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError("'dim' must be a positive integer")
-    return dim
 
 
 def _canonical_order(q: int, values: Iterable[int]) -> tuple[list[int], list[str]]:

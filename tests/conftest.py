@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from sumsetlab import PointSet, bounds, compression, core
+from sumsetlab import PointSet, compression, core
 from sumsetlab.core import Subspace, is_zero_vec
 
 settings.register_profile(
@@ -231,7 +231,7 @@ def built_sums(monkeypatch):
 
         monkeypatch.setattr(module, name, recorded)
 
-    for module in (core, bounds, compression):
+    for module in (core, compression):
         spy(module, "minkowski_sum")
     spy(core, "_decode")
     return calls

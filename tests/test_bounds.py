@@ -591,16 +591,16 @@ class TestKhovanskiiProbe:
 
     def test_budget_counts_the_box_or_the_product(self, monkeypatch):
         # the bound of kA is min(4^k, cells of its box (5k + 1)(7k + 1)), and
-        # a refused probe builds no sum
+        # a refused probe counts no sum
         A = PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 7)])
         total = sum(min(4**k, (5 * k + 1) * (7 * k + 1)) for k in range(2, 7))
         with sum_limit(total):
             assert khovanskii_probe(A, 6).k_max == 6
 
         def forbidden(sets):
-            raise AssertionError("a sum was built despite the budget")
+            raise AssertionError("a sum was counted despite the budget")
 
-        monkeypatch.setattr(bounds, "minkowski_sum", forbidden)
+        monkeypatch.setattr(bounds, "sumset_size", forbidden)
         with sum_limit(total - 1), pytest.raises(BudgetError):
             khovanskii_probe(A, 6)
 
@@ -618,13 +618,23 @@ class TestKhovanskiiProbe:
             assert sum(c * k**i for i, c in enumerate(rep.reference)) == expected
         assert len(rep.reference) == d + 1 and all(type(c) is Fraction for c in rep.reference)
 
-    @given(point_sets(1, min_size=2, max_size=5, coords=values(0, 6)))
+    @given(st.data())
     @settings(max_examples=30)
-    def test_fitted_polynomial_reproduces_values(self, A):
-        rep = khovanskii_probe(A, 5)
-        for k in range(rep.observed_threshold, 6):
+    def test_fitted_polynomial_reproduces_values(self, data):
+        d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+        A = data.draw(
+            point_sets(d, min_size=d + 1, max_size=d + 4, coords=values(0, 6)).filter(
+                lambda A: affine_dimension(A) == d
+            ),
+            label="A",
+        )
+        k_max = d + 4
+        rep = khovanskii_probe(A, k_max)
+        sizes = tuple(len(naive_sumset([A] * k)) for k in range(1, k_max + 1))
+        assert rep.values == sizes
+        for k in range(rep.observed_threshold, k_max + 1):
             value = sum(c * k**i for i, c in enumerate(rep.polynomial))
-            assert value == len(iterated_sumset(A, k))
+            assert value == sizes[k - 1]
 
 
 class TestFitDeficitExponent:

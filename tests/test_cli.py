@@ -235,6 +235,14 @@ class TestCompressReduceProject:
         assert code == 0
         assert json.loads(out)["points"] == [["0", "0"], ["0", "1"], ["1", "0"]]
 
+    @pytest.mark.parametrize("axis", [True, 2.0, 1.5, "1"])
+    def test_spec_axis_must_be_an_int(self, call, workset, axis):
+        _, write = workset
+        a = write("a.json", pointset_to_dict(PointSet(2, [(0, 0), (0, 3), (1, 7)])))
+        spec = write("s.json", {"axis": axis})
+        code, out, err = call("compress", "--set", a, "--spec", spec)
+        assert (code, out, err) == (2, "", f"error: {spec}: axis must be in 1..2\n")
+
     def test_reduce_square(self, call, workset):
         _, write = workset
         sq = write("sq.json", pointset_to_dict(PointSet(2, [(0, 0), (0, 1), (1, 0), (1, 1)])))

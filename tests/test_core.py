@@ -73,6 +73,12 @@ class TestPointSet:
         with pytest.raises(DimensionMismatchError):
             PointSet(2, [(0, 0, 0)])
 
+    @pytest.mark.parametrize("dim, point", [(True, (0,)), (2.0, (0, 0)), (0, ())])
+    def test_dimension_that_no_reader_accepts_rejected(self, dim, point):
+        # "dim": true or 2.0 would be written, and refused when read back
+        with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+            PointSet(dim, [point])
+
     def test_float_coordinates_rejected(self):
         with pytest.raises(TypeError):
             PointSet(1, [(0.5,)])
