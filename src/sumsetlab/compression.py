@@ -244,7 +244,9 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
         normal=spec.normal, offset=_canon(k * spec.offset), direction=spec.direction
     )
     compressed_target = compress(full_sum, target_spec)
-    missing = compressed_sum.points - compressed_target.points
+    # compare the integer forms at one q; only a witness is decoded
+    q, (inner, outer) = _scaled([compressed_sum, compressed_target])
+    missing = inner - outer
     lhs = len(compressed_sum)
     rhs = len(full_sum)
     params = {
@@ -254,7 +256,7 @@ def check_sum_monotone(sets: list[PointSet], spec: CompressionSpec) -> Certifica
     }
     inputs = [*sets, params["spec"]]
     if missing:
-        witness = min(missing, key=point_sort_key)
+        witness = min(PointSet._raw(compressed_sum.dim, q, missing).points, key=point_sort_key)
         return Certificate(
             statement_id="sum_monotone",
             lhs=lhs,

@@ -33,13 +33,14 @@ O(k) whatever the multiplicities.  A one-point summand only moves the box and
 is not folded.  The fold is an ``int`` bitmap (one shift and OR per summand
 point) when the box has at most ``_BITMAP_DENSITY`` cells per point of that
 bound, and at most ``_BITMAP_MAX_CELLS`` cells; otherwise it is a set of
-packed integers that adds every pair.  The choice depends only on the
-summands' sizes and bounding boxes, not on their order, and both folds
-return the same set.  The ``sumset``, ``compress`` and ``project`` commands
-write the fold itself, still packed and scaled, in box order
-(:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the same
-folds and counts the result without decoding it: the bitmap's set bits, or
-the size of the packed set.
+packed integers that adds every pair, but adds a repeated summand over
+multisets, each sum of its points once (:func:`_multiple`).  The choice
+depends only on the summands' sizes and bounding boxes, not on their order,
+and both folds return the same set.  The ``sumset``, ``compress`` and
+``project`` commands write the fold itself, still packed and scaled, in box
+order (:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the
+same folds and counts the result without decoding it: the bitmap's set
+bits, or the size of the packed set.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
@@ -293,15 +294,20 @@ Summands = Sequence[PointSet] | Mapping[PointSet, int]
 
 # The integral engine picks one of two folds over the same packed integers.
 # The bitmap fold costs about one box cell per shift of a summand point, plus
-# the decode of every cell; the pair-set fold costs one set insertion per pair,
-# plus a divmod decode of every output point.  The bitmap runs when the box has
-# at most this many cells per point of the bound min(|A_1| ... |A_k|, cells);
-# for k = 2 that is the choice per pair added.  Both folds timed on random
-# integral inputs (d = 1..4, 2 to 300 points, box sides 2 to 1000), a limit of
-# 8 lost against the faster fold of each: 4.2 ms on 321 inputs with k = 2..4
-# counted per pair (no fold over 1.5x slower; limits 2 and 32 lost 152 and
-# 32 ms), and 441 ms of 5.36 s on 600 inputs with k = 3, 4 counted per point
-# of the bound (none over 2.7x slower; limits 2 and 32 lost 5.03 s and 36 ms).
+# the decode of every cell; the pair-set fold costs one set insertion per pair
+# (fewer for a repeated summand, folded over multisets), plus a divmod decode
+# of every output point.  The bitmap runs when the box has at most this many
+# cells per point of the bound min(|A_1| ... |A_k|, cells); for k = 2 that is
+# the choice per pair added.  Both folds timed on random integral inputs
+# (d = 1..4, 2 to 300 points, box sides 2 to 1000; pairs not yet folded over
+# multisets), a limit of 8 lost 4.2 ms against the faster fold of each on 321
+# inputs with k = 2..4 counted per pair (no fold over 1.5x slower; limits 2
+# and 32 lost 152 and 32 ms).  Timed again on 800 inputs with k = 3, 4
+# (d = 1..4, 2 to 40 points for k = 3 and 18 for k = 4, at most 2^22 cells,
+# box sides set for 0.25 to 2000 cells per point of the bound), it lost 48 of
+# 474 ms (none over 3.5x slower; limits 2, 16 and 32 lost 121, 29 and 60 ms):
+# 3 of 84 ms on kA, where 4 did best, and 45 of 389 ms on k distinct
+# summands, where 32 did best.
 _BITMAP_DENSITY = 8
 # The bitmap's decode buffers take about 4 bytes per cell, so boxes above
 # 4M cells always take the pair-set fold.
@@ -336,17 +342,21 @@ def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
     return list(packed)
 
 
-def _bitmap_fold(packed: list[list[int]], cells: int) -> int:
-    """Sum of packed summands as an ``int`` bitmap over the box: bit v is set
-    for each packed point v, and adding a summand ORs one shifted copy of the
-    partial sum per summand point."""
+def _bitmap_fold(packed: list[tuple[list[int], int]], cells: int) -> int:
+    """Sum of packed summands, given as (packed points, multiplicity) pairs,
+    as an ``int`` bitmap over the box: bit v is set for each packed point v,
+    and adding a summand ORs one shifted copy of the partial sum per summand
+    point, once per unit of its multiplicity."""
+    folds = []
+    for points, count in packed:
+        folds += [points] * count
     # start from the largest summand: every other point costs one shift
-    packed = sorted(packed, key=len, reverse=True)
+    folds.sort(key=len, reverse=True)
     bits = bytearray(b"0") * cells
-    for v in packed[0]:
+    for v in folds[0]:
         bits[cells - 1 - v] = 49  # ord("1")
     acc = int(bits, 2)
-    for summand in packed[1:]:
+    for summand in folds[1:]:
         folded = 0
         for v in summand:
             folded |= acc << v
@@ -354,12 +364,43 @@ def _bitmap_fold(packed: list[list[int]], cells: int) -> int:
     return acc
 
 
-def _pair_fold(packed: list[list[int]]) -> set[int]:
-    """Sum of packed summands as a set of packed integers, adding every pair
-    at each fold."""
-    sums = set(packed[0])
-    for summand in packed[1:]:
-        sums = {a + b for a in sums for b in summand}
+def _multiple(a: list[int], m: int) -> set[int]:
+    """mA, for m >= 2 and a set A = {a_0, ..., a_{n-1}} of packed integers,
+    folded over multisets: each sum of j points is kept once, so it is
+    extended once and not once per ordering of its points.
+
+    Every partial sum s in jA keeps t(s), the least last index over its ways
+    of being written, s = a_{i_1} + ... + a_{i_j} with i_1 <= ... <= i_j.
+    The next level extends s only by a_u for u >= t(s), and keeps for each
+    new sum the least u it was reached by.  That is t of the new sum, by
+    induction on j: each s + a_u is written with last index u, and if x in
+    (j + 1)A has least last index u, then x = s' + a_u for a sum s' of j
+    points of index at most u, so t(s') <= u and s' is extended by a_u.  A
+    level thus takes sum_s (n - t(s)) <= |jA| n additions, never more than
+    adding A to jA pair by pair.  Running u downward, a dict comprehension
+    keeps the least u of each sum; sorted by t, the sums that a_u extends
+    are a prefix, ``order[:ends[u]]``, whose length ``itertools.accumulate``
+    takes from the counts of each t.  In A itself t(a_i) = i, so the first
+    level needs no sort."""
+    n = len(a)
+    order, ends = a, range(1, n + 1)
+    for _ in range(m - 2):
+        level = {s + a[u]: u for u in range(n - 1, -1, -1) for s in order[:ends[u]]}
+        order = sorted(level, key=level.__getitem__)
+        counts = Counter(level.values())
+        ends = list(itertools.accumulate(counts[t] for t in range(n)))
+    return {s + a[u] for u in range(n) for s in order[:ends[u]]}
+
+
+def _pair_fold(packed: list[tuple[list[int], int]]) -> set[int]:
+    """Sum of packed summands, given as (packed points, multiplicity) pairs,
+    as a set of packed integers.  A summand of multiplicity m >= 2 is folded
+    over multisets by :func:`_multiple`; the parts of the distinct summands
+    are then added pair by pair."""
+    parts = [points if count == 1 else _multiple(points, count) for points, count in packed]
+    sums = set(parts[0])
+    for part in parts[1:]:
+        sums = {a + b for a in sums for b in part}
     return sums
 
 
@@ -392,10 +433,12 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     multiplicity, that one bound is checked against :func:`sum_limit` in
     O(k), before anything is packed, and it picks the fold:
     :func:`_bitmap_fold` runs when the box has at most ``_BITMAP_DENSITY``
-    cells per point of the bound and at most ``_BITMAP_MAX_CELLS`` cells.  Neither depends on the order of the
-    summands.  Each summand of two or more points is then packed once and
-    folded m_i times; a one-point summand packs to [0], so it only moves the
-    box and is not folded.
+    cells per point of the bound and at most ``_BITMAP_MAX_CELLS`` cells.
+    Neither depends on the order of the summands.  Each summand of two or
+    more points is then packed once and passed to the fold with its
+    multiplicity m_i: the bitmap ORs it in m_i times, and the pair fold
+    builds m_i A_i over multisets (:func:`_multiple`).  A one-point summand
+    packs to [0], so it only moves the box and is not folded.
     """
     columns, lows, highs = [], [], []
     for points, count in summands:
@@ -414,12 +457,10 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     weights = [1] * len(sides)
     for i in range(len(sides) - 1, 0, -1):
         weights[i - 1] = weights[i] * sides[i]
-    packed = []
-    for (cols, mins), (points, count) in zip(columns, summands):
-        if len(points) > 1:
-            packed += [_pack(cols, mins, weights)] * count
+    packed = [(_pack(cols, mins, weights), count)
+              for (cols, mins), (points, count) in zip(columns, summands) if len(points) > 1]
     # a sum of points alone is the one cell of its box
-    packed = packed or [[0]]
+    packed = packed or [([0], 1)]
     if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * bound:
         return _bitmap_fold(packed, cells), lows, sides
     return _pair_fold(packed), lows, sides

@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from operator import add, itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
@@ -150,30 +149,34 @@ def dumps_packed(dim: int, q: int, folded: int | set[int], lows: list[int], side
     :func:`dumps_canonical`, and no point is decoded to a tuple.
 
     For a bitmap, each coordinate's box values are sorted once by
-    :func:`_canonical_order`, and the bitmap's cells are permuted into that
-    order: the rows along the last coordinate are taken in the order of the
-    others, and each row is permuted by one ``itemgetter``.  Then
-    ``itertools.compress`` picks the points' texts from the product of the
-    coordinates' texts, already in canonical order.  For q = 1 the box order
-    is the canonical order.  A set of packed integers is sorted, which is
-    box order, and split into its coordinate columns; for q > 1 they are
-    sorted again by :func:`_canonical_rows`."""
+    :func:`_canonical_order`, and the bitmap's cell bytes are permuted into
+    that order by two rounds of strided slicing: one slice per value of the
+    last coordinate, in its canonical order, gives a column-major copy, and
+    one slice of that copy per row along the last coordinate, with the rows
+    in the canonical order of the other coordinates, gives the cells in
+    canonical order.  Then ``itertools.compress`` picks the points' texts
+    from the product of the coordinates' texts, already in canonical order.
+    For q = 1 the box order is the canonical order.  A set of packed
+    integers is sorted, which is box order, and split into its coordinate
+    columns; for q > 1 they are sorted again by :func:`_canonical_rows`."""
     size = _size(folded)
     if type(folded) is int:
         orders = [_canonical_order(q, range(low, low + side)) for low, side in zip(lows, sides)]
         cells = _selectors(folded, math.prod(sides))
         if q != 1:
-            # the first cell of each row, in the canonical order of the rows
-            starts, stride = [0], math.prod(sides)
+            # the index of each row (a line along the last coordinate), in
+            # the canonical order of the rows
+            width = sides[-1]
+            rows = stride = len(cells) // width
+            starts = [0]
             for (order, _), low, side in zip(orders[:-1], lows, sides):
                 stride //= side
                 starts = [start + (c - low) * stride for start in starts for c in order]
-            width = sides[-1]
-            rows = map(cells.__getitem__, map(slice, starts, map(add, starts, itertools.repeat(width))))
-            if width > 1:  # an itemgetter of one index returns the item itself
-                order, _ = orders[-1]
-                rows = map(itemgetter(*[c - lows[-1] for c in order]), rows)
-            cells = itertools.chain.from_iterable(rows)
+            # a column-major copy, its columns in canonical order, holds
+            # each row as one strided slice
+            order, _ = orders[-1]
+            columns = b"".join([cells[c - lows[-1]::width] for c in order])
+            cells = b"".join([columns[start::rows] for start in starts])
         points = itertools.compress(itertools.product(*[texts for _, texts in orders]), cells)
     else:
         # packed order is box order, which is the canonical order for q = 1

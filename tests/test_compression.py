@@ -191,6 +191,18 @@ class TestSumMonotone:
         cert = check_sum_monotone([A], axis_spec(1, 1))
         assert cert.to_dict()["statement_id"] == "sum_monotone"
 
+    def test_violation_names_the_least_missing_point(self, monkeypatch):
+        # compress is replaced so that the compressed sum misses points of
+        # the sum of the compressed sets: the check must report them
+        A = PointSet(1, [(0,), (Fraction(1, 3),), (Fraction(1, 2),)])
+        target = PointSet(1, [(0,), (Fraction(2, 3),), (Fraction(5, 6),), (1,)])
+        monkeypatch.setattr(compression, "compress", lambda X, spec: X if X == A else target)
+        cert = check_sum_monotone([A, A], axis_spec(1, 1))
+        assert cert.verdict == "Violated"
+        assert cert.lhs == cert.rhs == 6 and cert.slack == 0
+        # 1/3 and 1/2 are missing; canonical order puts 1/2 first
+        assert cert.witnesses == {"point_outside_compressed_sumset": ["1/2"]}
+
     @given(st.lists(point_sets(2, max_size=5), min_size=1, max_size=3), general_specs)
     @settings(max_examples=60)
     def test_never_violated(self, sets, spec):

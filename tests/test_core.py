@@ -801,6 +801,91 @@ class TestMultiset:
                 build({A: 2, PointSet(1, [(5,)]): count})
 
 
+@st.composite
+def sparse_sets(draw, dim, q):
+    """Up to 5 points with coordinates c / q, c in [-10^6, 10^6], plus the two
+    points with first coordinate -10^6 / q and 10^6 / q and every other 0: a
+    sum of up to four summands has far more than ``_BITMAP_DENSITY`` box
+    cells per point of its bound, so it takes the pair-set fold."""
+    coord = st.integers(-(10**6), 10**6).map(lambda c: Fraction(c, q))
+    ends = [(Fraction(s * 10**6, q),) + (0,) * (dim - 1) for s in (-1, 1)]
+    return PointSet(dim, draw(st.lists(st.tuples(*[coord] * dim), max_size=5)) + ends)
+
+
+@st.composite
+def progression_and_far_point(draw, dim):
+    """An arithmetic progression of 2 to 8 points, whose sums collide, plus
+    one point at distance 10^5 along the first axis, so that its sums take
+    the pair-set fold."""
+    start = draw(st.tuples(*[int_coords] * dim))
+    step = (draw(st.integers(1, 3)),) + draw(st.tuples(*[st.integers(-3, 3)] * (dim - 1)))
+    terms = [tuple(a + i * b for a, b in zip(start, step)) for i in range(draw(st.integers(2, 8)))]
+    return PointSet(dim, terms + [(draw(st.sampled_from((-WIDE, WIDE))),) + (0,) * (dim - 1)])
+
+
+class TestMultisetPairFold:
+    """The pair-set fold adds a summand of multiplicity m >= 2 over multisets
+    (``core._multiple``).  Checked against ``naive_sumset`` on sums that take
+    that fold: multiplicities 1 to 4, sparse and rational sets, arithmetic
+    progressions whose sums collide, and mixed multisets."""
+
+    @staticmethod
+    def check(counts):
+        with engine_folds() as seen:
+            got = minkowski_sum(counts)
+        assert seen == ["pairs"]
+        assert set(got.points) == naive_sumset([A for A, m in counts.items() for _ in range(m)])
+        assert sumset_size(counts) == len(got)
+
+    @staticmethod
+    def draw_set(data):
+        dim = data.draw(st.integers(1, 3))
+        q = data.draw(st.sampled_from([1, 2, 6]))
+        return data.draw(st.one_of(sparse_sets(dim, q), progression_and_far_point(dim)))
+
+    @given(data=st.data())
+    def test_repeated_summand(self, data):
+        self.check({self.draw_set(data): data.draw(st.integers(2, 4))})
+
+    @given(data=st.data())
+    def test_mixed_multisets(self, data):
+        A = self.draw_set(data)
+        B = data.draw(point_sets(A.dim, max_size=4, coords=MIXED_VALUES))
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 4 - m))
+        first, second = data.draw(st.sampled_from([(A, A.negate()), (A, B), (B, A)]))
+        # a symmetric A is its own negative: one summand of multiplicity m + n
+        counts = {first: m}
+        counts[second] = counts.get(second, 0) + n
+        self.check(counts)
+
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True), st.integers(2, 6))
+    def test_multiple_is_every_multiset_sum(self, points, m):
+        want = {sum(c) for c in itertools.combinations_with_replacement(points, m)}
+        assert core._multiple(points, m) == want
+
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=7, unique=True), st.integers(2, 5))
+    def test_multiple_extends_each_sum_from_its_least_last_index(self, points, m):
+        # the additions are sum_s (n - t(s)) over the sums s of each level
+        # j < m, t(s) the least last index of s over its ways of being written
+        added = []
+
+        class Counted(int):
+            def __add__(self, other):
+                added.append(1)
+                return Counted(int(self) + other)
+
+        core._multiple([Counted(p) for p in points], m)
+        n, want = len(points), 0
+        for j in range(1, m):
+            least = {}
+            for indices in itertools.combinations_with_replacement(range(n), j):
+                s = sum(points[i] for i in indices)
+                least[s] = min(least.get(s, n), indices[-1])
+            want += sum(n - t for t in least.values())
+        assert len(added) == want
+
+
 class TestIteratedSumset:
     def test_k1_is_identity(self):
         A = PointSet(1, [(0,), (1,)])

@@ -290,6 +290,20 @@ class TestDumpsPacked:
         packed = packed_sumset(sets)
         assert dumps_packed(*packed) == packed_recipe(*packed)
 
+    @pytest.mark.parametrize("dim, raw, k", [
+        (2, [["1/2", "0"], ["0", "1/3"], ["1", "1"], ["3/2", "2/3"], ["1/3", "1/2"], ["2", "0"]], 3),
+        (3, [["0", "0", "0"], ["1/2", "0", "1"], ["0", "1/2", "1/2"], ["1", "1", "0"],
+             ["1/2", "1", "1/2"], ["0", "1", "1"], ["1", "0", "1/2"]], 2),
+    ])
+    def test_golden_rational_sums_are_bitmaps(self, dim, raw, k):
+        # the inputs of the rational_bitmap_d2 and _d3 golden stdout rows in
+        # CI, which pin the bytes of the q > 1 bitmap writer: their sums must
+        # stay bitmaps for the rows to cover it
+        A = pointset_from_dict({"dim": dim, "points": raw})
+        packed = packed_sumset({A: k})
+        assert packed[1] > 1 and type(packed[2]) is int
+        assert dumps_packed(*packed) == packed_recipe(*packed)
+
 
 class TestMatrixCodec:
     M = RationalMatrix([[1, 2], [3, 4]])
