@@ -29,14 +29,11 @@ from .certificates import (
 )
 from .core import (
     Basis,
-    BudgetError,
     DimensionMismatchError,
     LinearSystem,
     PointSet,
     Subspace,
-    _SUM_LIMIT,
     _canon,
-    _point_bound,
     affine_dimension,
     as_vec,
     covering_number,
@@ -46,6 +43,7 @@ from .core import (
     project,
     rref,
     sumset_size,
+    sumset_sizes,
     weighted_sumset,
 )
 from .generators import long_simplex
@@ -527,33 +525,20 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
     last d+1 computed values pin that polynomial down exactly when k_max is
     past the stabilization point.
 
-    Each |kA| is counted by :func:`~sumsetlab.core.sumset_size` on the
-    multiset {A: k}, so no kA is decoded into a point set.  The fitted and
-    the reference polynomial are each solved exactly from their d + 1 values
-    at the nodes k_max - d, ..., k_max, as the Vandermonde system that
-    :func:`~sumsetlab.core.rref` reduces.
+    The values |A|, ..., |k_max A| are read from one fold of {A: k_max} by
+    :func:`~sumsetlab.core.sumset_sizes`, so no kA is decoded into a point
+    set.  The fitted and the reference polynomial are each solved exactly
+    from their d + 1 values at the nodes k_max - d, ..., k_max, as the
+    Vandermonde system that :func:`~sumsetlab.core.rref` reduces.
 
-    Inside a :func:`~sumsetlab.core.sum_limit` block the probe raises
-    :class:`~sumsetlab.core.BudgetError` before its first sum when the
-    engine's point bounds of kA, added up over k = 2..k_max, exceed the
-    limit: each sum may fit it while the k_max - 1 of them together do not."""
+    Inside a :func:`~sumsetlab.core.sum_limit` block the probe is refused
+    exactly when :func:`~sumsetlab.core.sumset_sizes` refuses its levels."""
     d = affine_dimension(A)
     if d != A.dim:
         raise ValueError("growth probe expects a full-dimensional set")
     if k_max < d + 2:
         raise ValueError(f"need k_max >= {d + 2} to fit a degree-{d} polynomial")
-    limit = _SUM_LIMIT.get()
-    if limit is not None:
-        # kA has at least k + 1 points, so the total passes the limit within
-        # about sqrt(2 limit) terms, however large k_max is
-        spans = [max(c) - min(c) for c in zip(*A.scaled)]
-        total = 0
-        for k in range(2, k_max + 1):
-            total += _point_bound([(A.scaled, k)], math.prod(k * span + 1 for span in spans))
-            if total > limit:
-                raise BudgetError(f"the sums kA for k = 2..{k_max} could have more points"
-                                  f" in total than the budget of {limit}")
-    values = [sumset_size({A: k}) for k in range(1, k_max + 1)]
+    values = sumset_sizes(A, k_max)
     nodes = list(range(k_max - d, k_max + 1))
     poly = _interpolate(nodes, values[k_max - d - 1 :])
     observed_threshold = k_max

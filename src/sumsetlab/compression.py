@@ -181,11 +181,9 @@ def compress(A: PointSet, spec: CompressionSpec) -> PointSet:
 
 def is_down_set(A: PointSet) -> bool:
     """True iff A is a finite order ideal of N^d (every axis fiber is an
-    initial segment; equivalently A is fixed by all axis compressions)."""
-    if not A.is_integral:
-        return False
-    if any(c < 0 for p in A.points for c in p):
-        return False
+    initial segment; equivalently A is fixed by all axis compressions).
+    Axis compression i moves coordinate i onto 0, 1, 2, ..., so a set fixed
+    by every one is already integral and non-negative."""
     return all(
         compress(A, CompressionSpec.axis(i, A.dim)) == A for i in range(1, A.dim + 1)
     )
@@ -344,14 +342,14 @@ def _moves(state: PointSet, d: int) -> Iterator[tuple[CompressionSpec, PointSet]
     if ``state`` is a down set and the pair alignments otherwise.  Each is
     built only when the previous one did not fire.  The down-set test of
     :func:`is_down_set` reads the axis images already computed: a down set
-    is an integral, non-negative state fixed by every axis compression."""
+    is a state fixed by every axis compression."""
     fixed = True
     for i in range(1, d + 1):
         spec = CompressionSpec.axis(i, d)
         image = compress(state, spec)
         fixed = fixed and image == state
         yield spec, image
-    if fixed and state.is_integral and all(c >= 0 for p in state.points for c in p):
+    if fixed:
         w = max(p[0] for p in state.points)
         specs = (_shear_spec(j, w, d) for j in range(2, d + 1))
     else:

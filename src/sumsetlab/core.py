@@ -18,7 +18,8 @@ the form of a set is unique.
 Sumsets
 -------
 Every sumset (:func:`minkowski_sum`, :func:`iterated_sumset`,
-:func:`weighted_sumset`) goes through one engine, :func:`packed_sumset`.  It
+:func:`weighted_sumset`) and every count of one (:func:`sumset_size`,
+:func:`sumset_sizes`) goes through one engine, :func:`packed_sumset`.  It
 reads its summands as a multiset, once, as ``Counter(sets)``
 (:func:`_summands`): a sequence of sets, whose equal entries are one summand
 repeated, or a mapping from set to a positive ``int`` multiplicity, so kA is
@@ -40,15 +41,20 @@ and both folds return the same set.  The ``sumset``, ``compress`` and
 ``project`` commands write the fold itself, still packed and scaled, in box
 order (:func:`serialization.dumps_packed`).  :func:`sumset_size` runs the
 same folds and counts the result without decoding it: the bitmap's set
-bits, or the size of the packed set.
+bits, or the size of the packed set.  :func:`sumset_sizes` runs the one
+fold of kA and counts every level on the way, |A|, |2A|, ..., |kA|: the
+bitmap's set bits after each round, or the size of each level of
+:func:`_multiple`.
 
 Inside a :func:`sum_limit` block, the engine refuses with
 :class:`BudgetError`, before packing anything, every sum of two or more
 summands, counted with multiplicity, whose bound exceeds the limit: the same
-bound, taken on the scaled summands.  The limit is a context variable, so
-it ends with its block; library calls outside any block have none.  The
-command line enters one block per command with ``--budget``, in the same
-``with`` as :func:`~sumsetlab.certificates.precision_limit`.
+bound, taken on the scaled summands.  :func:`sumset_sizes` refuses the
+levels 2A, ..., kA together when their bounds, added up, exceed the limit.
+The limit is a context variable, so it ends with its block; library calls
+outside any block have none.  The command line enters one block per command
+with ``--budget``, in the same ``with`` as
+:func:`~sumsetlab.certificates.precision_limit`.
 
 Integral inputs
 ---------------
@@ -342,11 +348,12 @@ def _pack(cols: list[tuple], mins: list[int], weights: list[int]) -> list[int]:
     return list(packed)
 
 
-def _bitmap_fold(packed: list[tuple[list[int], int]], cells: int) -> int:
+def _bitmap_fold(packed: list[tuple[list[int], int]], cells: int, sizes: list[int] | None = None) -> int:
     """Sum of packed summands, given as (packed points, multiplicity) pairs,
     as an ``int`` bitmap over the box: bit v is set for each packed point v,
     and adding a summand ORs one shifted copy of the partial sum per summand
-    point, once per unit of its multiplicity."""
+    point, once per unit of its multiplicity.  Given a list ``sizes``, each
+    round appends the partial sum's set bits to it."""
     folds = []
     for points, count in packed:
         folds += [points] * count
@@ -361,13 +368,16 @@ def _bitmap_fold(packed: list[tuple[list[int], int]], cells: int) -> int:
         for v in summand:
             folded |= acc << v
         acc = folded
+        if sizes is not None:
+            sizes.append(acc.bit_count())
     return acc
 
 
-def _multiple(a: list[int], m: int) -> set[int]:
+def _multiple(a: list[int], m: int, sizes: list[int] | None = None) -> set[int]:
     """mA, for m >= 2 and a set A = {a_0, ..., a_{n-1}} of packed integers,
     folded over multisets: each sum of j points is kept once, so it is
-    extended once and not once per ordering of its points.
+    extended once and not once per ordering of its points.  Given a list
+    ``sizes``, |2A|, ..., |mA| are appended to it, one per level.
 
     Every partial sum s in jA keeps t(s), the least last index over its ways
     of being written, s = a_{i_1} + ... + a_{i_j} with i_1 <= ... <= i_j.
@@ -386,18 +396,24 @@ def _multiple(a: list[int], m: int) -> set[int]:
     order, ends = a, range(1, n + 1)
     for _ in range(m - 2):
         level = {s + a[u]: u for u in range(n - 1, -1, -1) for s in order[:ends[u]]}
+        if sizes is not None:
+            sizes.append(len(level))
         order = sorted(level, key=level.__getitem__)
         counts = Counter(level.values())
         ends = list(itertools.accumulate(counts[t] for t in range(n)))
-    return {s + a[u] for u in range(n) for s in order[:ends[u]]}
+    last = {s + a[u] for u in range(n) for s in order[:ends[u]]}
+    if sizes is not None:
+        sizes.append(len(last))
+    return last
 
 
-def _pair_fold(packed: list[tuple[list[int], int]]) -> set[int]:
+def _pair_fold(packed: list[tuple[list[int], int]], sizes: list[int] | None = None) -> set[int]:
     """Sum of packed summands, given as (packed points, multiplicity) pairs,
     as a set of packed integers.  A summand of multiplicity m >= 2 is folded
-    over multisets by :func:`_multiple`; the parts of the distinct summands
-    are then added pair by pair."""
-    parts = [points if count == 1 else _multiple(points, count) for points, count in packed]
+    over multisets by :func:`_multiple`, which appends its level sizes to
+    ``sizes``; the parts of the distinct summands are then added pair by
+    pair."""
+    parts = [points if count == 1 else _multiple(points, count, sizes) for points, count in packed]
     sums = set(parts[0])
     for part in parts[1:]:
         sums = {a + b for a in sums for b in part}
@@ -417,7 +433,9 @@ def _point_bound(summands: Iterable[tuple[Collection, int]], cells: int) -> int:
     return bound
 
 
-def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int | set[int], list[int], list[int]]:
+def _integral_fold(
+    summands: Sequence[tuple[Collection[Vec], int]], sizes: list[int] | None = None
+) -> tuple[int | set[int], list[int], list[int]]:
     """m_1 A_1 + ... + m_k A_k for distinct sets of integral points, given as
     (points, multiplicity) pairs, packed once in the sum's box and not yet
     decoded: the bitmap of :func:`_bitmap_fold` or the set of
@@ -438,7 +456,9 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     more points is then packed once and passed to the fold with its
     multiplicity m_i: the bitmap ORs it in m_i times, and the pair fold
     builds m_i A_i over multisets (:func:`_multiple`).  A one-point summand
-    packs to [0], so it only moves the box and is not folded.
+    packs to [0], so it only moves the box and is not folded.  For the one
+    summand A of multiplicity m >= 2 of :func:`sumset_sizes`, either fold
+    appends |2A|, ..., |mA| to ``sizes`` as it builds them.
     """
     columns, lows, highs = [], [], []
     for points, count in summands:
@@ -462,8 +482,8 @@ def _integral_fold(summands: Sequence[tuple[Collection[Vec], int]]) -> tuple[int
     # a sum of points alone is the one cell of its box
     packed = packed or [([0], 1)]
     if cells <= _BITMAP_MAX_CELLS and cells <= _BITMAP_DENSITY * bound:
-        return _bitmap_fold(packed, cells), lows, sides
-    return _pair_fold(packed), lows, sides
+        return _bitmap_fold(packed, cells, sizes), lows, sides
+    return _pair_fold(packed, sizes), lows, sides
 
 
 def _size(folded: int | set[int]) -> int:
@@ -550,8 +570,39 @@ def sumset_size(sets: Summands) -> int:
     return _size(_integral_fold(summands)[0])
 
 
-def _sum(sets: Summands) -> PointSet:
-    """A_1 + ... + A_k as a ``PointSet``: the form (q, q(A_1 + ... + A_k))
+def sumset_sizes(A: PointSet, k: int) -> list[int]:
+    """[|A|, |2A|, ..., |kA|], read level by level from the one fold of
+    ``{A: k}``: the bitmap's set bits after each round, or the size of each
+    level of :func:`_multiple`.  A k other than a positive ``int`` raises
+    ``ValueError``.
+
+    Inside a :func:`sum_limit` block the levels are refused together, with
+    :class:`BudgetError` before anything is packed, when the engine's point
+    bounds of jA, min(|A|^j, cells of the box of jA), added up over
+    j = 2..k, exceed the limit: each level may fit it while the k - 1 of
+    them together do not."""
+    _, _, ((points, k),) = _summands({A: k}, "sumset_sizes")
+    limit = _SUM_LIMIT.get()
+    if limit is not None:
+        # jA has at least j + 1 points when |A| >= 2, so the total passes the
+        # limit within about sqrt(2 limit) terms, however large k is
+        spans = [max(c) - min(c) for c in zip(*points)]
+        total = 0
+        for j in range(2, k + 1):
+            total += _point_bound([(points, j)], math.prod(j * span + 1 for span in spans))
+            if total > limit:
+                raise BudgetError(f"the sums kA for k = 2..{k} could have more points"
+                                  f" in total than the budget of {limit}")
+    if k == 1 or len(points) == 1:
+        return [len(points)] * k
+    sizes = [len(points)]
+    _integral_fold([(points, k)], sizes)
+    return sizes
+
+
+def minkowski_sum(sets: Summands) -> PointSet:
+    """A_1 + ... + A_k = {a_1 + ... + a_k}, for a sequence of summands or a
+    mapping from summand to multiplicity: the form (q, q(A_1 + ... + A_k))
     of :func:`packed_sumset`, decoded, with no ``Fraction`` built.  One
     summand taken once is not packed."""
     dim, q, summands = _summands(sets, "a sumset")
@@ -560,16 +611,10 @@ def _sum(sets: Summands) -> PointSet:
     return PointSet._raw(dim, q, _decode(*_integral_fold(summands)))
 
 
-def minkowski_sum(sets: Summands) -> PointSet:
-    """A_1 + ... + A_k = {a_1 + ... + a_k}, for a sequence of summands or a
-    mapping from summand to multiplicity."""
-    return _sum(sets)
-
-
 def iterated_sumset(A: PointSet, k: int) -> PointSet:
     """kA = A + ... + A (k summands): the summand A of multiplicity k, so a k
     other than a positive ``int`` raises ``ValueError``."""
-    return _sum({A: k})
+    return minkowski_sum({A: k})
 
 
 # ---------------------------------------------------------------------------

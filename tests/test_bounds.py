@@ -61,8 +61,9 @@ from sumsetlab import (
     shear_system,
     simplex_cardinality,
     sum_limit,
+    sumset_size,
 )
-from sumsetlab import bounds
+from sumsetlab import core
 from sumsetlab.bounds import _root_sum_power_exact
 from sumsetlab.certificates import Interval, canonical_json
 
@@ -597,12 +598,32 @@ class TestKhovanskiiProbe:
         with sum_limit(total):
             assert khovanskii_probe(A, 6).k_max == 6
 
-        def forbidden(sets):
-            raise AssertionError("a sum was counted despite the budget")
+        def packed(*args):
+            raise AssertionError("a refused probe packed a sum")
 
-        monkeypatch.setattr(bounds, "sumset_size", forbidden)
+        for name in ("_pack", "_bitmap_fold", "_pair_fold"):
+            monkeypatch.setattr(core, name, packed)
         with sum_limit(total - 1), pytest.raises(BudgetError):
             khovanskii_probe(A, 6)
+
+    @pytest.mark.parametrize("A, k_max", [
+        (interval_set(0, 1), 4470),
+        (PointSet(2, [(0, 0), (1, 0), (0, 1), (5, 7)]), 94),
+    ])
+    def test_one_fold_for_every_k(self, monkeypatch, A, k_max):
+        # |A|, ..., |k_max A| come from one fold of {A: k_max}
+        folds = []
+
+        def counted(summands, *args):
+            folds.append([count for _, count in summands])
+            return real(summands, *args)
+
+        real = core._integral_fold
+        monkeypatch.setattr(core, "_integral_fold", counted)
+        with sum_limit(10**9):
+            rep = khovanskii_probe(A, k_max)
+        assert folds == [[k_max]]
+        assert rep.values[-1] == sumset_size({A: k_max})
 
     def test_k_max_too_small_rejected(self):
         with pytest.raises(ValueError):

@@ -178,6 +178,29 @@ class TestIsDownSet:
         assert not is_down_set(PointSet(1, [(Fraction(1, 2),)]))
         assert not is_down_set(PointSet(1, [(-1,)]))
 
+    @staticmethod
+    def order_ideal(points):
+        """Whether ``points`` is an order ideal of N^d, from the definition:
+        non-negative integral points, each with p - e_i for every p_i > 0."""
+        return all(c >= 0 and c.denominator == 1 for p in points for c in p) and all(
+            p[:i] + (p[i] - 1,) + p[i + 1:] in points
+            for p in points for i in range(len(p)) if p[i] > 0
+        )
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.one_of(
+        point_sets(d, max_size=6, coords=values(-1, 2, max_denominator=2)),
+        point_sets(d, max_size=6, coords=values(0, 2)),
+    )))
+    @example(PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+    @example(PointSet(2, [(0, 0), (1, 0), (Fraction(1, 2), 1)]))
+    @example(PointSet(2, [(-1, 0), (0, 0), (1, 0)]))
+    @example(PointSet(1, [(Fraction(-1, 2),), (Fraction(1, 2),)]))
+    @example(long_simplex(3, 5))
+    def test_matches_order_ideal_oracle(self, A):
+        # rational and negative sets included: a set fixed by every axis
+        # compression is integral and non-negative with no separate check
+        assert is_down_set(A) == self.order_ideal(A.points)
+
 
 class TestSumMonotone:
     def test_pair_example(self):

@@ -54,6 +54,7 @@ from sumsetlab import (
     rotation_system,
     sum_limit,
     sumset_size,
+    sumset_sizes,
     weighted_sumset,
 )
 
@@ -483,6 +484,85 @@ class TestSumsetSize:
             sumset_size([])
         with pytest.raises(DimensionMismatchError):
             sumset_size([PointSet(1, [(0,)]), PointSet(2, [(0, 0)])])
+
+
+class TestSumsetSizes:
+    """``sumset_sizes(A, k)`` reads |A|, ..., |kA| from the one fold of
+    {A: k}: each level against ``sumset_size({A: j})`` and
+    ``len(naive_sumset([A] * j))``, on both folds, integral and rational
+    sets, a one-point set, k = 1 and a sparse set whose pair fold builds its
+    levels in ``core._multiple``."""
+
+    @staticmethod
+    def check(A, k):
+        with engine_folds() as seen:
+            sizes = sumset_sizes(A, k)
+        assert len(sizes) == k
+        for j, size in enumerate(sizes, 1):
+            assert size == sumset_size({A: j}) == len(naive_sumset([A] * j)), j
+        return seen
+
+    @pytest.mark.parametrize("make_set, fold", FOLDS)
+    @given(data=st.data())
+    def test_both_folds(self, make_set, fold, data):
+        A = data.draw(make_set(data.draw(st.integers(1, 3))))
+        k = data.draw(st.integers(1, 3))
+        assert self.check(A, k) == [fold] * (k > 1 and len(A) > 1)
+
+    @pytest.mark.parametrize("density, fold", [(0, "pairs"), (10**9, "bitmap")])
+    @given(data=st.data())
+    def test_each_fold_forced(self, density, fold, data):
+        # a density of 0 leaves every box to the pair fold, and 10^9 gives
+        # every box of at most _BITMAP_MAX_CELLS cells to the bitmap
+        dim = data.draw(st.integers(1, 3))
+        coords = data.draw(st.sampled_from([INT_VALUES, RATIONAL_VALUES, MIXED_VALUES]))
+        A = data.draw(point_sets(dim, min_size=2, max_size=5, coords=coords))
+        k = data.draw(st.integers(2, 4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BITMAP_DENSITY", density)
+            assert self.check(A, k) == [fold]
+
+    def test_one_point_and_k1(self):
+        P = PointSet(2, [(Fraction(1, 3), -4)])
+        assert self.check(P, 5) == []
+        A = PointSet(2, [(0, 0), (Fraction(1, 2), 7), (5, -1)])
+        assert self.check(A, 1) == []
+        assert sumset_sizes(A, 1) == [3]
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_sparse_levels_from_multiple(self, k):
+        # the pair fold builds every level of a sparse set in one _multiple
+        A = TestFoldChoice.SPARSE
+        calls = []
+
+        def multiple(a, m, sizes=None):
+            calls.append(m)
+            return real(a, m, sizes)
+
+        real = core._multiple
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_multiple", multiple)
+            sumset_sizes(A, k)
+        assert calls == [k]
+        assert self.check(A, k) == ["pairs"]
+
+    def test_rejects_bad_k(self):
+        A = PointSet(1, [(0,), (1,)])
+        for k in (0, -1, 2.0, True):
+            with pytest.raises(ValueError):
+                sumset_sizes(A, k)
+
+    @pytest.mark.parametrize("k", [2, 5, 30])
+    def test_budget_bounds_the_total_of_the_levels(self, k):
+        # jA of {0, 1/2, 1} has 2j + 1 points, so levels 2..k total k^2 + 2k - 3
+        A = PointSet(1, [(0,), (Fraction(1, 2),), (1,)])
+        total = k * k + 2 * k - 3
+        with sum_limit(total):
+            assert sumset_sizes(A, k) == [2 * j + 1 for j in range(1, k + 1)]
+        with sum_limit(total - 1), pytest.raises(
+            BudgetError, match=f"the sums kA for k = 2..{k} could have more points in total than the budget of {total - 1}"
+        ):
+            sumset_sizes(A, k)
 
 
 def expected_fold(sets):
