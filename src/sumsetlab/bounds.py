@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from operator import ge, sub
 
 from .certificates import (
     HOLDS,
@@ -113,9 +114,9 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
     """|kA| >= C(k+d-1, d)|A| - (k-1) C(k+d-1, d-1) for full-dimensional A.
 
     The long simplex of |A| points attains the bound, so the bound is
-    ``simplex_cardinality(d, |A|, k)``.  It is also evaluated in the rewritten
-    form C(k+d-1, d-1) (k(|A|-d)/d + 1); the two agree identically because
-    C(k+d-1, d) = (k/d) C(k+d-1, d-1).
+    ``simplex_cardinality(d, |A|, k)``.  It is checked against the rewritten
+    form C(k+d-1, d-1) (k(|A|-d)/d + 1), times d to stay in integers; the two
+    agree identically because C(k+d-1, d) = (k/d) C(k+d-1, d-1).
     """
     d = A.dim
     if k < 1:
@@ -124,10 +125,10 @@ def check_freiman_kfold(A: PointSet, k: int) -> Certificate:
         raise ValueError("the k-fold lower bound needs a full-dimensional set")
     n = len(A)
     bound = simplex_cardinality(d, n, k)
-    rewritten = _canon(
-        Fraction(math.comb(k + d - 1, d - 1)) * (Fraction(k * (n - d), d) + 1)
+    ensure(
+        d * bound == math.comb(k + d - 1, d - 1) * (k * (n - d) + d),
+        "the two closed forms of the bound must agree",
     )
-    ensure(bound == rewritten, "the two closed forms of the bound must agree")
     rhs = sumset_size({A: k})
     return exact_certificate(
         "freiman_kfold",
@@ -399,6 +400,15 @@ def check_fiber_bound(system: LinearSystem, A: PointSet, U: Subspace) -> Certifi
 # ---------------------------------------------------------------------------
 
 
+def _never_violated(cert: Certificate, **changes) -> Certificate:
+    """``cert`` with ``changes`` applied, under the probes' rule of the module
+    docstring: an instance provably short of the main term is Indeterminate,
+    never Violated."""
+    if cert.verdict == VIOLATED:
+        changes["verdict"] = INDETERMINATE
+    return replace(cert, **changes) if changes else cert
+
+
 def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     """Reports the deficit k^d |A| - |sum L_i(A)| against the conjectured
     main term.  Holds when the weighted sumset reaches the main term; a
@@ -416,15 +426,13 @@ def main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
     exponent = None
     if deficit > 0 and len(A) >= 2:
         exponent = f"{math.log(deficit) / math.log(len(A)):.6f}"
-    return Certificate(
-        statement_id="main_term",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        verdict=HOLDS if deficit <= 0 else INDETERMINATE,
+    return _never_violated(exact_certificate(
+        "main_term",
+        lhs,
+        rhs,
         params={"k": k, "d": d, "size": len(A), "deficit": deficit, "exponent": exponent},
         inputs=[A, system_to_dict(system)],
-    )
+    ))
 
 
 def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
@@ -449,21 +457,12 @@ def det_main_term_probe(system: LinearSystem, A: PointSet) -> Certificate:
         params={"k": system.k, "d": d, "size": len(A)},
         inputs=[A, system_to_dict(system)],
     )
-    # provably above the main term at finite size is informational only
-    verdict = INDETERMINATE if cert.verdict == VIOLATED else cert.verdict
-    return replace(cert, rhs=rhs, verdict=verdict)
+    return _never_violated(cert, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
 # polynomial growth probe
 # ---------------------------------------------------------------------------
-
-
-def _poly_eval(coeffs: tuple[Fraction, ...], x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _interpolate(nodes: list[int], values: list[int]) -> tuple[Fraction, ...]:
@@ -531,6 +530,21 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
     from their d + 1 values at the nodes k_max - d, ..., k_max, as the
     Vandermonde system that :func:`~sumsetlab.core.rref` reduces.
 
+    Both decisions are made on the integer values, and no polynomial is
+    evaluated:
+
+    * *Threshold.*  The fitted P has degree at most d, so its (d+1)-th
+      forward difference vanishes.  If |jA| = P(j) for k < j <= k + d + 1,
+      the (d+1)-th difference of the values starting at k is
+      +-(|kA| - P(k)), so |kA| = P(k) exactly when it is 0.  The values
+      agree with P at the fit nodes; going down from there, the observed
+      threshold is 2 + the largest 0-based index whose (d+1)-th difference
+      is nonzero, or 1 when there is none.
+    * *Dominance.*  Q interpolates ``simplex_cardinality(d, |A|, k)`` at
+      d + 1 nodes, and at every k >= 1 C(k+d-1, d) and C(k+d-1, d-1) agree
+      with polynomials in k of degree d and d - 1.  So Q(k) is that integer
+      at every k >= 1, and the values are compared with it directly.
+
     Inside a :func:`~sumsetlab.core.sum_limit` block the probe is refused
     exactly when :func:`~sumsetlab.core.sumset_sizes` refuses its levels."""
     d = affine_dimension(A)
@@ -541,19 +555,12 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
     values = sumset_sizes(A, k_max)
     nodes = list(range(k_max - d, k_max + 1))
     poly = _interpolate(nodes, values[k_max - d - 1 :])
-    observed_threshold = k_max
-    for k in range(k_max, 0, -1):
-        if _poly_eval(poly, k) == values[k - 1]:
-            observed_threshold = k
-        else:
-            break
-    # the reference Q(k) has degree d, so its values at the d + 1 fit nodes
-    # determine it
-    bound = [simplex_cardinality(d, len(A), k) for k in nodes]
-    reference = _interpolate(nodes, bound)
-    dominates = all(
-        values[k - 1] >= _poly_eval(reference, k) for k in range(1, k_max + 1)
-    )
+    diffs = values
+    for _ in range(d + 1):
+        diffs = list(map(sub, diffs[1:], diffs))
+    observed_threshold = max((i + 2 for i, x in enumerate(diffs) if x), default=1)
+    bound = [simplex_cardinality(d, len(A), k) for k in range(1, k_max + 1)]
+    reference = _interpolate(nodes, bound[k_max - d - 1 :])
     return GrowthFitReport(
         dim=d,
         size=len(A),
@@ -564,7 +571,7 @@ def khovanskii_probe(A: PointSet, k_max: int) -> GrowthFitReport:
         polynomial=poly,
         reference=reference,
         equals_reference=poly == reference,
-        dominates_reference=dominates,
+        dominates_reference=all(map(ge, values, bound)),
     )
 
 

@@ -584,15 +584,21 @@ def sumset_sizes(A: PointSet, k: int) -> list[int]:
     _, _, ((points, k),) = _summands({A: k}, "sumset_sizes")
     limit = _SUM_LIMIT.get()
     if limit is not None:
-        # jA has at least j + 1 points when |A| >= 2, so the total passes the
-        # limit within about sqrt(2 limit) terms, however large k is
-        spans = [max(c) - min(c) for c in zip(*points)]
-        total = 0
-        for j in range(2, k + 1):
-            total += _point_bound([(points, j)], math.prod(j * span + 1 for span in spans))
-            if total > limit:
-                raise BudgetError(f"the sums kA for k = 2..{k} could have more points"
-                                  f" in total than the budget of {limit}")
+        # every jA of a one-point A is one point, k - 1 in all; otherwise jA
+        # has at least j + 1 points, so the total passes the limit within
+        # about sqrt(2 limit) terms, however large k is
+        if len(points) == 1:
+            total = k - 1
+        else:
+            spans = [max(c) - min(c) for c in zip(*points)]
+            total = 0
+            for j in range(2, k + 1):
+                total += _point_bound([(points, j)], math.prod(j * span + 1 for span in spans))
+                if total > limit:
+                    break
+        if total > limit:
+            raise BudgetError(f"the sums kA for k = 2..{k} could have more points"
+                              f" in total than the budget of {limit}")
     if k == 1 or len(points) == 1:
         return [len(points)] * k
     sizes = [len(points)]

@@ -16,6 +16,9 @@ which work on the integer form (q, qA) of a set.
 ``rref``) per vector, the reference for ``structure._spin``.
 ``naive_charpoly_factors`` factors a characteristic polynomial with sympy,
 the reference for ``sumsetlab.polynomials``.
+``naive_growth_decisions`` makes the Khovanskii probe's two decisions by
+evaluating Lagrange interpolants in ``Fraction`` arithmetic at every k, the
+reference for the probe's integer differences and bound comparison.
 
 ``point_sets`` draws distinct points by construction: each point is an index
 into the finite grid ``coords^dim``, drawn without replacement, so no draw
@@ -25,6 +28,7 @@ The ``built_sums`` fixture records every sum a test makes the library build,
 so a check that only counts can be shown to build none.
 """
 
+import math
 import os
 from fractions import Fraction
 
@@ -162,6 +166,35 @@ def naive_charpoly_factors(M):
         coeffs = [Fraction(int(c.p), int(c.q)) for c in Poly(fac, x).all_coeffs()]
         out.append((coeffs, len(coeffs) - 1))
     return out
+
+
+def naive_growth_decisions(values, d, size):
+    """(observed threshold, dominates) for the sizes ``values`` = |A|, ...,
+    |k_max A| of a d-dimensional set of ``size`` points: the least k from
+    which the values equal the polynomial through them at k_max - d, ...,
+    k_max, and whether every value is at least the polynomial through the
+    k-fold bound C(k+d-1, d) size - (k-1) C(k+d-1, d-1) at those nodes.
+    Both polynomials are evaluated at every k by Lagrange's formula."""
+    k_max = len(values)
+    nodes = range(k_max - d, k_max + 1)
+
+    def interpolant(ys):
+        def at(k):
+            return sum(
+                y * math.prod(Fraction(k - x, xi - x) for x in nodes if x != xi)
+                for xi, y in zip(nodes, ys)
+            )
+        return at
+
+    fit = interpolant(values[k_max - d - 1 :])
+    threshold = k_max
+    for k in range(k_max, 0, -1):
+        if fit(k) != values[k - 1]:
+            break
+        threshold = k
+    bound = [math.comb(k + d - 1, d) * size - (k - 1) * math.comb(k + d - 1, d - 1) for k in nodes]
+    reference = interpolant(bound)
+    return threshold, all(values[k - 1] >= reference(k) for k in range(1, k_max + 1))
 
 
 def values(low, high, max_denominator=1):

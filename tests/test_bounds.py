@@ -18,6 +18,7 @@ from conftest import (
     INT_VALUES,
     MIXED_VALUES,
     RATIONAL_VALUES,
+    naive_growth_decisions,
     naive_sumset,
     point_sets,
     set_families,
@@ -63,8 +64,8 @@ from sumsetlab import (
     sum_limit,
     sumset_size,
 )
-from sumsetlab import core
-from sumsetlab.bounds import _root_sum_power_exact
+from sumsetlab import bounds, core
+from sumsetlab.bounds import _root_sum_power, _root_sum_power_exact
 from sumsetlab.certificates import Interval, canonical_json
 
 # per dimension: the standard basis, an integral shear, and a basis with
@@ -356,6 +357,37 @@ class TestExtractDthPower:
         with pytest.raises(ValueError):
             _root_sum_power_exact([2, -1], 2)
         assert _root_sum_power_exact([0, 0], 3) == 0
+
+
+class TestRootSumPower:
+    """``_root_sum_power`` encloses (sum x^{1/d})^d at every precision."""
+
+    @given(st.integers(0, 10**6) | st.fractions(0, 1000, max_denominator=50),
+           st.integers(1, 6), st.integers(1, 256))
+    @settings(max_examples=300)
+    def test_encloses_a_single_value(self, x, d, bits):
+        iv = _root_sum_power([x], d, bits)
+        assert iv.lo <= x <= iv.hi
+
+    @given(st.integers(1, 10**4) | st.fractions(1, 1000, max_denominator=50),
+           st.lists(st.fractions(0, 20, max_denominator=12), min_size=1, max_size=4),
+           st.integers(1, 6), st.integers(1, 256))
+    @settings(max_examples=300)
+    def test_encloses_a_common_radical(self, x, rs, d, bits):
+        # x r_i^d has d-th root x^{1/d} r_i, so the power is x (sum r_i)^d
+        iv = _root_sum_power([x * r**d for r in rs], d, bits)
+        assert iv.lo <= x * sum(rs) ** d <= iv.hi
+
+    def test_non_powers_at_every_precision(self):
+        # x^{1/d} is irrational, so every enclosure holds the power strictly
+        # inside; (x^{1/d} + (2^d x)^{1/d})^d = 3^d x
+        for x in (2, 3, 5, 10**6 + 1, Fraction(7, 3), Fraction(1, 10)):
+            for d in (2, 3, 5):
+                for bits in range(1, 200):
+                    iv = _root_sum_power([x], d, bits)
+                    assert iv.lo < x < iv.hi
+                    iv = _root_sum_power([x, 2**d * x], d, bits)
+                    assert iv.lo < 3**d * x < iv.hi
 
 
 class TestRuzsaTriangle:
@@ -656,6 +688,41 @@ class TestKhovanskiiProbe:
         for k in range(rep.observed_threshold, k_max + 1):
             value = sum(c * k**i for i, c in enumerate(rep.polynomial))
             assert value == sizes[k - 1]
+        # the threshold is the least such k: one step below it they differ
+        if rep.observed_threshold > 1:
+            k = rep.observed_threshold - 1
+            assert sum(c * k**i for i, c in enumerate(rep.polynomial)) != sizes[k - 1]
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_decisions_match_fraction_evaluation(self, data):
+        # perturbed values stand in for |kA|: no real set can fail to
+        # dominate the reference, since that would contradict the bound
+        d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+        A = data.draw(
+            point_sets(d, min_size=d + 1, max_size=d + 4, coords=values(0, 4)).filter(
+                lambda A: affine_dimension(A) == d
+            ),
+            label="A",
+        )
+        k_max = data.draw(st.integers(d + 2, d + 9), label="k_max")
+        sizes = core.sumset_sizes(A, k_max)
+        changes = st.tuples(st.integers(0, k_max - 1), st.integers(-3, 3))
+        for i, delta in data.draw(st.lists(changes, max_size=3), label="changes"):
+            sizes[i] += delta
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "sumset_sizes", lambda B, k: list(sizes))
+            rep = khovanskii_probe(A, k_max)
+        assert rep.values == tuple(sizes)
+        expected = naive_growth_decisions(sizes, d, len(A))
+        assert (rep.observed_threshold, rep.dominates_reference) == expected
+
+    def test_dominance_reads_k_1(self, monkeypatch):
+        # |A| equals the bound at k = 1, so one point fewer there is the only
+        # shortfall
+        monkeypatch.setattr(bounds, "sumset_sizes", lambda B, k: [3, 9, 16, 25, 36, 49])
+        rep = khovanskii_probe(long_simplex(2, 4), 6)
+        assert not rep.dominates_reference and rep.observed_threshold == 2
 
 
 class TestFitDeficitExponent:

@@ -564,6 +564,29 @@ class TestSumsetSizes:
         ):
             sumset_sizes(A, k)
 
+    @pytest.mark.parametrize("A", [PointSet(1, [(0,)]), PointSet(2, [(Fraction(1, 3), -4)])])
+    def test_one_point_total_in_closed_form(self, monkeypatch, A):
+        # every level of a one-point set is one point, so levels 2..k total
+        # k - 1, refused at once when it passes the limit: no level is
+        # bounded one by one
+        calls = []
+
+        def point_bound(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = core._point_bound
+        monkeypatch.setattr(core, "_point_bound", point_bound)
+        with sum_limit(10**7), pytest.raises(
+            BudgetError, match="the sums kA for k = 2..100000000 could have more points in total than the budget of 10000000"
+        ):
+            sumset_sizes(A, 10**8)
+        with sum_limit(5):
+            assert sumset_sizes(A, 6) == [1] * 6
+        with sum_limit(4), pytest.raises(BudgetError):
+            sumset_sizes(A, 6)
+        assert calls == []
+
 
 def expected_fold(sets):
     """The fold the engine must choose for integral ``sets``, recomputed from
